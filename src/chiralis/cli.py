@@ -19,8 +19,7 @@ derham-closed      closedness of a differential form, with witness
 Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
 false identity (the report carries a witness); 2 = usage or input error.
 Reports are JSON on stdout (or --out); a fixed seed makes a run byte
-identical.  The environment variable CHIRALIS_THREADS caps the worker
-count used for independent cohomology cells.
+identical.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -48,7 +45,7 @@ from .algebroid import (
 )
 from .chevalley import ChevalleyCochain, JetWorld
 from .fock import BGSystem, borcherds_full_check
-from .koszul import ChiralKoszul
+from .koszul import ChiralKoszul, euler_lines
 from .linfty import (
     BasisMultiMap,
     GradedSpace,
@@ -116,14 +113,6 @@ def emit(report: dict, out: Optional[str]) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def thread_count() -> int:
-    raw = os.environ.get("CHIRALIS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # -- input forms ---------------------------------------------------------------------
@@ -214,38 +203,17 @@ def even_base(nvars: int) -> SuperPolyAlgebra:
 def cmd_fs_cohomology(args) -> int:
     if args.m is None or args.m < 1:
         raise UsageError("--m must be a positive integer")
+    if args.max_weight < 0:
+        raise UsageError("--max-weight must be non-negative")
+    if args.min_charge > args.max_charge:
+        raise UsageError("--min-charge must not exceed --max-charge")
     K = ChiralKoszul(args.m)
-    cells = []
-    jobs = [
-        (w, q)
-        for w in range(0, args.max_weight + 1)
-        for q in range(args.min_charge, args.max_charge + 1)
-    ]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda wq: (wq, K.cell_cohomology(*wq)), jobs)
-            )
-    else:
-        results = [(wq, K.cell_cohomology(*wq)) for wq in jobs]
-    for (w, q), entries in sorted(results, key=lambda r: r[0]):
-        for entry in entries:
-            cells.append(
-                {
-                    "weight": w,
-                    "charge": q,
-                    "degree": entry["degree"],
-                    "dim": entry["dim"],
-                    "cochain_dim": entry["cochain_dim"],
-                    "representatives": [
-                        enc_poly(r) for r in entry["representatives"]
-                    ],
-                }
-            )
-    table = K.character_table(
+    cells = K.cohomology(
         args.max_weight, args.max_charge, args.min_charge
-    )
+    )["cells"]
+    if not cells:
+        raise UsageError("the (weight, charge) window contains no cells")
+    _lines, euler_ok = euler_lines(cells)
     weight0 = sum(c["dim"] for c in cells if c["weight"] == 0)
     report = {
         "command": "fs-cohomology",
@@ -253,13 +221,13 @@ def cmd_fs_cohomology(args) -> int:
         "m": args.m,
         "cells": cells,
         "weight0_dimension": weight0,
-        "euler_ok": table["euler_ok"],
+        "euler_ok": euler_ok,
         "window": {
             "max_weight": args.max_weight,
             "max_charge": args.max_charge,
             "min_charge": args.min_charge,
         },
-        "ok": table["euler_ok"],
+        "ok": euler_ok,
     }
     emit(report, args.out)
     return 0 if report["ok"] else 1
@@ -291,7 +259,7 @@ def cmd_borcherds_check(args) -> int:
                 if not rep["ok"]:
                     failures.append(
                         {"a": a, "b": b, "c": c, "rst": [r, s, t],
-                         "defect": rep["defect"]}
+                         "difference": rep["difference"]}
                     )
     else:
         rng = random.Random(args.seed)
@@ -312,7 +280,7 @@ def cmd_borcherds_check(args) -> int:
             if not rep["ok"]:
                 failures.append(
                     {"a": a, "b": b, "c": c, "rst": [r, s, t],
-                     "defect": rep["defect"]}
+                     "difference": rep["difference"]}
                 )
     report = {
         "command": "borcherds-check",

@@ -10,8 +10,8 @@ States are super polynomials (see :mod:`chiralis.ring`) in mode letters
     ('c', name, k)   coordinate mode, k <= 0,
     ('m', name, k)   momentum mode,   k <  0,
 
-sorted canonically: momenta before coordinates, then by generator name,
-then by decreasing |k|.  The letter of mode index k corresponds to the
+sorted canonically by key: coordinates before momenta, then by generator
+name, then by decreasing |k|.  The letter of mode index k corresponds to the
 field mode with standard (vertex-operator) index k-1 for coordinates and k
 for momenta, so that letters of states always have operator index <= -1
 (creation) and the vacuum is the empty monomial.

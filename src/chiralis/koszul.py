@@ -16,11 +16,9 @@ classes of 1, x, ..., x^{m-1}.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import ring
 from .algebra import SuperPolyAlgebra
 from .exact import echelon, rank_kernel, reduce_against
 from .fock import State, bg_bc_system
@@ -54,40 +52,52 @@ class ChiralKoszul:
         canonical letter order of the carrier; the count of the weight-0
         coordinate x_0 is forced by the charge, which makes the cell
         finite.
+
+        Enumerated by a pruned recursion over the letters of nonzero
+        weight that carries the remaining weight budget and the running
+        charge and stops a branch once the budget is spent; each leaf adds
+        xi_0 (0 or 1 of it) and the forced count of x_0.  The brute-force
+        oracle is ``tests/test_koszul.py::brute_force_cell_basis``, checked
+        by ``test_cell_basis_matches_brute_force``.
         """
         fk = self.fock
         m = self.m
-        letters: List[tuple] = []
-        for k in range(-1, -weight - 1, -1):
-            letters.append(("c", "x", k))
-            letters.append(("m", "x", k))
-            letters.append(("c", "xi", k))
-            letters.append(("m", "xi", k))
+        # key order: coordinates before momenta, x before xi, k ascending
+        letters = sorted(
+            [("c", "x", 0), ("c", "xi", 0)]
+            + [(kind, name, k) for kind in ("c", "m")
+               for name in ("x", "xi") for k in range(-weight, 0)]
+        )
+        ix0 = letters.index(("c", "x", 0))
+        ixi0 = letters.index(("c", "xi", 0))
+        steps = [
+            (i, -lt[2], fk.parity(lt), fk.charge(lt))
+            for i, lt in enumerate(letters) if lt[2]
+        ]
+        exps = [0] * len(letters)
         out: List[tuple] = []
-        maxcnt = {lt: (weight // (-lt[2]) if fk.parity(lt) == 0 else 1)
-                  for lt in letters}
-        ranges = [range(0, maxcnt[lt] + 1) for lt in letters]
-        for counts in itertools.product(*ranges):
-            w = sum(c * (-lt[2]) for c, lt in zip(counts, letters))
-            if w != weight:
-                continue
-            for xi0 in (0, 1):
-                q = sum(c * fk.charge(lt)
-                        for c, lt in zip(counts, letters))
-                q += xi0 * m
-                nx0 = charge - q
-                if nx0 < 0:
-                    continue
-                state = fk.vac()
-                for lt, c in zip(letters, counts):
-                    for _ in range(c):
-                        state = fk.mul(state, ring.poly_gen(lt))
-                if xi0:
-                    state = fk.mul(state, fk.coord("xi", 0))
-                for _ in range(nx0):
-                    state = fk.mul(state, fk.coord("x", 0))
-                (mono,) = state.keys()
-                out.append(mono)
+
+        def walk(s: int, budget: int, q: int) -> None:
+            if budget == 0:
+                for xi0 in (0, 1):
+                    nx0 = charge - q - xi0 * m
+                    if nx0 < 0:
+                        continue
+                    exps[ix0], exps[ixi0] = nx0, xi0
+                    out.append(tuple(
+                        (lt, e) for lt, e in zip(letters, exps) if e
+                    ))
+                return
+            if s == len(steps):
+                return
+            i, size, odd, dq = steps[s]
+            top = min(budget // size, 1) if odd else budget // size
+            for e in range(top + 1):
+                exps[i] = e
+                walk(s + 1, budget - e * size, q + e * dq)
+            exps[i] = 0
+
+        walk(0, weight, 0)
         out.sort()
         return out
 
@@ -108,7 +118,11 @@ class ChiralKoszul:
         domain basis, the target basis); each column is the image of one
         domain monomial.
         """
-        cells = self.cell_by_degree(weight, charge)
+        return self._matrix(self.cell_by_degree(weight, charge), degree)
+
+    def _matrix(
+        self, cells: Dict[int, List[tuple]], degree: int
+    ) -> Tuple[List[dict], List[tuple], List[tuple]]:
         dom = cells.get(degree, [])
         tgt = cells.get(degree + 1, [])
         index = {mono: i for i, mono in enumerate(tgt)}
@@ -141,7 +155,7 @@ class ChiralKoszul:
         entries = []
         info: Dict[int, tuple] = {}
         for d in range(degrees[0] - 1, degrees[-1] + 1):
-            cols, dom, tgt = self.differential_matrix(weight, charge, d)
+            cols, dom, tgt = self._matrix(cells, d)
             n = len(dom)
             rows: List[dict] = [dict() for _ in tgt]
             for j, col in enumerate(cols):
@@ -215,30 +229,38 @@ class ChiralKoszul:
     ) -> dict:
         """Graded cohomology dimensions with Euler-characteristic checks."""
         report = self.cohomology(max_weight, max_charge, min_charge)
-        lines: Dict[tuple, dict] = {}
-        for cell in report["cells"]:
-            key = (cell["weight"], cell["charge"])
-            line = lines.setdefault(
-                key,
-                {"weight": key[0], "charge": key[1], "dims": {},
-                 "euler": 0, "cochain_euler": 0},
-            )
-            d = cell["degree"]
-            if cell["dim"]:
-                line["dims"][d] = cell["dim"]
-            sign = -1 if d & 1 else 1
-            line["euler"] += sign * cell["dim"]
-            line["cochain_euler"] += sign * cell["cochain_dim"]
-        table = [lines[k] for k in sorted(lines)]
-        ok = all(
-            line["euler"] == line["cochain_euler"] for line in table
-        )
+        table, ok = euler_lines(report["cells"])
         return {
             "m": self.m,
             "lines": table,
             "euler_ok": ok,
             "window": report["window"],
         }
+
+
+def euler_lines(cells: List[dict]) -> Tuple[List[dict], bool]:
+    """Per (weight, charge) Euler lines of the cells of a cohomology report.
+
+    Returns the lines sorted by (weight, charge) and whether every line's
+    cohomology Euler characteristic equals its cochain alternating sum.
+    """
+    lines: Dict[tuple, dict] = {}
+    for cell in cells:
+        key = (cell["weight"], cell["charge"])
+        line = lines.setdefault(
+            key,
+            {"weight": key[0], "charge": key[1], "dims": {},
+             "euler": 0, "cochain_euler": 0},
+        )
+        d = cell["degree"]
+        if cell["dim"]:
+            line["dims"][d] = cell["dim"]
+        sign = -1 if d & 1 else 1
+        line["euler"] += sign * cell["dim"]
+        line["cochain_euler"] += sign * cell["cochain_dim"]
+    table = [lines[k] for k in sorted(lines)]
+    ok = all(line["euler"] == line["cochain_euler"] for line in table)
+    return table, ok
 
 
 def build(m: int) -> ChiralKoszul:

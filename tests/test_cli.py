@@ -7,6 +7,9 @@ and the documented example invocations.
 
 import json
 
+import pytest
+
+from chiralis import cli
 from chiralis.cli import run
 
 
@@ -46,6 +49,29 @@ def test_borcherds_exhaustive_and_seeded(tmp_path):
     assert (tmp_path / "b2.json").read_bytes() == (
         tmp_path / "b3.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mode", [["--samples", "0"], ["--samples", "50", "--seed", "1"]],
+    ids=["exhaustive", "random"],
+)
+def test_borcherds_failure_reports_witness(tmp_path, monkeypatch, mode):
+    # doubling every 0-th product breaks the commutator formula, so both
+    # the exhaustive and the sampled suite must exit 1 with the offending
+    # difference as its witness
+    class Faulty(cli.BGSystem):
+        def nth(self, a, n, b):
+            out = super().nth(a, n, b)
+            return {k: 2 * c for k, c in out.items()} if n == 0 else out
+
+    monkeypatch.setattr(cli, "BGSystem", Faulty)
+    code, rep = report(
+        tmp_path, "bf.json",
+        ["borcherds-check", "--vars", "1", "--max-weight", "1", *mode],
+    )
+    assert code == 1 and rep["ok"] is False
+    assert rep["failures"]
+    assert all(f["difference"] for f in rep["failures"])
 
 
 def test_liestar_and_linfty(tmp_path):
@@ -128,6 +154,12 @@ def test_derham_closed(tmp_path):
 
 def test_usage_errors():
     assert run(["fs-cohomology", "--m", "0"]) == 2
+    # an empty or inverted window is a usage error, never a vacuous pass
+    assert run(["fs-cohomology", "--m", "2", "--max-weight", "1",
+                "--min-charge", "5", "--max-charge", "1"]) == 2
+    assert run(["fs-cohomology", "--m", "2", "--max-weight", "-1"]) == 2
+    assert run(["fs-cohomology", "--m", "2", "--max-weight", "0",
+                "--min-charge", "-3", "--max-charge", "-1"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["algebroid-twist"]) == 2
     assert run(["derham-closed", "--form", "/nonexistent.json"]) == 2
