@@ -19,8 +19,7 @@ first two anticommute.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from . import ring
 from .ring import Poly, poly_one
@@ -89,16 +88,6 @@ class SuperPolyAlgebra:
 
     def mul(self, *ps: Poly) -> Poly:
         return ring.pmul_many(ps, self.parity)
-
-    def add(self, *ps: Poly) -> Poly:
-        out: Poly = {}
-        for p in ps:
-            for m, c in p.items():
-                ring.acc(out, m, c)
-        return out
-
-    def scale(self, p: Poly, c) -> Poly:
-        return ring.pscale(p, c)
 
     def derive(self, p: Poly, images: Dict, dparity: int) -> Poly:
         return ring.derive(p, images, dparity, self.parity)
@@ -258,16 +247,6 @@ class FormAlgebra:
     def mul(self, *ps: Poly) -> Poly:
         return ring.pmul_many(ps, self.parity)
 
-    def add(self, *ps: Poly) -> Poly:
-        out: Poly = {}
-        for p in ps:
-            for m, c in p.items():
-                ring.acc(out, m, c)
-        return out
-
-    def scale(self, p: Poly, c) -> Poly:
-        return ring.pscale(p, c)
-
     # -- differentials -------------------------------------------------------
     def derham_d(self, p: Poly) -> Poly:
         images = {}
@@ -300,7 +279,7 @@ class FormAlgebra:
         return ring.derive(p, images, 1, self.parity)
 
     def total_d(self, p: Poly) -> Poly:
-        return self.add(self.derham_d(p), self.lie_D(p))
+        return ring.padd(self.derham_d(p), self.lie_D(p))
 
     def is_closed(self, p: Poly, total: bool = True) -> bool:
         return not (self.total_d(p) if total else self.derham_d(p))

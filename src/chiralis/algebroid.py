@@ -19,7 +19,6 @@ this functor matches the De Rham differential with the Chevalley one.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -30,16 +29,19 @@ from .chevalley import (
     chevalley_d,
     tau_name,
 )
-from .exact import binomial
+from .exact import antisym_sign, binomial, unshuffles
 from .starops import (
     LambdaPoly,
     StarOp,
     compose_front,
-    el_scale,
     jacobi_defect,
-    lie_star_check,
     lp_add,
+    lp_eliminate,
+    lp_from_elem,
+    lp_map_coeffs,
+    lp_mul_mono,
     lp_normal,
+    lp_relabel,
     lp_scale,
 )
 
@@ -477,8 +479,6 @@ def jet_differential(world: JetWorld) -> StarOp:
     functions it agrees with the prolonged base differential, on lifted
     vector fields it picks up the normal-ordering correction.
     """
-    from .starops import lp_from_elem
-
     fa = world.to_fock(differential_current(world))
 
     def fn(v):
@@ -496,10 +496,6 @@ def lc_chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     convention under which the generalized Jacobi defect of a twisted
     structure is exactly the differential of the twist.
     """
-    from .chevalley import TAU_PREFIX  # noqa: F401  (documentation cross-ref)
-    from .exact import koszul_sign
-    from .starops import lp_mul_mono, lp_relabel, lp_eliminate
-
     world = phi.world
     n = phi.arity
     mu = world.bracket()
@@ -541,9 +537,6 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     computed on frame tuples and rewrapped as a cochain; together with the
     Chevalley differential it squares to zero and controls twisted Jacobi.
     """
-    from .exact import antisym_sign, unshuffles
-    from .starops import lp_eliminate, lp_map_coeffs, lp_relabel
-
     world = phi.world
     n = phi.arity
     jets = world.jets
@@ -762,14 +755,6 @@ def morphism_residual(
     difference between the two sides of the morphism equation, supported
     up to arity three.
     """
-    from .exact import antisym_sign, unshuffles
-    from .starops import (
-        lp_eliminate,
-        lp_from_elem,
-        lp_mul_mono,
-        lp_relabel,
-    )
-
     world = P.world
     module = world.module
     n = len(args)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
 from .algebra import JetAlgebra, SuperPolyAlgebra
@@ -35,8 +35,6 @@ from .starops import (
     LambdaPoly,
     StarModule,
     StarOp,
-    el_add,
-    el_scale,
     lp_add,
     lp_apply_translate_minus_vars,
     lp_deriv_var,
@@ -47,7 +45,6 @@ from .starops import (
     lp_normal,
     lp_relabel,
     lp_scale,
-    lp_subst_sum,
 )
 
 TAU_PREFIX = "tau "
@@ -135,9 +132,6 @@ class JetWorld:
         """Projection onto the vector-field (tangent-degree 1) part."""
         return {m: c for m, c in p.items() if self.tangent_degree(m) == 1}
 
-    def function_part(self, p: ring.Poly) -> ring.Poly:
-        return {m: c for m, c in p.items() if self.tangent_degree(m) == 0}
-
     # -- Fock dictionary ---------------------------------------------------------
     def _letter_to_fock(self, key) -> Tuple[tuple, Fraction]:
         name, k = key
@@ -205,7 +199,7 @@ class JetWorld:
                     fact *= n
                 v = world.fock.nth(fa, n, fb)
                 if v:
-                    out[((1, n),) if n else ()] = el_scale(
+                    out[((1, n),) if n else ()] = ring.pscale(
                         world.from_fock(v), Fraction(1) / fact
                     )
             return lp_normal(out)
@@ -500,10 +494,5 @@ def lie_modes_bracket(
             fall = Fraction(1)
             for step in range(k):
                 fall *= p - step
-            key = (name, p - k)
-            cur = out.get(key, Fraction(0)) + coeff * c * fall
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            ring.acc(out, (name, p - k), coeff * c * fall)
     return out

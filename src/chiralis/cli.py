@@ -36,6 +36,8 @@ from . import __version__, ring
 from .algebra import FormAlgebra, SuperPolyAlgebra
 from .algebroid import (
     chiral_infty_twist,
+    cochain_add,
+    cochain_seeds,
     default_field_samples,
     graded_form_functor,
     standard_chiral_algebroid,
@@ -53,7 +55,7 @@ from .linfty import (
     coderivation_square_report,
     direct_jacobi_report,
 )
-from .starops import lie_star_check
+from .starops import jacobi_defect, lie_star_check
 
 # -- JSON encoding -------------------------------------------------------------------
 
@@ -152,27 +154,52 @@ class UsageError(Exception):
     pass
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def parse_vars(data) -> int:
+    if not isinstance(data, dict):
+        raise UsageError("the input file must hold a JSON object")
+    nvars = data.get("vars", 3)
+    if not _is_count(nvars) or nvars < 1:
+        raise UsageError(f"field 'vars' must be an integer >= 1: {nvars!r}")
+    return nvars
+
+
 def parse_form(data: dict, forms: FormAlgebra, field: str) -> ring.Poly:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise UsageError(f"field {field!r} must be an object with 'terms'")
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise UsageError(f"field {field!r} must be an object with a"
+                         " 'terms' list")
     total: ring.Poly = {}
     for i, term in enumerate(data["terms"]):
         where = f"{field}.terms[{i}]"
+        if not isinstance(term, dict):
+            raise UsageError(f"{where} must be an object")
         coeff = parse_scalar(term.get("coeff", "1"), where + ".coeff")
+        fpart, dpart = term.get("f", []), term.get("d", [])
+        if not isinstance(fpart, list) or not all(
+            isinstance(x, list) and len(x) == 2 and _is_count(x[1])
+            for x in fpart
+        ):
+            raise UsageError(f"{where}.f must be a list of"
+                             " [name, exponent >= 0] pairs")
+        if not isinstance(dpart, list):
+            raise UsageError(f"{where}.d must be a list of variable names")
         part = forms.inject(ring.poly_one())
-        for name, e in term.get("f", []):
+        for name, e in fpart:
             try:
                 g = forms.gen(name)
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(
                     f"unknown variable {name!r} in {where}.f"
                 ) from exc
-            for _ in range(int(e)):
+            for _ in range(e):
                 part = forms.mul(part, g)
-        for name in term.get("d", []):
+        for name in dpart:
             try:
                 part = forms.mul(part, forms.d_gen(name))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(
                     f"unknown variable {name!r} in {where}.d"
                 ) from exc
@@ -302,6 +329,8 @@ def cmd_liestar_check(args) -> int:
     samples = default_field_samples(
         world, jet_order=args.jet_order, degree=args.degree
     )
+    if not samples:
+        raise UsageError("the window yields no samples; --vars must be >= 1")
     failures = []
     checked = 0
     for trip in samples:
@@ -310,8 +339,6 @@ def cmd_liestar_check(args) -> int:
             checked += 1
             if not rep["ok"]:
                 failures.append({"pair": [a, b], "report": rep})
-        from .starops import jacobi_defect
-
         d = jacobi_defect({2: mu}, 3, list(trip), world.module)
         checked += 1
         if d:
@@ -380,7 +407,7 @@ def cmd_linfty_check(args) -> int:
 
 def cmd_algebroid_twist(args) -> int:
     data = load_json(args.cocycle)
-    nvars = int(data.get("vars", 3))
+    nvars = parse_vars(data)
     base = even_base(nvars)
     world = JetWorld(base)
     forms = FormAlgebra(base)
@@ -400,8 +427,6 @@ def cmd_algebroid_twist(args) -> int:
     P = standard_chiral_algebroid(base)
     total = parts[0]
     for extra in parts[1:]:
-        from .algebroid import cochain_add
-
         total = cochain_add(world, total, extra)
     Q, check = twist_chiral(P, total, check=args.check)
     report = {
@@ -477,8 +502,6 @@ def cmd_chiral_infty_check(args) -> int:
     if not args.truncate:
         Q1, _ = chiral_infty_twist(P, {2: a2})
         Q2, _ = chiral_infty_twist(Q1, {3: a3})
-        from .algebroid import cochain_seeds
-
         add_ok = all(
             cochain_seeds(Q2.alphas.get(k))
             == cochain_seeds(Q.alphas.get(k))
@@ -509,7 +532,7 @@ def cmd_chiral_infty_check(args) -> int:
 
 def cmd_derham_closed(args) -> int:
     data = load_json(args.form)
-    nvars = int(data.get("vars", 3))
+    nvars = parse_vars(data)
     forms = FormAlgebra(even_base(nvars))
     omega = parse_form(data, forms, "form")
     d = forms.derham_d(omega)

@@ -14,9 +14,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import ring
+
 Scalar = Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -112,6 +113,15 @@ def _pivot_size(x: Fraction) -> int:
     return abs(x.numerator * x.denominator).bit_length()
 
 
+def _eliminate(row: Row, piv: Row, col: int) -> None:
+    """Clear column ``col`` of ``row`` with ``piv``, whose entry there is 1."""
+    f = row.get(col)
+    if f:
+        f = -f
+        for c, v in piv.items():
+            ring.acc(row, c, f * v)
+
+
 def echelon(rows: Iterable[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of a sparse rational matrix.
 
@@ -139,24 +149,8 @@ def echelon(rows: Iterable[Row], ncols: int) -> tuple[list[Row], list[int]]:
         pv = piv[col]
         if pv != 1:
             piv = {c: v / pv for c, v in piv.items()}
-        for row in work:
-            f = row.get(col)
-            if f:
-                for c, v in piv.items():
-                    nv = row.get(c, ZERO) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        for row in done:
-            f = row.get(col)
-            if f:
-                for c, v in piv.items():
-                    nv = row.get(c, ZERO) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+        for row in itertools.chain(work, done):
+            _eliminate(row, piv, col)
         done.append(piv)
         pivots.append(col)
         work = [r for r in work if r]
@@ -189,12 +183,5 @@ def reduce_against(vec: Row, red: list[Row], pivots: list[int]) -> Row:
     """Reduce a sparse vector modulo the row space of a reduced echelon form."""
     out = dict(vec)
     for row, pcol in zip(red, pivots):
-        f = out.get(pcol)
-        if f:
-            for c, v in row.items():
-                nv = out.get(c, ZERO) - f * v
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
+        _eliminate(out, row, pcol)
     return out

@@ -25,30 +25,23 @@ letter of the first argument with the iterate formula
 whose two standard special cases are the commutator formula (m >= 0) and
 the normal-ordering formula (m = -1); weight bounds make every sum finite
 and the recursion terminate.
+
+There is one product loop, :meth:`BGSystem.nth`: it expands both states
+into monomials and sums the memoized monomial products of ``_nth_mono``,
+which evaluates the two inner products of the iterate formula by calling
+``nth`` again on the shorter first argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from . import ring
 from .algebra import JetAlgebra, SuperPolyAlgebra
 from .exact import binomial
 
 State = ring.Poly
-
-
-def state_add(*states: State) -> State:
-    out: State = {}
-    for p in states:
-        for m, c in p.items():
-            ring.acc(out, m, c)
-    return out
-
-
-def state_sub(p: State, q: State) -> State:
-    return state_add(p, ring.pscale(q, -1))
 
 
 class BGSystem:
@@ -197,6 +190,7 @@ class BGSystem:
         kind, name, _k = g
         m = self._voa_index(g)
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
+        a_rest = {ma_rest: Fraction(1)}
         b_state = {mb: Fraction(1)}
         ga = self.base.parity(name)
         pa_rest = ring.mono_parity(ma_rest, self.parity)
@@ -209,13 +203,13 @@ class BGSystem:
             coeff = binomial(m, j)
             if not coeff:
                 continue
-            inner = self._nth_mono_state(ma_rest, n + j, b_state)
+            inner = self.nth(a_rest, n + j, b_state)
             if not inner:
                 continue
             term = self.apply_mode(kind, name, m - j, inner)
             if term:
                 sgn = -1 if j & 1 else 1
-                out = state_add(out, ring.pscale(term, sgn * coeff))
+                out = ring.padd(out, ring.pscale(term, sgn * coeff))
         # term 2: -(-1)^(m + |g||rest|) sum_j (-1)^j C(m,j)
         #           rest_(m+n-j) (g_(j) b)
         sign2 = -1 if (m + ga * pa_rest) & 1 else 1
@@ -227,30 +221,11 @@ class BGSystem:
             gb = self.apply_mode(kind, name, j, b_state)
             if not gb:
                 continue
-            inner = self._nth_state(
-                {ma_rest: Fraction(1)}, m + n - j, gb
-            )
+            inner = self.nth(a_rest, m + n - j, gb)
             if inner:
                 sgn = -1 if j & 1 else 1
-                out = state_add(
-                    out, ring.pscale(inner, -sign2 * sgn * coeff)
-                )
+                out = ring.padd(out, ring.pscale(inner, -sign2 * sgn * coeff))
         self._memo[key] = out
-        return out
-
-    def _nth_mono_state(self, ma, n: int, b: State) -> State:
-        out: State = {}
-        for mb, cb in b.items():
-            for mono, c in self._nth_mono(ma, n, mb).items():
-                ring.acc(out, mono, cb * c)
-        return out
-
-    def _nth_state(self, a: State, n: int, b: State) -> State:
-        out: State = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                for mono, c in self._nth_mono(ma, n, mb).items():
-                    ring.acc(out, mono, ca * cb * c)
         return out
 
     def str(self, p: State) -> str:
@@ -331,7 +306,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
             continue
         ab = va.nth(a, r + j, b)
         if ab:
-            lhs = state_add(lhs, ring.pscale(va.nth(ab, s + t - j, c), coeff))
+            lhs = ring.padd(lhs, ring.pscale(va.nth(ab, s + t - j, c), coeff))
     rhs: State = {}
     sign_r = -1 if (r + pa * pb) & 1 else 1
     for j in range(0, max(wb + wc - t - 1, -1) + 1):
@@ -341,7 +316,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
         bc = va.nth(b, t + j, c)
         if bc:
             sgn = -1 if j & 1 else 1
-            rhs = state_add(rhs, ring.pscale(va.nth(a, r + s - j, bc), sgn * coeff))
+            rhs = ring.padd(rhs, ring.pscale(va.nth(a, r + s - j, bc), sgn * coeff))
     for j in range(0, max(wa + wc - s - 1, -1) + 1):
         coeff = binomial(r, j)
         if not coeff:
@@ -349,11 +324,11 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
         ac = va.nth(a, s + j, c)
         if ac:
             sgn = -1 if j & 1 else 1
-            rhs = state_add(
+            rhs = ring.padd(
                 rhs,
                 ring.pscale(va.nth(b, r + t - j, ac), -sign_r * sgn * coeff),
             )
-    diff = state_sub(lhs, rhs)
+    diff = ring.psub(lhs, rhs)
     return {
         "r": r,
         "s": s,
@@ -363,11 +338,3 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
         "rhs": rhs,
         "difference": diff,
     }
-
-
-def bg_bc_system(base: SuperPolyAlgebra, odd_charge: int = 1) -> BGSystem:
-    return BGSystem(base, odd_charge=odd_charge)
-
-
-def commutative_va(algebra: SuperPolyAlgebra) -> CommutativeVA:
-    return CommutativeVA(algebra)

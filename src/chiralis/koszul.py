@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import SuperPolyAlgebra
 from .exact import echelon, rank_kernel, reduce_against
-from .fock import State, bg_bc_system
+from .fock import BGSystem, State
 
 
 class ChiralKoszul:
@@ -32,7 +32,7 @@ class ChiralKoszul:
             raise ValueError("the exponent must be a positive integer")
         self.m = m
         base = SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)])
-        self.fock = bg_bc_system(base, odd_charge=m)
+        self.fock = BGSystem(base, odd_charge=m)
         fk = self.fock
         current = fk.mom("xi", -1)
         for _ in range(m):

@@ -27,14 +27,10 @@ from . import ring
 from .algebra import FormAlgebra, SuperPolyAlgebra
 from .exact import Row, antisym_sign, echelon, unshuffles
 from .starops import (
-    LambdaPoly,
     StarModule,
     StarOp,
-    el_add,
-    el_scale,
     jacobi_defect,
     lp_from_elem,
-    lp_normal,
     zero_translate,
 )
 
@@ -140,11 +136,7 @@ class BasisMultiMap:
                 coeff *= c
                 names.append(n)
             for n, c in self.on_basis(names).items():
-                cur = out.get(n, Fraction(0)) + coeff * c
-                if cur:
-                    out[n] = cur
-                else:
-                    out.pop(n, None)
+                ring.acc(out, n, coeff * c)
         return out
 
     def as_star_op(self) -> StarOp:
@@ -177,7 +169,9 @@ def direct_jacobi_report(
     """Generalized Jacobi defects evaluated on all basis words up to max_k."""
     mod = space.module()
     ops = {n: l.as_star_op() for n, l in ls.items()}
-    pars = {n: space.parity(n) for n in space.names}
+    # words are drawn with the shifted parities: an antisymmetric map
+    # kills a repeated even letter and may not kill a repeated odd one
+    pars = {n: space.parity(n) ^ 1 for n in space.names}
     failures = []
     for k in range(1, max_k + 1):
         for word in basis_words(space.names, pars, k):
@@ -205,21 +199,10 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
         key, s2 = _canon(tup, [shifted[nm] for nm in tup], False)
         if key is None:
             continue
-        scaled = {nm: s * s2 * c for nm, c in val.items()}
-        if key in values:
-            values[key] = {
-                nm: values[key].get(nm, Fraction(0)) + c
-                for nm, c in scaled.items()
-            }
-        else:
-            values[key] = scaled
-    values = {
-        k: {nm: c for nm, c in v.items() if c} for k, v in values.items()
-    }
-    return BasisMultiMap(
-        l.space, n, {k: v for k, v in values.items() if v},
-        antisym=False, shift=shifted,
-    )
+        entry = values.setdefault(key, {})
+        for nm, c in val.items():
+            ring.acc(entry, nm, s * s2 * c)
+    return BasisMultiMap(l.space, n, values, antisym=False, shift=shifted)
 
 
 def coderivation_apply(
@@ -258,11 +241,7 @@ def coderivation_apply(
                     )
                     if key is None:
                         continue
-                    cur = out.get(key, Fraction(0)) + coeff * c * s * s2
-                    if cur:
-                        out[key] = cur
-                    else:
-                        out.pop(key, None)
+                    ring.acc(out, key, coeff * c * s * s2)
     return out
 
 
@@ -347,9 +326,6 @@ class DerAlgebroid:
 
     def tau(self, name: str) -> ring.Poly:
         return self.carrier.gen(_tau(name))
-
-    def fun(self, p: ring.Poly) -> ring.Poly:
-        return p
 
     def _is_tau(self, g) -> bool:
         return str(g).startswith(TAU_PREFIX)

@@ -1,4 +1,10 @@
-"""Exact super-commutative polynomial arithmetic.
+"""Exact super-commutative polynomial arithmetic and the sparse layer.
+
+This module is the one sparse arithmetic layer of the package: every
+``{key: Fraction}`` dict -- free-field states, jet and form polynomials,
+the module-element coefficients of lambda polynomials, and matrix rows --
+is added, subtracted and scaled through :func:`acc`, :func:`padd`,
+:func:`psub` and :func:`pscale`, which never store a zero coefficient.
 
 Polynomials live over the rationals in a finite set of generators, each of
 which carries a parity (0 = even, 1 = odd).  Monomials are tuples of
@@ -21,6 +27,7 @@ Mono = Tuple[Tuple[GenKey, int], ...]
 Poly = Dict[Mono, Fraction]
 
 ONE_MONO: Mono = ()
+ZERO = Fraction(0)
 
 
 def poly_one() -> Poly:
@@ -33,7 +40,7 @@ def poly_gen(g: GenKey) -> Poly:
 
 def acc(out: Poly, mono: Mono, c: Fraction) -> None:
     """Accumulate ``c * mono`` into ``out``, dropping zeros."""
-    v = out.get(mono, Fraction(0)) + c
+    v = out.get(mono, ZERO) + c
     if v:
         out[mono] = v
     else:

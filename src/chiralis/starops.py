@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import ring
 from .exact import antisym_sign, koszul_sign, unshuffles
 
 LamMono = Tuple[Tuple[int, int], ...]
@@ -35,7 +36,7 @@ LambdaPoly = Dict[LamMono, dict]
 
 
 class StarModule:
-    """A module handle: element parity, translation, and dict arithmetic."""
+    """A module handle: element parity and translation."""
 
     def __init__(
         self,
@@ -50,38 +51,22 @@ def zero_translate(_elem: dict) -> dict:
     return {}
 
 
-# -- element arithmetic (elements are {key: Fraction} dicts) -----------------
-
-
-def el_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, Fraction(0)) + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def el_scale(a: dict, c) -> dict:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
 # -- lambda polynomial arithmetic ---------------------------------------------
+
+
+def _lp_acc(out: LambdaPoly, m: LamMono, e: dict) -> None:
+    """Accumulate the element ``e`` at ``m`` into ``out``, dropping zeros."""
+    cur = ring.padd(out.get(m, {}), e)
+    if cur:
+        out[m] = cur
+    else:
+        out.pop(m, None)
 
 
 def lp_add(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
     out = {m: dict(e) for m, e in p.items()}
     for m, e in q.items():
-        cur = el_add(out.get(m, {}), e)
-        if cur:
-            out[m] = cur
-        else:
-            out.pop(m, None)
+        _lp_acc(out, m, e)
     return out
 
 
@@ -89,7 +74,7 @@ def lp_scale(p: LambdaPoly, c) -> LambdaPoly:
     c = Fraction(c)
     if not c:
         return {}
-    return {m: el_scale(e, c) for m, e in p.items()}
+    return {m: ring.pscale(e, c) for m, e in p.items()}
 
 
 def lp_from_elem(e: dict) -> LambdaPoly:
@@ -112,7 +97,7 @@ def _mono_mul(a: LamMono, b: LamMono) -> LamMono:
 
 
 def lp_mul_mono(p: LambdaPoly, mono: LamMono, c=Fraction(1)) -> LambdaPoly:
-    return {_mono_mul(m, mono): el_scale(e, c) for m, e in p.items() if e}
+    return {_mono_mul(m, mono): ring.pscale(e, c) for m, e in p.items() if e}
 
 
 def lp_mul_var(p: LambdaPoly, slot: int, power: int = 1) -> LambdaPoly:
@@ -132,11 +117,7 @@ def lp_relabel(p: LambdaPoly, mapping: Dict[int, int]) -> LambdaPoly:
     out: LambdaPoly = {}
     for m, e in p.items():
         nm = tuple(sorted((mapping.get(s, s), x) for s, x in m))
-        cur = el_add(out.get(nm, {}), e)
-        if cur:
-            out[nm] = cur
-        else:
-            out.pop(nm, None)
+        _lp_acc(out, nm, e)
     return out
 
 
@@ -193,12 +174,7 @@ def lp_deriv_var(p: LambdaPoly, slot: int) -> LambdaPoly:
             continue
         if power > 1:
             d[slot] = power - 1
-        nm = tuple(sorted(d.items()))
-        cur = el_add(out.get(nm, {}), el_scale(e, power))
-        if cur:
-            out[nm] = cur
-        else:
-            out.pop(nm, None)
+        _lp_acc(out, tuple(sorted(d.items())), ring.pscale(e, power))
     return out
 
 
@@ -322,7 +298,7 @@ def va_bracket(system, translate_sign: int = -1) -> StarOp:
     """
     module = StarModule(
         parity=system.state_parity,
-        translate=lambda p: el_scale(system.T(p), translate_sign),
+        translate=lambda p: ring.pscale(system.T(p), translate_sign),
     )
 
     def fn(a, b):
@@ -334,7 +310,7 @@ def va_bracket(system, translate_sign: int = -1) -> StarOp:
                 fact *= nn
             v = system.nth(a, nn, b)
             if v:
-                out[((1, nn),) if nn else ()] = el_scale(v, Fraction(1) / fact)
+                out[((1, nn),) if nn else ()] = ring.pscale(v, Fraction(1) / fact)
         return lp_normal(out)
 
     return StarOp(2, module, fn, 0)

@@ -88,6 +88,16 @@ def test_liestar_and_linfty(tmp_path):
     assert code == 0 and rep["ok"] and not rep["disagreements"]
 
 
+def test_linfty_direct_check_agrees_with_coderivation(tmp_path):
+    # the direct Jacobi check must test the words that repeat an odd
+    # letter; at seed 7 trial 333 fails only on (u, v, v)
+    code, rep = report(
+        tmp_path, "li7.json",
+        ["linfty-check", "--samples", "400", "--seed", "7"],
+    )
+    assert code == 0 and rep["ok"] and rep["disagreements"] == []
+
+
 def test_algebroid_twist_nonclosed_fails(tmp_path):
     cfile = tmp_path / "nonclosed.json"
     cfile.write_text(json.dumps({
@@ -152,7 +162,7 @@ def test_derham_closed(tmp_path):
     assert code == 0 and rep["closed"]
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert run(["fs-cohomology", "--m", "0"]) == 2
     # an empty or inverted window is a usage error, never a vacuous pass
     assert run(["fs-cohomology", "--m", "2", "--max-weight", "1",
@@ -164,6 +174,17 @@ def test_usage_errors():
     assert run(["algebroid-twist"]) == 2
     assert run(["derham-closed", "--form", "/nonexistent.json"]) == 2
     assert run(["chiral-infty-check", "--m", "5"]) == 2
+    # a window without samples checks nothing, so it cannot pass
+    assert run(["liestar-check", "--vars", "0"]) == 2
+    # malformed form files are input errors, not verified-false reports
+    for i, bad in enumerate([
+        {"vars": "abc", "terms": []},
+        {"vars": 2, "terms": [{"f": [["x1"]]}]},
+        {"vars": 2, "terms": [5]},
+    ]):
+        f = tmp_path / f"bad{i}.json"
+        f.write_text(json.dumps(bad))
+        assert run(["derham-closed", "--form", str(f)]) == 2
 
 
 def test_schema_flag(tmp_path):

@@ -11,10 +11,8 @@ from chiralis.fock import (
     BGSystem,
     CommutativeVA,
     borcherds_full_check,
-    state_add,
-    state_sub,
 )
-from chiralis.ring import pscale
+from chiralis.ring import padd, pscale, psub
 
 
 def one_var_system():
@@ -63,7 +61,7 @@ def test_normal_ordering_correction_display():
     x0 = sys.coord("x", 0)
     a = sys.mul(x0, x0)
     b = sys.mom("x", -1)
-    expected = state_sub(sys.mul(a, b), pscale(sys.coord("x", -1), 2))
+    expected = psub(sys.mul(a, b), pscale(sys.coord("x", -1), 2))
     assert sys.nth(a, -1, b) == expected
 
 
@@ -103,7 +101,7 @@ def test_translation_covariance():
         b = random_state(sys, rng)
         for n in range(-2, 2):
             lhs = sys.T(sys.nth(a, n, b))
-            rhs = state_add(
+            rhs = padd(
                 sys.nth(sys.T(a), n, b), sys.nth(a, n, sys.T(b))
             )
             assert lhs == rhs

@@ -16,7 +16,6 @@ from chiralis.starops import (
     lp_mul_var,
     StarModule,
     StarOp,
-    el_scale,
     jacobi_defect,
     lie_star_check,
     lp_add,
