@@ -24,7 +24,7 @@ only action terms contribute on frame tuples).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
@@ -133,13 +133,9 @@ class JetWorld:
         return {m: c for m, c in p.items() if self.tangent_degree(m) == 1}
 
     # -- Fock dictionary ---------------------------------------------------------
-    def _letter_to_fock(self, key) -> Tuple[tuple, Fraction]:
+    def _letter_to_fock(self, key) -> Tuple[tuple, int]:
         name, k = key
-        fact = Fraction(1)
-        for i in range(1, k + 1):
-            fact *= i
-        if k & 1:
-            fact = -fact
+        fact = -math.factorial(k) if k & 1 else math.factorial(k)
         if str(name).startswith(TAU_PREFIX):
             return ("m", str(name)[len(TAU_PREFIX):], -k - 1), fact
         return ("c", name, -k), fact
@@ -158,27 +154,25 @@ class JetWorld:
                 ring.acc(out, m2, coeff * c2)
         return out
 
-    def _letter_from_fock(self, key) -> Tuple[tuple, Fraction]:
+    def _letter_from_fock(self, key) -> Tuple[tuple, int]:
+        """The jet letter of a Fock letter and the factor it divides by."""
         kind, name, k = key
         order = -k if kind == "c" else -k - 1
-        fact = Fraction(1)
-        for i in range(1, order + 1):
-            fact *= i
-        if order & 1:
-            fact = -fact
+        fact = -math.factorial(order) if order & 1 else math.factorial(order)
         gname = name if kind == "c" else tau_name(name)
-        return (gname, order), Fraction(1) / fact
+        return (gname, order), fact
 
     def from_fock(self, p: ring.Poly) -> ring.Poly:
         out: ring.Poly = {}
         for mono, c in p.items():
             elem = self.jets.one()
-            coeff = c
+            den = 1
             for g, e in mono:
                 letter, fact = self._letter_from_fock(g)
                 for _ in range(e):
                     elem = self.jets.mul(elem, self.jets.gen(letter))
-                    coeff *= fact
+                    den *= fact
+            coeff = ring.div(c, den)
             for m2, c2 in elem.items():
                 ring.acc(out, m2, coeff * c2)
         return out
@@ -193,14 +187,14 @@ class JetWorld:
             fa, fb = world.to_fock(a), world.to_fock(b)
             out: LambdaPoly = {}
             wmax = world.fock.max_weight(fa) + world.fock.max_weight(fb)
-            fact = Fraction(1)
+            fact = 1
             for n in range(0, wmax + 1):
                 if n:
                     fact *= n
                 v = world.fock.nth(fa, n, fb)
                 if v:
-                    out[((1, n),) if n else ()] = ring.pscale(
-                        world.from_fock(v), Fraction(1) / fact
+                    out[((1, n),) if n else ()] = ring.pdiv(
+                        world.from_fock(v), fact
                     )
             return lp_normal(out)
 
@@ -275,7 +269,7 @@ class ChevalleyCochain(StarOp):
             fpar = ring.mono_parity(fmono, world.jets.parity)
             if fpar and ((self.parity + prefix) & 1):
                 sign = -sign
-            f = {fmono: Fraction(1)}
+            f = {fmono: 1}
             if fmono:
                 if i < n:
                     acc: LambdaPoly = {}
@@ -289,9 +283,7 @@ class ChevalleyCochain(StarOp):
                                 fs, e, world.jets.parity
                             ),
                         )
-                        c = Fraction((-1) ** m, 1)
-                        for mm in range(1, m + 1):
-                            c /= mm
+                        c = ring.div((-1) ** m, math.factorial(m))
                         acc = lp_add(acc, lp_scale(term, c))
                         deriv = lp_deriv_var(deriv, i)
                         fshift = world.jets.translate(fshift)
@@ -325,7 +317,7 @@ class ChevalleyCochain(StarOp):
                 terms.append((fmono, taus[0][0], c * s))
             split_args.append(terms)
         for combo in itertools.product(*split_args):
-            coeff = Fraction(1)
+            coeff = 1
             parts = []
             for fmono, g, c in combo:
                 coeff *= c
@@ -375,7 +367,7 @@ def symmetrized_seed(
             total, lp_scale(v, sgn(perm) * koszul_sign(perm, pars))
         )
         count += 1
-    return lp_normal(lp_scale(total, Fraction(1, count)))
+    return lp_normal(lp_scale(total, ring.div(1, count)))
 
 
 def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
@@ -443,9 +435,7 @@ def multilin_expected(
             deriv,
             lambda e, fs=fshift: ring.pmul(fs, e, world.jets.parity),
         )
-        c = Fraction((-1) ** m, 1)
-        for mm in range(1, m + 1):
-            c /= mm
+        c = ring.div((-1) ** m, math.factorial(m))
         acc = lp_add(acc, lp_scale(term, c))
         deriv = lp_deriv_var(deriv, slot)
         fshift = world.jets.translate(fshift)
@@ -470,8 +460,8 @@ def lie_modes_bracket(
     n: int,
     b: dict,
     m: int,
-    decompose: Callable[[dict], Dict[tuple, Fraction]],
-) -> Dict[tuple, Fraction]:
+    decompose: Callable[[dict], Dict[tuple, ring.Scalar]],
+) -> Dict[tuple, ring.Scalar]:
     """The bracket [a_[n], b_[m]] = sum_j C(n,j) (a_(j) b)_[n+m-j] in the
     mode Lie algebra of a Lie* algebra.
 
@@ -480,18 +470,15 @@ def lie_modes_bracket(
     (T v)_[p] = p * v_[p-1].
     """
     val = mu(a, b)
-    out: Dict[tuple, Fraction] = {}
+    out: Dict[tuple, ring.Scalar] = {}
     for mono, elem in val.items():
         j = mono[0][1] if mono else 0
-        fact = 1
-        for i in range(1, j + 1):
-            fact *= i
-        coeff = Fraction(binomial(n, j) * fact)
+        coeff = binomial(n, j) * math.factorial(j)
         if not coeff:
             continue
         for (name, k), c in decompose(elem).items():
             p = n + m - j
-            fall = Fraction(1)
+            fall = 1
             for step in range(k):
                 fall *= p - step
             ring.acc(out, (name, p - k), coeff * c * fall)

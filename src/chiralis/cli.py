@@ -17,7 +17,8 @@ chiral-infty-check the homotopy (LC-closed family) twist over the
 derham-closed      closedness of a differential form, with witness
 
 Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
-false identity (the report carries a witness); 2 = usage or input error.
+false identity (the report carries a witness); 2 = usage or input error;
+3 = internal error (a bug: one "internal error: ..." line on stderr).
 Reports are JSON on stdout (or --out); a fixed seed makes a run byte
 identical.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -60,7 +62,8 @@ from .starops import jacobi_defect, lie_star_check
 # -- JSON encoding -------------------------------------------------------------------
 
 
-def enc_scalar(c: Fraction) -> str:
+def enc_scalar(c: ring.Scalar) -> str:
+    """'p/q', or 'p' when integral; an int and an equal Fraction agree."""
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(
         c.numerator
     )
@@ -99,7 +102,7 @@ def enc_any(obj):
     if isinstance(obj, dict):
         keys = list(obj.keys())
         if keys and all(isinstance(k, tuple) for k in keys):
-            if all(isinstance(c, Fraction) for c in obj.values()):
+            if all(ring.is_scalar(c) for c in obj.values()):
                 return enc_poly(obj)
             return enc_lambda(obj)
         return {str(k): enc_any(v) for k, v in obj.items()}
@@ -111,8 +114,11 @@ def enc_any(obj):
 def emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(enc_any(report), sort_keys=True, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from exc
     else:
         print(text)
 
@@ -167,7 +173,9 @@ def parse_vars(data) -> int:
     return nvars
 
 
-def parse_form(data: dict, forms: FormAlgebra, field: str) -> ring.Poly:
+def parse_form(data: dict, forms: FormAlgebra, field: str,
+               degree: Optional[int] = None) -> ring.Poly:
+    """Parse a form object; with ``degree``, every term must have it."""
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise UsageError(f"field {field!r} must be an object with a"
                          " 'terms' list")
@@ -203,6 +211,11 @@ def parse_form(data: dict, forms: FormAlgebra, field: str) -> ring.Poly:
                 raise UsageError(
                     f"unknown variable {name!r} in {where}.d"
                 ) from exc
+        if degree is not None and any(
+            forms.form_degree_of_mono(mono) != degree for mono in part
+        ):
+            raise UsageError(f"{where} must have {degree} differentials"
+                             f" in 'd', since {field!r} is a {degree}-form")
         for mono, c in part.items():
             ring.acc(total, mono, coeff * c)
     return total
@@ -369,7 +382,7 @@ def cmd_linfty_check(args) -> int:
             for word in basis_words(sp.names, pars, arity):
                 want = (sum(pars[n] for n in word) + arity) & 1
                 img = {
-                    n: Fraction(rng.randrange(-2, 3))
+                    n: rng.randrange(-2, 3)
                     for n in sp.names
                     if pars[n] == want and rng.randrange(3) == 0
                 }
@@ -414,12 +427,12 @@ def cmd_algebroid_twist(args) -> int:
     parts = []
     closed = True
     if "three_form" in data:
-        omega = parse_form(data["three_form"], forms, "three_form")
+        omega = parse_form(data["three_form"], forms, "three_form", 3)
         rep = graded_form_functor(world, alpha0=omega, force=True)
         closed = closed and not rep.get("derham_d")
         parts.append(rep["alpha"])
     if "two_form" in data:
-        beta = parse_form(data["two_form"], forms, "two_form")
+        beta = parse_form(data["two_form"], forms, "two_form", 2)
         closed = closed and not forms.derham_d(beta)
         parts.append(two_form_cochain(world, beta))
     if not parts:
@@ -491,7 +504,7 @@ def cmd_chiral_infty_check(args) -> int:
         )
     base = SuperPolyAlgebra(
         [("x", 0, 0), ("xi", 1, -1)],
-        D={"xi": {(("x", args.m),): Fraction(1)}},
+        D={"xi": {(("x", args.m),): 1}},
     )
     P = standard_chiral_infty_algebroid(base)
     world = P.world
@@ -547,6 +560,13 @@ def cmd_derham_closed(args) -> int:
     emit(report, args.out)
     return 0 if report["ok"] else 1
 
+
+EXIT_CODES = {
+    "0": "computation succeeded / all checks pass",
+    "1": "a verified false identity; the report carries a witness",
+    "2": "usage or input error",
+    "3": "internal error: a bug, reported on stderr",
+}
 
 SCHEMAS = {
     "fs-cohomology": {
@@ -671,21 +691,28 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "schema", False):
-        emit({"command": args.command,
-              "schema": SCHEMAS[args.command]}, args.out)
-        return 0
-    if args.command == "algebroid-twist" and not args.cocycle:
-        print("error: --cocycle is required", file=sys.stderr)
-        return 2
-    if args.command == "derham-closed" and not args.form:
-        print("error: --form is required", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "schema", False):
+            emit({"command": args.command, "exit_codes": EXIT_CODES,
+                  "schema": SCHEMAS[args.command]}, args.out)
+            return 0
+        if args.command == "algebroid-twist" and not args.cocycle:
+            raise UsageError("--cocycle is required")
+        if args.command == "derham-closed" and not args.form:
+            raise UsageError("--form is required")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug must not read as exit 1, "verified false"
+        tb = exc.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        print(f"internal error: {type(exc).__name__}: {exc} (at"
+              f" {os.path.basename(code.co_filename)}:{tb.tb_lineno} in"
+              f" {code.co_name})", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -1,26 +1,25 @@
 """Exact rational linear algebra and signed permutation combinatorics.
 
-Scalars are ``fractions.Fraction`` throughout: every result of the engine is
-exact, and equality of computed objects is decidable equality of canonical
-forms.  This module supplies the two low-level services everything else is
-built on: Koszul-sign bookkeeping for permutations of graded objects, and
-sparse Gaussian elimination over the rationals (rank, kernel, reduced echelon
-form) with a deterministic pivot rule.
+Scalars are exact: an ``int`` while integral, a ``fractions.Fraction`` once
+a division makes one (always through :func:`chiralis.ring.div`, so never a
+float).  Every result of the engine is exact, and equality of computed
+objects is decidable equality of canonical forms.  This module supplies the
+two low-level services everything else is built on: Koszul-sign bookkeeping
+for permutations of graded objects, and sparse Gaussian elimination over the
+rationals (rank, kernel, reduced echelon form) with a deterministic pivot
+rule.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import ring
 
-Scalar = Fraction
 
-ONE = Fraction(1)
-
-
+@functools.lru_cache(maxsize=None)
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for arbitrary integer n and k >= 0.
 
@@ -106,10 +105,10 @@ def unshuffles(i: int, n: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Sparse exact elimination
 
-Row = dict[int, Fraction]
+Row = dict[int, ring.Scalar]
 
 
-def _pivot_size(x: Fraction) -> int:
+def _pivot_size(x: ring.Scalar) -> int:
     return abs(x.numerator * x.denominator).bit_length()
 
 
@@ -125,7 +124,7 @@ def _eliminate(row: Row, piv: Row, col: int) -> None:
 def echelon(rows: Iterable[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of a sparse rational matrix.
 
-    ``rows`` are dicts mapping column index to a nonzero Fraction.  Columns
+    ``rows`` are dicts mapping column index to a nonzero scalar.  Columns
     are processed left to right; within the leftmost unprocessed column the
     pivot is the entry whose numerator*denominator has the smallest bit size,
     ties broken by the lowest row index.  Returns (reduced rows with pivot
@@ -148,7 +147,7 @@ def echelon(rows: Iterable[Row], ncols: int) -> tuple[list[Row], list[int]]:
         piv = work.pop(best)
         pv = piv[col]
         if pv != 1:
-            piv = {c: v / pv for c, v in piv.items()}
+            piv = {c: ring.div(v, pv) for c, v in piv.items()}
         for row in itertools.chain(work, done):
             _eliminate(row, piv, col)
         done.append(piv)
@@ -170,7 +169,7 @@ def rank_kernel(rows: Iterable[Row], ncols: int) -> tuple[int, list[Row]]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec: Row = {free: ONE}
+        vec: Row = {free: 1}
         for row, pcol in zip(red, pivots):
             v = row.get(free)
             if v:

@@ -34,7 +34,7 @@ which evaluates the two inner products of the iterate formula by calling
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Dict, Optional
 
 from . import ring
@@ -132,12 +132,12 @@ class BGSystem:
     def _letter_from_voa(self, kind: str, name: str, j: int):
         return (kind, name, j + 1 if kind == "c" else j)
 
-    def _pair_coeff(self, annih_kind: str, odd: bool) -> Fraction:
+    def _pair_coeff(self, annih_kind: str, odd: bool) -> int:
         # momentum contracting coordinate: +1; coordinate contracting
         # momentum: -1 for even pairs, +1 for odd pairs (anticommutator).
         if annih_kind == "m" or odd:
-            return Fraction(1)
-        return Fraction(-1)
+            return 1
+        return -1
 
     def apply_mode(self, kind: str, name: str, j: int, p: State) -> State:
         """Apply the field mode of operator index j to a state."""
@@ -183,15 +183,15 @@ class BGSystem:
         if hit is not None:
             return hit
         if not ma:
-            res = {mb: Fraction(1)} if n == -1 else {}
+            res = {mb: 1} if n == -1 else {}
             self._memo[key] = res
             return res
         g, e = ma[0]
         kind, name, _k = g
         m = self._voa_index(g)
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
-        a_rest = {ma_rest: Fraction(1)}
-        b_state = {mb: Fraction(1)}
+        a_rest = {ma_rest: 1}
+        b_state = {mb: 1}
         ga = self.base.parity(name)
         pa_rest = ring.mono_parity(ma_rest, self.parity)
         w_rest = self.mono_weight(ma_rest)
@@ -274,13 +274,10 @@ class CommutativeVA:
         if n >= 0 or not a or not b:
             return {}
         k = -n - 1
-        fact = 1
-        for i in range(1, k + 1):
-            fact *= i
         ta = a
         for _ in range(k):
             ta = self.T(ta)
-        return ring.pscale(self.mul(ta, b), Fraction(1, fact))
+        return ring.pdiv(self.mul(ta, b), math.factorial(k))
 
 
 def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:

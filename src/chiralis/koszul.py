@@ -16,7 +16,6 @@ classes of 1, x, ..., x^{m-1}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import SuperPolyAlgebra
@@ -128,7 +127,7 @@ class ChiralKoszul:
         index = {mono: i for i, mono in enumerate(tgt)}
         cols: List[dict] = []
         for mono in dom:
-            img = self.d({mono: Fraction(1)})
+            img = self.d({mono: 1})
             col: dict = {}
             for mo, c in img.items():
                 if mo not in index:

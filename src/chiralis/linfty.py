@@ -20,7 +20,6 @@ order-by-order conjugation by arity-wise module-valued morphisms.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -34,7 +33,7 @@ from .starops import (
     zero_translate,
 )
 
-Elem = Dict[str, Fraction]
+Elem = Dict[str, ring.Scalar]
 
 
 class GradedSpace:
@@ -130,7 +129,7 @@ class BasisMultiMap:
     def __call__(self, *args: Elem) -> Elem:
         out: Elem = {}
         for combo in itertools.product(*(a.items() for a in args)):
-            coeff = Fraction(1)
+            coeff = 1
             names = []
             for n, c in combo:
                 coeff *= c
@@ -175,7 +174,7 @@ def direct_jacobi_report(
     failures = []
     for k in range(1, max_k + 1):
         for word in basis_words(space.names, pars, k):
-            args = [{n: Fraction(1)} for n in word]
+            args = [{n: 1} for n in word]
             d = jacobi_defect(ops, k, args, mod)
             if d:
                 failures.append({"arity": k, "word": word,
@@ -208,11 +207,11 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
 def coderivation_apply(
     hat_ls: Dict[int, BasisMultiMap],
     space: GradedSpace,
-    vec: Dict[tuple, Fraction],
-) -> Dict[tuple, Fraction]:
+    vec: Dict[tuple, ring.Scalar],
+) -> Dict[tuple, ring.Scalar]:
     """Apply the coderivation induced by symmetric maps to a word vector."""
     shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
-    out: Dict[tuple, Fraction] = {}
+    out: Dict[tuple, ring.Scalar] = {}
     for word, coeff in vec.items():
         N = len(word)
         for n, hat in hat_ls.items():
@@ -254,7 +253,7 @@ def coderivation_square_report(
     failures = []
     for k in range(1, max_k + 1):
         for word in basis_words(space.names, shifted, k):
-            one = {word: Fraction(1)}
+            one = {word: 1}
             sq = coderivation_apply(
                 hat_ls, space, coderivation_apply(hat_ls, space, one)
             )
@@ -691,22 +690,21 @@ def conjugation_report(
 
 
 def linear_solve(
-
     eqs: List[Row], nunk: int
-) -> Optional[List[Fraction]]:
+) -> Optional[List[ring.Scalar]]:
     """One exact solution of a sparse linear system, or None.
 
     Each equation is a Row over columns 0..nunk (column nunk holds the
     right-hand side); free unknowns are set to zero.
     """
     red, pivots = echelon(eqs, nunk + 1)
-    sol = [Fraction(0)] * nunk
+    sol: List[ring.Scalar] = [0] * nunk
     for row, piv in reversed(list(zip(red, pivots))):
         if piv == nunk:
             return None
-        acc = row.get(nunk, Fraction(0))
+        acc = row.get(nunk, 0)
         for col, c in row.items():
             if col not in (piv, nunk):
                 acc -= c * sol[col]
-        sol[piv] = acc / row[piv]
+        sol[piv] = ring.div(acc, row[piv])
     return sol

@@ -1,10 +1,16 @@
 """Exact super-commutative polynomial arithmetic and the sparse layer.
 
 This module is the one sparse arithmetic layer of the package: every
-``{key: Fraction}`` dict -- free-field states, jet and form polynomials,
+``{key: scalar}`` dict -- free-field states, jet and form polynomials,
 the module-element coefficients of lambda polynomials, and matrix rows --
 is added, subtracted and scaled through :func:`acc`, :func:`padd`,
 :func:`psub` and :func:`pscale`, which never store a zero coefficient.
+
+Exact scalars are ``int`` or ``fractions.Fraction``: a coefficient stays an
+``int`` while it is integral, and only a division (or a rational read
+from input) makes a ``Fraction``.
+Every division goes through :func:`div`, because ``/`` on two ints gives a
+float; no float is ever a coefficient.
 
 Polynomials live over the rationals in a finite set of generators, each of
 which carries a parity (0 = even, 1 = odd).  Monomials are tuples of
@@ -12,33 +18,54 @@ which carries a parity (0 = even, 1 = odd).  Monomials are tuples of
 may be any mutually orderable values (strings, tuples, ...).  Odd generators
 square to zero and reordering them produces Koszul signs.
 
-A polynomial is a dict mapping monomials to nonzero ``Fraction``
-coefficients; the empty dict is zero and the empty monomial ``()`` is 1.
+A polynomial is a dict mapping monomials to nonzero scalar coefficients;
+the empty dict is zero and the empty monomial ``()`` is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Callable, Dict, Hashable, Tuple, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 GenKey = Hashable
 Mono = Tuple[Tuple[GenKey, int], ...]
-Poly = Dict[Mono, Fraction]
+Poly = Dict[Mono, Scalar]
 
 ONE_MONO: Mono = ()
-ZERO = Fraction(0)
+ZERO = 0
+
+
+def is_scalar(c) -> bool:
+    """Whether ``c`` is an exact scalar: an int (not a bool) or a Fraction."""
+    return type(c) is int or isinstance(c, Fraction)
+
+
+def check_scalar(c) -> None:
+    """Raise ``TypeError`` unless ``c`` is an exact scalar."""
+    if not is_scalar(c):
+        raise TypeError(
+            f"scalars are int or Fraction, not {type(c).__name__}: {c!r}"
+        )
+
+
+def div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an ``int`` when two ints divide evenly."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def poly_one() -> Poly:
-    return {ONE_MONO: Fraction(1)}
+    return {ONE_MONO: 1}
 
 
 def poly_gen(g: GenKey) -> Poly:
-    return {((g, 1),): Fraction(1)}
+    return {((g, 1),): 1}
 
 
-def acc(out: Poly, mono: Mono, c: Fraction) -> None:
+def acc(out: Poly, mono: Mono, c: Scalar) -> None:
     """Accumulate ``c * mono`` into ``out``, dropping zeros."""
     v = out.get(mono, ZERO) + c
     if v:
@@ -61,11 +88,18 @@ def psub(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def pscale(p: Poly, c) -> Poly:
-    c = Fraction(c)
+def pscale(p: Poly, c: Scalar) -> Poly:
+    check_scalar(c)
     if not c:
         return {}
+    if c == 1:
+        return dict(p)
     return {m: c * v for m, v in p.items()}
+
+
+def pdiv(p: Poly, d: Scalar) -> Poly:
+    """Divide every coefficient by ``d`` exactly, keeping ints integral."""
+    return {m: div(v, d) for m, v in p.items()}
 
 
 def mono_parity(mono: Mono, parity: Callable[[GenKey], int]) -> int:

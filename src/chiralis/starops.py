@@ -24,7 +24,6 @@ translation is zero and no z-symbols ever appear.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -70,8 +69,8 @@ def lp_add(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
     return out
 
 
-def lp_scale(p: LambdaPoly, c) -> LambdaPoly:
-    c = Fraction(c)
+def lp_scale(p: LambdaPoly, c: ring.Scalar) -> LambdaPoly:
+    ring.check_scalar(c)
     if not c:
         return {}
     return {m: ring.pscale(e, c) for m, e in p.items()}
@@ -96,7 +95,8 @@ def _mono_mul(a: LamMono, b: LamMono) -> LamMono:
     return tuple(sorted(d.items()))
 
 
-def lp_mul_mono(p: LambdaPoly, mono: LamMono, c=Fraction(1)) -> LambdaPoly:
+def lp_mul_mono(p: LambdaPoly, mono: LamMono, c: ring.Scalar = 1
+                ) -> LambdaPoly:
     return {_mono_mul(m, mono): ring.pscale(e, c) for m, e in p.items() if e}
 
 
@@ -304,13 +304,13 @@ def va_bracket(system, translate_sign: int = -1) -> StarOp:
     def fn(a, b):
         out: LambdaPoly = {}
         wmax = system.max_weight(a) + system.max_weight(b)
-        fact = Fraction(1)
+        fact = 1
         for nn in range(0, wmax + 1):
             if nn:
                 fact *= nn
             v = system.nth(a, nn, b)
             if v:
-                out[((1, nn),) if nn else ()] = ring.pscale(v, Fraction(1) / fact)
+                out[((1, nn),) if nn else ()] = ring.pdiv(v, fact)
         return lp_normal(out)
 
     return StarOp(2, module, fn, 0)
@@ -350,7 +350,7 @@ def op_on_free_basis(
                         term = lp_mul_mono(term, prefix_mono, coeff * c)
                         out = lp_add(out, term)
 
-        expand(0, (), Fraction(1), [])
+        expand(0, (), 1, [])
         return lp_normal(out)
 
     return StarOp(arity, module, fn, op_parity)

@@ -1,13 +1,21 @@
 """Tests for the command-line interface.
 
 Oracles: exit-code contract (0 pass, 1 verified-false with witness,
-2 usage error), byte-identical reports for a fixed seed, schema output,
-and the documented example invocations.
+2 usage error, 3 internal error), byte-identical reports for a fixed seed,
+schema output, the documented example invocations, and a Hypothesis fuzz
+of form files and windows that must never crash.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiralis import cli
 from chiralis.cli import run
@@ -174,6 +182,10 @@ def test_usage_errors(tmp_path):
     assert run(["algebroid-twist"]) == 2
     assert run(["derham-closed", "--form", "/nonexistent.json"]) == 2
     assert run(["chiral-infty-check", "--m", "5"]) == 2
+    # an unwritable --out is an input error, for a report and a schema
+    bad_out = str(tmp_path / "no-such-dir" / "r.json")
+    assert run(["fs-cohomology", "--m", "2", "--out", bad_out]) == 2
+    assert run(["fs-cohomology", "--schema", "--out", bad_out]) == 2
     # a window without samples checks nothing, so it cannot pass
     assert run(["liestar-check", "--vars", "0"]) == 2
     # malformed form files are input errors, not verified-false reports
@@ -185,6 +197,16 @@ def test_usage_errors(tmp_path):
         f = tmp_path / f"bad{i}.json"
         f.write_text(json.dumps(bad))
         assert run(["derham-closed", "--form", str(f)]) == 2
+    # a twist needs a 3-form and a 2-form: a term of another degree is an
+    # input error, neither a crash nor a term dropped without a word
+    for i, bad in enumerate([
+        {"vars": 3, "three_form": {"terms": [{"d": ["x1", "x2"]}]}},
+        {"vars": 3, "three_form": {"terms": [{"f": [["x1", 1]]}]}},
+        {"vars": 3, "two_form": {"terms": [{"d": ["x1", "x2", "x3"]}]}},
+    ]):
+        f = tmp_path / f"badtwist{i}.json"
+        f.write_text(json.dumps(bad))
+        assert run(["algebroid-twist", "--cocycle", str(f)]) == 2
 
 
 def test_schema_flag(tmp_path):
@@ -194,6 +216,7 @@ def test_schema_flag(tmp_path):
         code, rep = report(tmp_path, f"s-{cmd}.json",
                            [cmd, "--schema"])
         assert code == 0 and rep["schema"]
+        assert sorted(rep["exit_codes"]) == ["0", "1", "2", "3"]
 
 
 def test_malformed_json_input(tmp_path):
@@ -206,3 +229,177 @@ def test_malformed_json_input(tmp_path):
         "terms": [{"coeff": "1", "d": ["nope"]}],
     }))
     assert run(["derham-closed", "--form", str(g)]) == 2
+
+
+def test_encoder_writes_int_and_fraction_alike():
+    mono = ((("c", "x", 0), 2),)
+    assert cli.enc_scalar(2) == cli.enc_scalar(Fraction(2)) == "2"
+    assert cli.enc_scalar(Fraction(-3, 2)) == "-3/2"
+    for c in (2, Fraction(2)):
+        assert cli.enc_any({mono: c}) == [["2", [["c", "x", 0, 2]]]]
+        assert cli.enc_any({(): {mono: c}}) == [
+            {"z": [], "value": [["2", [["c", "x", 0, 2]]]]}
+        ]
+    # counts stay JSON numbers, bare Fractions become strings
+    assert cli.enc_any({"checked": 3, "c": Fraction(1, 2)}) == {
+        "checked": 3, "c": "1/2"}
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    # a bug must not exit 1, the code of a verified-false identity
+    def boom(args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "cmd_fs_cohomology", boom)
+    assert run(["fs-cohomology", "--m", "2"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert err[0].startswith("internal error: RuntimeError: injected fault")
+    assert "test_cli.py" in err[0] and "in boom" in err[0]
+
+
+# -- fuzz: malformed and small inputs never crash ------------------------------------
+
+def terms_of(d_sizes, nvars=3):
+    """Well-formed terms over Q[x1..xn] with len(d) drawn from d_sizes."""
+    names = st.sampled_from([f"x{i}" for i in range(1, nvars + 1)])
+    term = st.fixed_dictionaries({
+        "coeff": st.sampled_from(["1", "-2/3", "5", 2]),
+        "f": st.lists(st.tuples(names, st.integers(0, 2)).map(list),
+                      max_size=2),
+        "d": d_sizes.flatmap(
+            lambda k: st.lists(names, min_size=k, max_size=k)),
+    })
+    return st.lists(term, min_size=1, max_size=3)
+
+
+GOOD_FORM = st.fixed_dictionaries(
+    {"vars": st.just(3), "terms": terms_of(st.integers(0, 3))})
+# on four variables a 3-form need not be closed
+GOOD_COCYCLE = st.fixed_dictionaries(
+    {"vars": st.just(4),
+     "three_form": st.fixed_dictionaries({"terms": terms_of(st.just(3), 4)})},
+    optional={"two_form": st.fixed_dictionaries(
+        {"terms": terms_of(st.just(2), 4)})},
+)
+
+# malformed inputs: wrong types, bad rationals, unknown names, terms of the
+# wrong form degree, text that is not JSON
+NAMES = st.sampled_from(["x1", "x2", "x3", "y", "", 1, None])
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1", "-2/3", "1/0", "abc", "", "1e3", "nan"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+)
+EXPONENTS = st.one_of(st.integers(-1, 3), st.sampled_from(["2", 1.5, True]))
+F_PART = st.one_of(
+    st.lists(st.one_of(st.tuples(NAMES, EXPONENTS).map(list),
+                       st.lists(NAMES, max_size=3), NAMES), max_size=3),
+    NAMES,
+)
+TERM = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "coeff": COEFFS,
+        "f": F_PART,
+        "d": st.one_of(st.lists(NAMES, max_size=3), NAMES),
+    }),
+    COEFFS,
+)
+VARS = st.one_of(st.integers(-1, 3), st.sampled_from(["3", 2.5, True]))
+BAD_FORM = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "vars": VARS,
+        "terms": st.one_of(st.lists(TERM, max_size=4), TERM),
+    }),
+    st.lists(TERM, max_size=2),
+    COEFFS,
+)
+BAD_COCYCLE = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "vars": VARS, "three_form": BAD_FORM, "two_form": BAD_FORM,
+    }),
+    st.fixed_dictionaries({
+        "vars": st.just(3),
+        "three_form": st.fixed_dictionaries(
+            {"terms": terms_of(st.just(2))}),
+    }),
+    BAD_FORM,
+)
+
+
+def as_text(strategy):
+    return st.one_of(strategy.map(json.dumps), st.text(max_size=12))
+
+
+FUZZ = settings(max_examples=30, deadline=None, derandomize=True,
+                database=None)
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_on_file(argv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text)
+        return run_quiet(argv + [str(path)])
+
+
+def assert_contract(code, out, err, codes=(0, 1, 2)):
+    assert code in codes, err
+    assert "Traceback" not in err
+    if code in (0, 1):
+        assert json.loads(out)["ok"] is (code == 0)
+
+
+@FUZZ
+@given(data=GOOD_FORM.map(json.dumps))
+def test_fuzz_derham_closed_good_forms(data):
+    assert_contract(*run_on_file(["derham-closed", "--form"], data),
+                    codes=(0, 1))
+
+
+@FUZZ
+@given(data=as_text(BAD_FORM))
+def test_fuzz_derham_closed_malformed_forms(data):
+    assert_contract(*run_on_file(["derham-closed", "--form"], data))
+
+
+@FUZZ
+@given(data=GOOD_COCYCLE.map(json.dumps))
+def test_fuzz_algebroid_twist_good_cocycles(data):
+    assert_contract(*run_on_file(
+        ["algebroid-twist", "--check", "--cocycle"], data), codes=(0, 1))
+
+
+@FUZZ
+@given(data=as_text(BAD_COCYCLE), check=st.booleans())
+def test_fuzz_algebroid_twist_malformed_cocycles(data, check):
+    argv = ["algebroid-twist"] + (["--check"] if check else []) + ["--cocycle"]
+    assert_contract(*run_on_file(argv, data))
+
+
+@FUZZ
+@given(m=st.integers(-1, 3), weight=st.integers(-1, 2),
+       lo=st.integers(-3, 4), hi=st.integers(-3, 6))
+def test_fuzz_fs_cohomology_windows(m, weight, lo, hi):
+    assert_contract(*run_quiet([
+        "fs-cohomology", "--m", str(m), "--max-weight", str(weight),
+        "--min-charge", str(lo), "--max-charge", str(hi),
+    ]))
+
+
+@FUZZ
+@given(nvars=st.integers(-1, 2), order=st.integers(-1, 1),
+       degree=st.integers(-1, 2))
+def test_fuzz_liestar_check_windows(nvars, order, degree):
+    assert_contract(*run_quiet([
+        "liestar-check", "--vars", str(nvars), "--jet-order", str(order),
+        "--degree", str(degree),
+    ]))

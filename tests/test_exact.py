@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chiralis import exact
+from chiralis.linfty import linear_solve
 
 
 def bubble_koszul(sigma, parities):
@@ -182,3 +183,82 @@ def test_reduce_against_image():
     red, pivots = exact.echelon(rows, 2)
     out = exact.reduce_against({0: Fraction(3)}, red, pivots)
     assert out == {1: Fraction(-3)}
+
+
+# -- int-first scalars: the Fraction copy as oracle --------------------------------
+
+
+def fraction_copy(rows):
+    return [{c: Fraction(v) for c, v in row.items()} for row in rows]
+
+
+def assert_exact(rows):
+    for row in rows:
+        for v in row.values():
+            assert type(v) in (int, Fraction), (row, v)
+
+
+# the first pivot is the int 2 (not 1), and the reduction makes fractions
+INT_MATRIX = [
+    {0: 2, 1: 4, 2: 6},
+    {0: 3, 1: 5, 3: 7},
+    {1: 2, 2: -4, 3: 6},
+    {0: 5, 1: 9, 2: 6, 3: 7},
+]
+
+
+def test_echelon_int_matrix_matches_fraction_copy():
+    red, pivots = exact.echelon(INT_MATRIX, 4)
+    assert (red, pivots) == exact.echelon(fraction_copy(INT_MATRIX), 4)
+    assert_exact(red)
+    assert any(type(v) is int for row in red for v in row.values())
+    assert any(type(v) is Fraction for row in red for v in row.values())
+    rank, kernel = exact.rank_kernel(INT_MATRIX, 4)
+    assert (rank, kernel) == exact.rank_kernel(fraction_copy(INT_MATRIX), 4)
+    assert_exact(kernel)
+    vec = {0: 1, 2: 5}
+    got = exact.reduce_against(vec, red, pivots)
+    assert got == exact.reduce_against(fraction_copy([vec])[0], red, pivots)
+    assert_exact([got])
+
+
+def test_rank_kernel_random_int_against_fraction_copy():
+    rng = random.Random(31)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        rows = [
+            {c: v for c in range(ncols) if (v := rng.randint(-4, 4))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        got = exact.rank_kernel(rows, ncols)
+        assert got == exact.rank_kernel(fraction_copy(rows), ncols)
+        assert_exact(got[1])
+        red, _ = exact.echelon(rows, ncols)
+        assert_exact(red)
+
+
+def test_linear_solve_int_system_matches_fraction_copy():
+    # an int pivot other than 1 (2x = 6), and a normalized pivot that is
+    # the int 1 (x + y = 2): there acc / 1 would make the float 2.0
+    for eqs, want in [
+        ([{0: 2, 1: 6}], [3]),
+        ([{0: 1, 1: 1, 2: 2}, {1: 1, 2: 1}], [1, 1]),
+        ([{0: 3, 1: 1}, {0: 1, 1: 1, 2: 4}], None),
+    ]:
+        nunk = max(max(row) for row in eqs)
+        sol = linear_solve(eqs, nunk)
+        assert sol == linear_solve(fraction_copy(eqs), nunk)
+        if want is None:
+            continue
+        assert sol[: len(want)] == want
+        assert all(type(v) in (int, Fraction) for v in sol)
+    sol = linear_solve([{0: 2, 1: 3}], 1)
+    assert sol == [Fraction(3, 2)] and type(sol[0]) is Fraction
+
+
+def test_binomial_is_memoized():
+    exact.binomial.cache_clear()
+    exact.binomial(7, 3)
+    exact.binomial(7, 3)
+    info = exact.binomial.cache_info()
+    assert info.hits == 1 and info.misses == 1

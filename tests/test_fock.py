@@ -213,3 +213,42 @@ def test_charge_and_filtration_gradings():
     assert sys.mono_charge(mono) == 1 - 2
     assert sys.momentum_count(mono) == 1
     assert sys.mono_degree(mono) == 0 + 1  # deg xi = -1 so deg mom_xi = +1
+
+
+# -- int-first scalars: the Fraction path as oracle -------------------------------
+
+
+class FractionBG(BGSystem):
+    """The Fraction-valued path: every Wick pairing is a Fraction."""
+
+    def _pair_coeff(self, annih_kind, odd):
+        return Fraction(super()._pair_coeff(annih_kind, odd))
+
+
+def test_int_path_matches_fraction_path_on_letter_pairs():
+    fast = one_var_system()
+    slow = FractionBG(fast.base, odd_charge=2)
+    lets = letters(fast, 2)
+    for a, b in itertools.product(lets, repeat=2):
+        af = {m: Fraction(c) for m, c in a.items()}
+        bf = {m: Fraction(c) for m, c in b.items()}
+        for n in range(-3, 3):
+            got = fast.nth(a, n, b)
+            want = slow.nth(af, n, bf)
+            assert got == want, (a, n, b)
+            # integer structure constants stay int; the oracle really ran
+            # on Fractions; neither side holds a float or a bool
+            assert all(type(c) is int for c in got.values())
+            assert all(type(c) is Fraction for c in want.values())
+
+
+def test_commutative_va_divides_exactly():
+    J = JetAlgebra(SuperPolyAlgebra([("x", 0, 0)]))
+    va = CommutativeVA(J)
+    x = J.gen(("x", 0))
+    # x_(-3) x = (T^2 x / 2) x = x x''/2
+    got = va.nth(x, -3, x)
+    assert got == {((("x", 0), 1), (("x", 2), 1)): Fraction(1, 2)}
+    # x_(-2) x = (T x) x stays integral
+    got = va.nth(x, -2, x)
+    assert all(type(c) is int for c in got.values())

@@ -7,17 +7,22 @@ sequences, concatenating, and bubble-sorting while counting odd-odd swaps.
 import random
 from fractions import Fraction
 
+import pytest
+
 from chiralis.ring import (
     acc,
     derive,
+    div,
     mono_mul,
     padd,
+    pdiv,
     pmul,
     poly_gen,
     poly_one,
     pscale,
     psub,
 )
+from chiralis.starops import lp_scale
 
 PARITY = {"x": 0, "y": 0, "xi": 1, "eta": 1, "zeta": 1}
 
@@ -133,3 +138,62 @@ def test_koszul_differential_squares_to_zero():
         p = random_poly(rng)
         dp = derive(p, images, 1, par)
         assert derive(dp, images, 1, par) == {}
+
+
+# -- int-first scalars ---------------------------------------------------------
+
+
+def as_fractions(p):
+    return {m: Fraction(c) for m, c in p.items()}
+
+
+def random_int_poly(rng):
+    return {m: int(c) for m, c in random_poly(rng).items()}
+
+
+def test_int_path_matches_fraction_path():
+    # the same products, sums and derivations on int coefficients and on
+    # their Fraction copies give equal dicts; the int side stays int
+    rng = random.Random(29)
+    images = {"xi": pmul(poly_gen("x"), poly_gen("x"), par), "x": poly_gen("eta")}
+    for _ in range(60):
+        p, q = random_int_poly(rng), random_int_poly(rng)
+        pf, qf = as_fractions(p), as_fractions(q)
+        for got, want in [
+            (pmul(p, q, par), pmul(pf, qf, par)),
+            (padd(p, q), padd(pf, qf)),
+            (psub(p, q), psub(pf, qf)),
+            (pscale(p, -3), pscale(pf, Fraction(-3))),
+            (derive(p, images, 1, par), derive(pf, images, 1, par)),
+        ]:
+            assert got == want
+            assert all(type(c) is int for c in got.values())
+
+
+def test_poly_constants_are_ints():
+    assert poly_one() == {(): 1} and type(poly_one()[()]) is int
+    assert type(poly_gen("x")[(("x", 1),)]) is int
+
+
+def test_scaling_rejects_inexact_scalars():
+    p = poly_gen("x")
+    for bad in (0.5, 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            pscale(p, bad)
+        with pytest.raises(TypeError):
+            lp_scale({(): p}, bad)
+
+
+def test_division_is_exact():
+    assert div(6, 3) == 2 and type(div(6, 3)) is int
+    assert div(-6, -3) == 2 and type(div(-6, -3)) is int
+    assert div(1, 2) == Fraction(1, 2) and type(div(1, 2)) is Fraction
+    assert div(-3, 2) == Fraction(-3, 2)
+    assert div(Fraction(1, 2), 2) == Fraction(1, 4)
+    assert div(3, Fraction(1, 2)) == 6
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+    x, y = (("x", 1),), (("y", 1),)
+    got = pdiv({x: 4, y: 3}, 2)
+    assert got == {x: 2, y: Fraction(3, 2)}
+    assert type(got[x]) is int and type(got[y]) is Fraction
