@@ -15,6 +15,11 @@ A :class:`FormAlgebra` adjoins a differential ``dg`` for every generator
 differential ``derham_d``, the Lie derivative ``lie_D`` along the ambient
 differential, and their sum ``total_d``; all three square to zero and the
 first two anticommute.
+
+The carriers of vector fields (``chevalley.JetWorld`` and
+``linfty.DerAlgebroid``) add one tangent letter tau_g = d/dg per base
+generator g; :func:`tau_name`, :func:`is_tau`, :func:`tau_base` and
+:func:`split_tangent` are their one naming and splitting convention.
 """
 
 from __future__ import annotations
@@ -291,3 +296,46 @@ class FormAlgebra:
             return f"d{base}" if kind == "d" else base
 
         return ring.poly_str(p, name)
+
+
+# -- tangent letters -----------------------------------------------------------
+
+TAU_PREFIX = "tau "
+
+
+def tau_name(name: str) -> str:
+    """The tangent letter d/d(name) of a base generator."""
+    return TAU_PREFIX + name
+
+
+def is_tau(letter) -> bool:
+    return str(letter).startswith(TAU_PREFIX)
+
+
+def tau_base(letter) -> str:
+    """The base generator a tangent letter stands for."""
+    return str(letter)[len(TAU_PREFIX):]
+
+
+def split_tangent(mono, is_tau, parity):
+    """Write a monomial as sign * (f-part) * (its one tangent letter).
+
+    Returns ``(f_mono, tau_key, sign)``, or None when ``mono`` has no letter
+    for which ``is_tau`` holds; raises ``ValueError`` when it has more.
+    """
+    taus = [(g, e) for g, e in mono if is_tau(g)]
+    if not taus:
+        return None
+    if len(taus) != 1 or taus[0][1] != 1:
+        raise ValueError("tangent degree must be at most one")
+    tkey = taus[0][0]
+    # the tau letter must move right past every letter after it
+    s = 1
+    seen = False
+    tpar = parity(tkey)
+    for g, e in mono:
+        if g == tkey:
+            seen = True
+        elif seen and tpar and (parity(g) * e) & 1:
+            s = -s
+    return tuple((g, e) for g, e in mono if g != tkey), tkey, s

@@ -26,6 +26,7 @@ from .algebra import FormAlgebra, SuperPolyAlgebra
 from .chevalley import (
     ChevalleyCochain,
     JetWorld,
+    _chevalley_d,
     chevalley_d,
     tau_name,
 )
@@ -33,16 +34,16 @@ from .exact import antisym_sign, binomial, unshuffles
 from .starops import (
     LambdaPoly,
     StarOp,
+    apply_to_value,
     compose_front,
     jacobi_defect,
     lp_add,
-    lp_eliminate,
     lp_from_elem,
     lp_map_coeffs,
-    lp_mul_mono,
     lp_normal,
-    lp_relabel,
     lp_scale,
+    permute_slots,
+    unshuffle_sum,
 )
 
 
@@ -85,6 +86,25 @@ def cochain_is_zero(phi: Optional[ChevalleyCochain]) -> bool:
     )
 
 
+def twisted_op(base: Optional[StarOp], alpha: ChevalleyCochain) -> StarOp:
+    """``base`` (None for zero) plus ``alpha`` on the vector-field parts.
+
+    The cochain contributes only when every argument has a nonzero
+    vector-field projection.
+    """
+    world = alpha.world
+
+    def fn(*args):
+        val = base(*args) if base is not None else {}
+        fields = [world.sigma(a) for a in args]
+        if all(fields):
+            val = lp_add(val, alpha(*fields))
+        return lp_normal(val)
+
+    parity = alpha.parity if base is None else base.parity
+    return StarOp(alpha.arity, world.module, fn, parity)
+
+
 # -- the standard chiral algebroid and its twists ---------------------------------
 
 
@@ -105,17 +125,7 @@ class ChiralAlgebroid:
         self.world = world
         self.alpha = alpha
         mu = world.bracket()
-        if alpha is None:
-            self.bracket_op = mu
-        else:
-            def fn(a, b, _mu=mu, _al=alpha, _w=world):
-                v = _mu(a, b)
-                sa, sb = _w.sigma(a), _w.sigma(b)
-                if sa and sb:
-                    v = lp_add(v, _al(sa, sb))
-                return lp_normal(v)
-
-            self.bracket_op = StarOp(2, world.module, fn, 0)
+        self.bracket_op = mu if alpha is None else twisted_op(mu, alpha)
 
     def bracket(self, a: ring.Poly, b: ring.Poly) -> LambdaPoly:
         return self.bracket_op(a, b)
@@ -488,47 +498,6 @@ def jet_differential(world: JetWorld) -> StarOp:
     return StarOp(1, world.module, fn, 1)
 
 
-def lc_chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
-    """The Chevalley differential in the convention of the homotopy defect.
-
-    Differs from :func:`chevalley_d` by the sign (-1)^(1 + p_i |phi|) on
-    the term where the i-th argument acts (p_i its parity); this is the
-    convention under which the generalized Jacobi defect of a twisted
-    structure is exactly the differential of the twist.
-    """
-    world = phi.world
-    n = phi.arity
-    mu = world.bracket()
-    seeds: Dict[tuple, LambdaPoly] = {}
-    frame = sorted(world.frame_names())
-    for tup in itertools.combinations_with_replacement(frame, n + 1):
-        pars = [world.frame_parity(nm) for nm in tup]
-        total: LambdaPoly = {}
-        for i in range(1, n + 2):
-            rest = tup[:i - 1] + tup[i:]
-            rest_pos = [p for p in range(1, n + 2) if p != i]
-            v = phi(*[world.tau(nm) for nm in rest])
-            v = lp_relabel(
-                v, {p: rest_pos[p - 1] for p in range(1, n + 1)}
-            )
-            term: LambdaPoly = {}
-            for mono, m in v.items():
-                ww = mu(world.tau(tup[i - 1]), m)
-                ww = lp_relabel(ww, {1: i})
-                term = lp_add(term, lp_mul_mono(ww, mono))
-            sign = -1 if i & 1 == 0 else 1
-            if pars[i - 1] and (sum(pars[: i - 1]) & 1):
-                sign = -sign
-            if (1 + pars[i - 1] * phi.parity) & 1:
-                sign = -sign
-            total = lp_add(total, lp_scale(term, sign))
-        total = lp_eliminate(total, n + 1, world.module, range(1, n + 1))
-        if lp_normal(total):
-            seeds[tup] = lp_normal(total)
-    # the bracket is parity-even, so composing with it keeps the parity
-    return ChevalleyCochain(world, n + 1, seeds, phi.parity)
-
-
 def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     """The differential-induced part of the cochain differential.
 
@@ -539,8 +508,7 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     """
     world = phi.world
     n = phi.arity
-    jets = world.jets
-    fa = world.to_fock(differential_current(world))
+    d1 = jet_differential(world)
     frame = sorted(world.frame_names())
     seeds: Dict[tuple, LambdaPoly] = {}
     # graded-commutator sign: hat phi = l1 o phi - (-1)^|phi| phi o l1
@@ -548,25 +516,15 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     for tup in itertools.combinations_with_replacement(frame, n):
         pars = [world.frame_parity(nm) for nm in tup]
         args = [world.tau(nm) for nm in tup]
-        total = lp_map_coeffs(phi(*args), jets.D)
+        total = lp_map_coeffs(phi(*args), world.jets.D)
         for sig in unshuffles(1, n):
-            first = args[sig[0] - 1]
-            img = world.sigma(
-                world.from_fock(
-                    world.fock.nth(fa, 0, world.to_fock(first))
-                )
-            )
+            img = world.sigma(d1(args[sig[0] - 1]).get((), {}))
             if not img:
                 continue
-            rest = [args[s - 1] for s in sig[1:]]
-            val = phi(img, *rest)
-            val = lp_relabel(
-                val, {p: sig[p - 1] for p in range(1, n + 1)}
-            )
-            val = lp_eliminate(val, n, world.module, range(1, n))
+            val = phi(img, *[args[s - 1] for s in sig[1:]])
+            sign = s_extra * antisym_sign(sig, pars)
             total = lp_add(
-                total,
-                lp_scale(val, s_extra * antisym_sign(sig, pars)),
+                total, permute_slots(val, sig, world.module, sign)
             )
         if (phi.parity + n) & 1:
             # global sign on the class |phi| != n mod 2, which makes this
@@ -594,7 +552,7 @@ def lc_d(
         parts = []
         prev = alphas.get(k - 1)
         if prev is not None:
-            parts.append(lc_chevalley_d(prev))
+            parts.append(_chevalley_d(prev, True))
         cur = alphas.get(k)
         if cur is not None:
             parts.append(hat_d(cur))
@@ -658,46 +616,12 @@ class ChiralInftyAlgebroid:
     def ops(self) -> Dict[int, StarOp]:
         if self._ops is not None:
             return self._ops
-        world = self.world
-        out: Dict[int, StarOp] = {}
-        d1 = jet_differential(world)
-        a1 = self.alphas.get(1)
-        if a1 is None:
-            out[1] = d1
-        else:
-            def l1(v, _d=d1, _a=a1, _w=world):
-                val = _d(v)
-                s = _w.sigma(v)
-                if s:
-                    val = lp_add(val, _a(s))
-                return lp_normal(val)
-
-            out[1] = StarOp(1, world.module, l1, 1)
-        mu = world.bracket()
-        a2 = self.alphas.get(2)
-        if a2 is None:
-            out[2] = mu
-        else:
-            def l2(a, b, _mu=mu, _a=a2, _w=world):
-                v = _mu(a, b)
-                sa, sb = _w.sigma(a), _w.sigma(b)
-                if sa and sb:
-                    v = lp_add(v, _a(sa, sb))
-                return lp_normal(v)
-
-            out[2] = StarOp(2, world.module, l2, 0)
-        for n in range(3, self.max_arity + 1):
+        base = {1: jet_differential(self.world), 2: self.world.bracket()}
+        out: Dict[int, StarOp] = dict(base)
+        for n in range(1, max(self.max_arity, 2) + 1):
             an = self.alphas.get(n)
-            if an is None:
-                continue
-
-            def ln(*args, _a=an, _w=world):
-                sigs = [_w.sigma(a) for a in args]
-                if not all(sigs):
-                    return {}
-                return _a(*sigs)
-
-            out[n] = StarOp(n, world.module, ln, n & 1)
+            if an is not None:
+                out[n] = twisted_op(base.get(n), an)
         self._ops = out
         return out
 
@@ -764,90 +688,35 @@ def morphism_residual(
     if any(p is None for p in pars):
         raise ValueError("arguments must be parity-homogeneous")
     ls, lps = P.ops(), Q.ops()
+    ident = StarOp(1, module, lp_from_elem, 0)
+    fs = {k: twisted_op(ident if k == 1 else None, b)
+          for k, b in betas.items() if b is not None}
+    fs.setdefault(1, ident)
 
     def f_elem(x):
         """f_1 on an element (result is an element)."""
-        out = dict(x)
-        b1 = betas.get(1)
-        if b1 is not None:
-            s = world.sigma(x)
-            if s:
-                v = b1(s).get((), {})
-                for mono, c in v.items():
-                    ring.acc(out, mono, c)
-        return out
+        return fs[1](x).get((), {})
 
-    def f_op(k):
-        if k == 1:
-            def fn(x):
-                return lp_from_elem(f_elem(x))
-
-            return StarOp(1, module, fn, 0)
-        bk = betas.get(k)
-        if bk is None:
-            return None
-
-        def fn(*xs, _b=bk):
-            sig = [world.sigma(x) for x in xs]
-            if not all(sig):
-                return {}
-            return _b(*sig)
-
-        return StarOp(k, module, fn, bk.parity)
-
-    lhs: LambdaPoly = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if i not in ls:
-            continue
-        fj = f_op(j)
-        if fj is None:
-            continue
-        comp = compose_front(fj, ls[i])
-        for sig in unshuffles(i, n):
-            perm = [args[s - 1] for s in sig]
-            val = comp(*perm)
-            val = lp_relabel(val, {p: sig[p - 1] for p in range(1, n + 1)})
-            val = lp_eliminate(val, n, module, range(1, n))
-            sign = antisym_sign(sig, pars)
-            if (i * (j - 1)) & 1:
-                sign = -sign
-            lhs = lp_add(lhs, lp_scale(val, sign))
-
+    lhs = unshuffle_sum(ls, fs, n, args, module)
     rhs: LambdaPoly = {}
     # target differential applied to the top correction
-    if n > 1:
-        fn_top = f_op(n)
-        if fn_top is not None:
-            comp = compose_front(lps[1], fn_top)
-            rhs = lp_add(rhs, comp(*args))
+    if n > 1 and n in fs:
+        rhs = compose_front(lps[1], fs[n])(*args)
     # the target arity-n operation on first components
     if n in lps:
         rhs = lp_add(rhs, lps[n](*[f_elem(a) for a in args]))
-    if n == 3 and 2 in lps and f_op(2) is not None:
-        f2 = f_op(2)
-        lp2 = lps[2]
+    if n == 3 and 2 in lps and 2 in fs:
         for sig in unshuffles(1, 3):
-            single = f_elem(args[sig[0] - 1])
-            pair = f2(args[sig[1] - 1], args[sig[2] - 1])
+            pair = fs[2](args[sig[1] - 1], args[sig[2] - 1])
             if not pair:
                 continue
-            total: LambdaPoly = {}
-            for mono, m in pair.items():
-                w = lp2(single, m)
-                w = lp_mul_mono(w, tuple((v + 1, e) for v, e in mono))
-                total = lp_add(total, w)
-            # composite slots: single at 1, the pair at 2 and 3
-            total = lp_relabel(
-                total,
-                {1: sig[0], 2: sig[1], 3: sig[2]},
-            )
-            total = lp_eliminate(total, 3, module, range(1, 3))
+            single = f_elem(args[sig[0] - 1])
+            total = apply_to_value(lps[2], single, pair)
             sign = antisym_sign(sig, pars)
             # the odd binary component crosses the leading argument
             if pars[sig[0] - 1]:
                 sign = -sign
-            rhs = lp_add(rhs, lp_scale(total, sign))
+            rhs = lp_add(rhs, permute_slots(total, sig, module, sign))
     return lp_normal(lp_add(lhs, lp_scale(rhs, -1)))
 
 

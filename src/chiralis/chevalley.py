@@ -28,30 +28,31 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
-from .algebra import JetAlgebra, SuperPolyAlgebra
-from .exact import binomial, koszul_sign, sgn
+from .algebra import (
+    JetAlgebra,
+    SuperPolyAlgebra,
+    is_tau,
+    split_tangent,
+    tau_base,
+    tau_name,
+)
+from .exact import antisym_sign, binomial, inverse, unshuffles
 from .fock import BGSystem
 from .starops import (
     LambdaPoly,
     StarModule,
     StarOp,
+    apply_to_value,
     lp_add,
     lp_apply_translate_minus_vars,
     lp_deriv_var,
-    lp_eliminate,
     lp_map_coeffs,
-    lp_mul_mono,
     lp_mul_var,
     lp_normal,
-    lp_relabel,
     lp_scale,
+    permute_slots,
+    va_bracket,
 )
-
-TAU_PREFIX = "tau "
-
-
-def tau_name(name: str) -> str:
-    return TAU_PREFIX + name
 
 
 class JetWorld:
@@ -59,7 +60,7 @@ class JetWorld:
 
     def __init__(self, base: SuperPolyAlgebra):
         for name in base.gen_names:
-            if str(name).startswith(TAU_PREFIX):
+            if is_tau(name):
                 raise ValueError(f"reserved generator name {name!r}")
         self.base = base
         gens = [
@@ -88,10 +89,8 @@ class JetWorld:
                     term = ring.pmul(
                         part,
                         ring.poly_gen(tau_name(other)),
-                        lambda g: (
-                            base.parity(g[len(TAU_PREFIX):])
-                            if str(g).startswith(TAU_PREFIX)
-                            else base.parity(g)
+                        lambda g: base.parity(
+                            tau_base(g) if is_tau(g) else g
                         ),
                     )
                     for mono, c in term.items():
@@ -123,7 +122,7 @@ class JetWorld:
         return self.base.parity(name)
 
     def is_tau_key(self, key) -> bool:
-        return str(key[0]).startswith(TAU_PREFIX)
+        return is_tau(key[0])
 
     def tangent_degree(self, mono) -> int:
         return sum(e for g, e in mono if self.is_tau_key(g))
@@ -136,8 +135,8 @@ class JetWorld:
     def _letter_to_fock(self, key) -> Tuple[tuple, int]:
         name, k = key
         fact = -math.factorial(k) if k & 1 else math.factorial(k)
-        if str(name).startswith(TAU_PREFIX):
-            return ("m", str(name)[len(TAU_PREFIX):], -k - 1), fact
+        if is_tau(name):
+            return ("m", tau_base(name), -k - 1), fact
         return ("c", name, -k), fact
 
     def to_fock(self, p: ring.Poly) -> ring.Poly:
@@ -179,26 +178,15 @@ class JetWorld:
 
     # -- the standard Lie* bracket ------------------------------------------------
     def bracket(self) -> StarOp:
-        if self._bracket is not None:
-            return self._bracket
-        world = self
+        """The free-field Lie* bracket conjugated by the Fock dictionary."""
+        if self._bracket is None:
+            mu = va_bracket(self.fock)
 
-        def fn(a, b):
-            fa, fb = world.to_fock(a), world.to_fock(b)
-            out: LambdaPoly = {}
-            wmax = world.fock.max_weight(fa) + world.fock.max_weight(fb)
-            fact = 1
-            for n in range(0, wmax + 1):
-                if n:
-                    fact *= n
-                v = world.fock.nth(fa, n, fb)
-                if v:
-                    out[((1, n),) if n else ()] = ring.pdiv(
-                        world.from_fock(v), fact
-                    )
-            return lp_normal(out)
+            def fn(a, b):
+                v = mu(self.to_fock(a), self.to_fock(b))
+                return lp_map_coeffs(v, self.from_fock)
 
-        self._bracket = StarOp(2, self.module, fn, 0)
+            self._bracket = StarOp(2, self.module, fn, 0)
         return self._bracket
 
 
@@ -227,12 +215,8 @@ class ChevalleyCochain(StarOp):
             pars = [world.frame_parity(n) for n in names]
             for perm in itertools.permutations(range(1, arity + 1)):
                 tup = tuple(names[p - 1] for p in perm)
-                v = lp_relabel(
-                    val,
-                    {q: perm.index(q) + 1 for q in range(1, arity + 1)},
-                )
-                v = lp_eliminate(v, arity, world.module, range(1, arity))
-                v = lp_normal(lp_scale(v, sgn(perm) * koszul_sign(perm, pars)))
+                v = permute_slots(val, inverse(perm), world.module,
+                                  antisym_sign(perm, pars))
                 prev = self.table.get(tup)
                 if prev is None:
                     self.table[tup] = v
@@ -246,9 +230,7 @@ class ChevalleyCochain(StarOp):
         """Value on one tuple of terms (f_mono, tau_key) per slot."""
         n = self.arity
         world = self.world
-        names = tuple(
-            str(g[0])[len(TAU_PREFIX):] for (_f, g) in parts
-        )
+        names = tuple(tau_base(g[0]) for (_f, g) in parts)
         val = self.table.get(names)
         if not val:
             return {}
@@ -269,31 +251,8 @@ class ChevalleyCochain(StarOp):
             fpar = ring.mono_parity(fmono, world.jets.parity)
             if fpar and ((self.parity + prefix) & 1):
                 sign = -sign
-            f = {fmono: 1}
             if fmono:
-                if i < n:
-                    acc: LambdaPoly = {}
-                    deriv = val
-                    m = 0
-                    fshift = f
-                    while deriv:
-                        term = lp_map_coeffs(
-                            deriv,
-                            lambda e, fs=fshift: ring.pmul(
-                                fs, e, world.jets.parity
-                            ),
-                        )
-                        c = ring.div((-1) ** m, math.factorial(m))
-                        acc = lp_add(acc, lp_scale(term, c))
-                        deriv = lp_deriv_var(deriv, i)
-                        fshift = world.jets.translate(fshift)
-                        m += 1
-                    val = acc
-                else:
-                    val = lp_map_coeffs(
-                        val,
-                        lambda e: ring.pmul(f, e, world.jets.parity),
-                    )
+                val = _leibniz(world, val, i, n, {fmono: 1})
             prefix = (prefix + fpar + world.jets.parity(g)) & 1
         return lp_scale(val, sign) if sign == -1 else val
 
@@ -305,16 +264,15 @@ class ChevalleyCochain(StarOp):
         for a in args:
             terms = []
             for mono, c in a.items():
-                taus = [(g, e) for g, e in mono if world.is_tau_key(g)]
-                if len(taus) != 1 or taus[0][1] != 1:
+                split = split_tangent(
+                    mono, world.is_tau_key, world.jets.parity
+                )
+                if split is None:
                     raise ValueError(
                         "cochain arguments must be vector fields"
                     )
-                fmono = tuple(
-                    (g, e) for g, e in mono if not world.is_tau_key(g)
-                )
-                s = _split_sign(mono, taus[0][0], world.jets.parity)
-                terms.append((fmono, taus[0][0], c * s))
+                fmono, tkey, s = split
+                terms.append((fmono, tkey, c * s))
             split_args.append(terms)
         for combo in itertools.product(*split_args):
             coeff = 1
@@ -328,19 +286,27 @@ class ChevalleyCochain(StarOp):
         return lp_normal(out)
 
 
-def _split_sign(mono, tau_key, parity) -> int:
-    """Koszul sign rewriting a sorted monomial as (f-part) * (tau letter)."""
-    # the tau letter must move right past every letter after it
-    s = 1
-    seen = False
-    tpar = parity(tau_key)
-    for g, e in mono:
-        if g == tau_key:
-            seen = True
-            continue
-        if seen and tpar and (parity(g) * e) & 1:
-            s = -s
-    return s
+def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,
+             f: ring.Poly) -> LambdaPoly:
+    """The value on f * a_slot, from the value ``val`` on a_slot (unsigned).
+
+    In the last slot f multiplies the value; in slot i < n it enters
+    through the series sum_m (-1)^m / m! T^m(f) d^m/dz_i^m.
+    """
+    def times_f(e):
+        return ring.pmul(f, e, world.jets.parity)
+
+    if slot == n:
+        return lp_map_coeffs(val, times_f)
+    acc: LambdaPoly = {}
+    m = 0
+    while val:
+        c = ring.div((-1) ** m, math.factorial(m))
+        acc = lp_add(acc, lp_scale(lp_map_coeffs(val, times_f), c))
+        val = lp_deriv_var(val, slot)
+        f = world.jets.translate(f)
+        m += 1
+    return acc
 
 
 def symmetrized_seed(
@@ -359,22 +325,21 @@ def symmetrized_seed(
     for perm in itertools.permutations(range(1, n + 1)):
         if tuple(names[p - 1] for p in perm) != tuple(names):
             continue
-        v = lp_relabel(
-            val, {q: perm.index(q) + 1 for q in range(1, n + 1)}
-        )
-        v = lp_eliminate(v, n, world.module, range(1, n))
-        total = lp_add(
-            total, lp_scale(v, sgn(perm) * koszul_sign(perm, pars))
-        )
+        total = lp_add(total, permute_slots(
+            val, inverse(perm), world.module, antisym_sign(perm, pars)))
         count += 1
     return lp_normal(lp_scale(total, ring.div(1, count)))
 
 
-def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
-    """The Chevalley differential of a cochain for the standard structure.
+def _chevalley_d(phi: ChevalleyCochain, lc: bool) -> ChevalleyCochain:
+    """The body of :func:`chevalley_d`, in either sign convention.
 
-    Computed on sorted frame tuples (where only the action terms survive,
-    the standard frame being abelian) and re-wrapped as a cochain.
+    With ``lc`` it is taken in the convention of the homotopy defect
+    (``algebroid.lc_d``): the term where the i-th argument acts gets the
+    extra sign (-1)^(1 + p_i |phi|), p_i its parity, and the parity of
+    phi is kept, since composing with the parity-even bracket keeps it.
+    That is the convention under which the generalized Jacobi defect of
+    a twisted structure is exactly the differential of the twist.
     """
     world = phi.world
     n = phi.arity
@@ -386,61 +351,44 @@ def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
         # repeated even frame letters can still carry nonzero values
         # through the lambda dependence, so no tuple is skipped here
         total: LambdaPoly = {}
-        for i in range(1, n + 2):
-            rest = tup[:i - 1] + tup[i:]
-            rest_pos = [p for p in range(1, n + 2) if p != i]
-            v = phi(*[world.tau(nm) for nm in rest])
-            v = lp_relabel(
-                v, {p: rest_pos[p - 1] for p in range(1, n + 1)}
-            )
-            term: LambdaPoly = {}
-            for mono, m in v.items():
-                w = mu(world.tau(tup[i - 1]), m)
-                w = lp_relabel(w, {1: i})
-                term = lp_add(term, lp_mul_mono(w, mono))
-            sign = -1 if i & 1 == 0 else 1
-            # Koszul: move a_i left past a_1..a_{i-1} (the action applies
-            # to the value from the left, so phi itself is not crossed)
-            if pars[i - 1] and (sum(pars[: i - 1]) & 1):
+        for sig in unshuffles(1, n + 1):
+            # a_i acts on phi of the others; the Koszul sign moves a_i
+            # left past a_1..a_{i-1} (the action applies to the value
+            # from the left, so phi itself is not crossed)
+            i = sig[0]
+            v = phi(*[world.tau(tup[s - 1]) for s in sig[1:]])
+            term = apply_to_value(mu, world.tau(tup[i - 1]), v)
+            sign = antisym_sign(sig, pars)
+            if lc and (1 + pars[i - 1] * phi.parity) & 1:
                 sign = -sign
-            total = lp_add(total, lp_scale(term, sign))
-        total = lp_eliminate(total, n + 1, world.module, range(1, n + 1))
-        if lp_normal(total):
-            seeds[tup] = lp_normal(total)
-    return ChevalleyCochain(world, n + 1, seeds, (phi.parity + 1) & 1)
+            total = lp_add(
+                total, permute_slots(term, sig, world.module, sign)
+            )
+        if total:
+            seeds[tup] = total
+    parity = phi.parity if lc else (phi.parity + 1) & 1
+    return ChevalleyCochain(world, n + 1, seeds, parity)
+
+
+def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
+    """The Chevalley differential of a cochain for the standard structure.
+
+    Computed on sorted frame tuples (where only the action terms survive,
+    the standard frame being abelian) and re-wrapped as a cochain.
+    """
+    return _chevalley_d(phi, False)
 
 
 def multilin_expected(
     phi: StarOp, slot: int, f: ring.Poly, args, world: JetWorld
 ) -> LambdaPoly:
     """The function-multilinearity prediction for phi(..., f*a_slot, ...)."""
-    n = phi.arity
-    val = phi(*args)
     fpar = world.jets.poly_parity(f)
     prefix = phi.parity
     for a in args[: slot - 1]:
         prefix = (prefix + world.jets.poly_parity(a)) & 1
     sign = -1 if (fpar and prefix) else 1
-    if slot == n:
-        out = lp_map_coeffs(
-            val, lambda e: ring.pmul(f, e, world.jets.parity)
-        )
-        return lp_scale(out, sign)
-    acc: LambdaPoly = {}
-    deriv = val
-    m = 0
-    fshift = f
-    while deriv:
-        term = lp_map_coeffs(
-            deriv,
-            lambda e, fs=fshift: ring.pmul(fs, e, world.jets.parity),
-        )
-        c = ring.div((-1) ** m, math.factorial(m))
-        acc = lp_add(acc, lp_scale(term, c))
-        deriv = lp_deriv_var(deriv, slot)
-        fshift = world.jets.translate(fshift)
-        m += 1
-    return lp_scale(acc, sign)
+    return lp_scale(_leibniz(world, phi(*args), slot, phi.arity, f), sign)
 
 
 def multilinearity_check(

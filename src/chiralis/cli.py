@@ -17,10 +17,15 @@ chiral-infty-check the homotopy (LC-closed family) twist over the
 derham-closed      closedness of a differential form, with witness
 
 Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
-false identity (the report carries a witness); 2 = usage or input error;
-3 = internal error (a bug: one "internal error: ..." line on stderr).
+false identity (the report carries a witness); 2 = usage or input error,
+including a window that checks nothing (an empty fs-cohomology window,
+borcherds-check --max-weight < 0 or --samples < 0, linfty-check
+--samples < 1, liestar-check --vars 0); 3 = internal error (a bug: one
+"internal error: ..." line on stderr).
 Reports are JSON on stdout (or --out); a fixed seed makes a run byte
-identical.
+identical.  A reader that closes stdout early (``| head``) is not an
+error: the rest of the report is dropped and the exit code is the
+verdict's.
 """
 
 from __future__ import annotations
@@ -120,7 +125,13 @@ def emit(report: dict, out: Optional[str]) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left; send the interpreter's final flush nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 # -- input forms ---------------------------------------------------------------------
@@ -276,6 +287,10 @@ def cmd_fs_cohomology(args) -> int:
 def cmd_borcherds_check(args) -> int:
     if args.vars < 1:
         raise UsageError("--vars must be a positive integer")
+    if args.max_weight < 0:
+        raise UsageError("--max-weight must be non-negative")
+    if args.samples < 0:
+        raise UsageError("--samples must be non-negative (0 = exhaustive)")
     gens = []
     for i in range(1, args.vars + 1):
         gens.append((f"x{i}", 0, 0))
@@ -287,41 +302,36 @@ def cmd_borcherds_check(args) -> int:
             letters.append(fk.coord(name, -w))
             if w >= 1:
                 letters.append(fk.mom(name, -w))
-    failures = []
-    checked = 0
-    rst = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (-1, 0, 0), (-1, 1, -1)]
-    if args.samples == 0:
-        triples = itertools.product(letters, repeat=3)
-        for a, b, c in triples:
-            for r, s, t in rst:
-                rep = borcherds_full_check(fk, a, b, c, r, s, t)
-                checked += 1
-                if not rep["ok"]:
-                    failures.append(
-                        {"a": a, "b": b, "c": c, "rst": [r, s, t],
-                         "difference": rep["difference"]}
-                    )
-    else:
-        rng = random.Random(args.seed)
+    rng = random.Random(args.seed)
 
-        def rand_state():
-            p = fk.vac()
-            for _ in range(rng.randint(1, 2)):
-                p = fk.mul(p, rng.choice(letters))
-            return p
+    def rand_state():
+        p = fk.vac()
+        for _ in range(rng.randint(1, 2)):
+            p = fk.mul(p, rng.choice(letters))
+        return p
 
+    def cases():
+        """(a, b, c, [r, s, t]): every letter triple, or seeded draws."""
+        if args.samples == 0:
+            rst = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (-1, 0, 0), (-1, 1, -1)]
+            for a, b, c in itertools.product(letters, repeat=3):
+                for r, s, t in rst:
+                    yield a, b, c, [r, s, t]
         for _ in range(args.samples):
             a, b, c = rand_state(), rand_state(), rand_state()
-            if not (a and b and c):
-                continue
-            r, s, t = (rng.randint(-2, 2) for _ in range(3))
-            rep = borcherds_full_check(fk, a, b, c, r, s, t)
-            checked += 1
-            if not rep["ok"]:
-                failures.append(
-                    {"a": a, "b": b, "c": c, "rst": [r, s, t],
-                     "difference": rep["difference"]}
-                )
+            if a and b and c:
+                yield a, b, c, [rng.randint(-2, 2) for _ in range(3)]
+
+    failures = []
+    checked = 0
+    for a, b, c, rst in cases():
+        rep = borcherds_full_check(fk, a, b, c, *rst)
+        checked += 1
+        if not rep["ok"]:
+            failures.append({"a": a, "b": b, "c": c, "rst": rst,
+                             "difference": rep["difference"]})
+    if not checked:
+        raise UsageError("the window yields no Borcherds cases")
     report = {
         "command": "borcherds-check",
         "version": __version__,
@@ -370,11 +380,14 @@ def cmd_liestar_check(args) -> int:
 
 
 def cmd_linfty_check(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be a positive integer")
     rng = random.Random(args.seed)
     sp = GradedSpace([("u", 0), ("v", 1), ("w", 1), ("z", 2)])
     pars = {n: sp.parity(n) for n in sp.names}
     disagreements = []
     passes = 0
+    checked = 0
     for trial in range(args.samples):
         ls = {}
         for arity in (1, 2, 3):
@@ -396,6 +409,7 @@ def cmd_linfty_check(args) -> int:
                     continue
         if not ls:
             continue
+        checked += 1
         direct = direct_jacobi_report(ls, sp, 3)
         coder = coderivation_square_report(ls, sp, 3)
         if direct["ok"] != coder["ok"]:
@@ -404,6 +418,8 @@ def cmd_linfty_check(args) -> int:
                  "coderivation": coder["ok"]}
             )
         passes += direct["ok"]
+    if not checked:
+        raise UsageError("no trial drew a structure to check")
     report = {
         "command": "linfty-check",
         "version": __version__,

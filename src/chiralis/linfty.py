@@ -23,13 +23,21 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
-from .algebra import FormAlgebra, SuperPolyAlgebra
+from .algebra import (
+    FormAlgebra,
+    SuperPolyAlgebra,
+    is_tau,
+    split_tangent,
+    tau_base,
+    tau_name,
+)
 from .exact import Row, antisym_sign, echelon, unshuffles
 from .starops import (
     StarModule,
     StarOp,
     jacobi_defect,
     lp_from_elem,
+    unshuffle_sum,
     zero_translate,
 )
 
@@ -142,7 +150,7 @@ class BasisMultiMap:
         mod = self.space.module()
 
         def fn(*args):
-            return lp_from_elem(self(*args)) if self(*args) else {}
+            return lp_from_elem(self(*args))
 
         return StarOp(self.arity, mod, fn, self.arity & 1)
 
@@ -277,12 +285,6 @@ def linfty_report(
 
 # -- the two-term algebroid of a differential algebra ----------------------------
 
-TAU_PREFIX = "tau "
-
-
-def _tau(name: str) -> str:
-    return TAU_PREFIX + name
-
 
 def twist_sign(pars: Sequence[int]) -> int:
     """Sign exponent attached to an n-fold contraction with the given
@@ -315,7 +317,7 @@ class DerAlgebroid:
         gens = [
             (n, base.parity(n), base.degree(n)) for n in base.gen_names
         ] + [
-            (_tau(n), base.parity(n), -base.degree(n))
+            (tau_name(n), base.parity(n), -base.degree(n))
             for n in base.gen_names
         ]
         self.carrier = SuperPolyAlgebra(gens)
@@ -324,13 +326,10 @@ class DerAlgebroid:
         )
 
     def tau(self, name: str) -> ring.Poly:
-        return self.carrier.gen(_tau(name))
-
-    def _is_tau(self, g) -> bool:
-        return str(g).startswith(TAU_PREFIX)
+        return self.carrier.gen(tau_name(name))
 
     def _tdeg(self, mono) -> int:
-        return sum(e for g, e in mono if self._is_tau(g))
+        return sum(e for g, e in mono if is_tau(g))
 
     def sigma(self, e: ring.Poly) -> ring.Poly:
         return {m: c for m, c in e.items() if self._tdeg(m) == 1}
@@ -341,23 +340,10 @@ class DerAlgebroid:
     def _split_terms(self, u: ring.Poly):
         """Write a derivation as (coefficient, base generator) terms."""
         for mono, c in u.items():
-            taus = [(g, e) for g, e in mono if self._is_tau(g)]
-            if not taus:
-                continue
-            if len(taus) != 1 or taus[0][1] != 1:
-                raise ValueError("tangent degree must be at most one")
-            tkey = taus[0][0]
-            fmono = tuple((g, e) for g, e in mono if g != tkey)
-            s = 1
-            tpar = self.carrier.parity(tkey)
-            seen = False
-            for g, e in mono:
-                if g == tkey:
-                    seen = True
-                    continue
-                if seen and tpar and (self.carrier.parity(g) * e) & 1:
-                    s = -s
-            yield {fmono: c * s}, str(tkey)[len(TAU_PREFIX):]
+            split = split_tangent(mono, is_tau, self.carrier.parity)
+            if split is not None:
+                fmono, tkey, s = split
+                yield {fmono: c * s}, tau_base(tkey)
 
     def field_apply(self, u: ring.Poly, h: ring.Poly) -> ring.Poly:
         """Apply the derivation part of u to a function."""
@@ -396,7 +382,7 @@ class DerAlgebroid:
                 out = ring.padd(
                     out,
                     ring.pmul(
-                        w, ring.poly_gen(_tau(name)), self.carrier.parity
+                        w, ring.poly_gen(tau_name(name)), self.carrier.parity
                     ),
                 )
         return out
@@ -420,7 +406,7 @@ class DerAlgebroid:
                         out,
                         ring.pmul(
                             w,
-                            ring.poly_gen(_tau(name)),
+                            ring.poly_gen(tau_name(name)),
                             self.carrier.parity,
                         ),
                     )
@@ -478,19 +464,12 @@ class DerAlgebroid:
                 )
         out: Dict[int, StarOp] = {}
 
-        def twist(an, args):
-            t = self.contract(an, [self.sigma(e) for e in args])
-            if not t:
-                return {}
-            s = twist_sign([self.carrier.poly_parity(e) for e in args])
-            return ring.pscale(t, -1) if s else t
-
         def l1(e):
             v = self.diff(e)
             a1 = alphas.get(1)
             if a1:
-                v = ring.padd(v, twist(a1, [e]))
-            return lp_from_elem(v) if v else {}
+                v = ring.padd(v, self.contract_signed(a1, [e]))
+            return lp_from_elem(v)
 
         out[1] = StarOp(1, self.module, l1, 1)
 
@@ -509,8 +488,8 @@ class DerAlgebroid:
             )
             a2 = alphas.get(2)
             if a2:
-                v = ring.padd(v, twist(a2, [e1, e2]))
-            return lp_from_elem(v) if v else {}
+                v = ring.padd(v, self.contract_signed(a2, [e1, e2]))
+            return lp_from_elem(v)
 
         out[2] = StarOp(2, self.module, l2, 0)
 
@@ -520,8 +499,8 @@ class DerAlgebroid:
                 continue
 
             def ln(*args, an=an):
-                v = twist(an, list(args))
-                return lp_from_elem(v) if v else {}
+                v = self.contract_signed(an, args)
+                return lp_from_elem(v)
 
             out[n] = StarOp(n, self.module, ln, n & 1)
         return out
@@ -615,20 +594,11 @@ def morphism_defect(
         v = ops[k](*elems)
         return v.get((), {}) if v else {}
 
-    lhs: ring.Poly = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        for sig in unshuffles(i, n):
-            perm = [args[s - 1] for s in sig]
-            inner = l_eval(l_ops, i, perm[:i])
-            val = f(j, [inner] + perm[i:]) if j > 1 else f(1, [inner])
-            if not val:
-                continue
-            sign = antisym_sign(sig, pars)
-            if (i * (j - 1)) & 1:
-                sign = -sign
-            lhs = ring.padd(lhs, ring.pscale(val, sign))
-
+    f_ops = {
+        k: StarOp(k, alg.module, lambda *e, k=k: lp_from_elem(f(k, e)))
+        for k in range(1, n + 1)
+    }
+    lhs = unshuffle_sum(l_ops, f_ops, n, args, alg.module).get((), {})
     rhs: ring.Poly = {}
     # l'_1 applied to f_n
     top = f(n, list(args)) if n > 1 else None
@@ -699,12 +669,9 @@ def linear_solve(
     """
     red, pivots = echelon(eqs, nunk + 1)
     sol: List[ring.Scalar] = [0] * nunk
-    for row, piv in reversed(list(zip(red, pivots))):
+    # reduced rows: each pivot is 1 and every free unknown is zero
+    for row, piv in zip(red, pivots):
         if piv == nunk:
             return None
-        acc = row.get(nunk, 0)
-        for col, c in row.items():
-            if col not in (piv, nunk):
-                acc -= c * sol[col]
-        sol[piv] = ring.div(acc, row[piv])
+        sol[piv] = row.get(nunk, 0)
     return sol

@@ -203,6 +203,26 @@ class StarOp:
         return self.fn(*args)
 
 
+def permute_slots(val: LambdaPoly, sigma: Sequence[int],
+                  module: StarModule, sign: int) -> LambdaPoly:
+    """The slot-permutation action on a value.
+
+    ``sigma`` is 1-indexed (a tuple of images).  Slot p of ``val`` is renamed
+    to sigma(p), the last slot is eliminated, and the result is multiplied
+    by ``sign``, the Koszul or antisymmetry sign the caller owes.
+    """
+    n = len(sigma)
+    val = lp_relabel(val, {p: sigma[p - 1] for p in range(1, n + 1)})
+    return lp_scale(lp_eliminate(val, n, module, range(1, n)), sign)
+
+
+def _parities(module: StarModule, args) -> List[int]:
+    x = [module.parity(a) for a in args]
+    if any(p is None for p in x):
+        raise ValueError("arguments must be parity-homogeneous")
+    return x
+
+
 def sigma_act(sigma: Sequence[int], phi: StarOp, parities=None) -> StarOp:
     """The symmetric-group action on star operations.
 
@@ -216,14 +236,9 @@ def sigma_act(sigma: Sequence[int], phi: StarOp, parities=None) -> StarOp:
         raise ValueError("permutation length must equal the arity")
 
     def fn(*args):
-        perm_args = [args[sigma[p] - 1] for p in range(n)]
-        val = phi(*perm_args)
-        val = lp_relabel(val, {p: sigma[p - 1] for p in range(1, n + 1)})
-        val = lp_eliminate(val, n, phi.module, range(1, n))
-        x = [phi.module.parity(a) for a in args]
-        if any(p is None for p in x):
-            raise ValueError("arguments must be parity-homogeneous")
-        return lp_scale(val, koszul_sign(tuple(sigma), x))
+        val = phi(*[args[s - 1] for s in sigma])
+        sign = koszul_sign(tuple(sigma), _parities(phi.module, args))
+        return permute_slots(val, sigma, phi.module, sign)
 
     return StarOp(n, phi.module, fn, phi.parity)
 
@@ -247,6 +262,19 @@ def compose_front(outer: StarOp, inner: StarOp) -> StarOp:
     return StarOp(n, outer.module, fn, (outer.parity + inner.parity) & 1)
 
 
+def apply_to_value(op: StarOp, a, val: LambdaPoly) -> LambdaPoly:
+    """op(a, -) on a value of an inner operation, coefficient by coefficient.
+
+    The slot of ``a`` is 1 and the value's own slots move up by one; the
+    result is canonical when the inner arguments follow ``a``.
+    """
+    out: LambdaPoly = {}
+    for mono, m in val.items():
+        shifted = tuple((s + 1, e) for s, e in mono)
+        out = lp_add(out, lp_mul_mono(op(a, m), shifted))
+    return out
+
+
 def op_equal_on(phi: StarOp, psi: StarOp, tuples) -> bool:
     for args in tuples:
         if lp_normal(lp_add(phi(*args), lp_scale(psi(*args), -1))):
@@ -254,38 +282,38 @@ def op_equal_on(phi: StarOp, psi: StarOp, tuples) -> bool:
     return True
 
 
-def jacobi_defect(
-    ls: Dict[int, StarOp], k: int, args, module: StarModule
+def unshuffle_sum(
+    inner: Dict[int, StarOp], outer: Dict[int, StarOp], k: int, args,
+    module: StarModule,
 ) -> LambdaPoly:
-    """The arity-k generalized Jacobi sum
+    """The arity-k unshuffle sum
 
-    sum_{i+j=k+1} sum_{(i,k-i)-unshuffles s} sgn(s) eps(s, x)
-        (-1)^{i(j-1)} s^{-1} o l_j(l_i(x_{s1}..x_{si}), x_{s(i+1)}, ...)
+    sum_{i+j=k+1} sum_{(i,k-i)-unshuffles s} sgn(s) eps(s, x) (-1)^{i(j-1)}
+        s^{-1} o outer_j(inner_i(x_{s1}..x_{si}), x_{s(i+1)}, ..., x_{sk})
 
-    evaluated on the given argument tuple; zero for a homotopy Lie
-    structure.
+    evaluated on the given argument tuple; a pair (i, j) missing from
+    either family contributes nothing.
     """
-    x = [module.parity(a) for a in args]
-    if any(p is None for p in x):
-        raise ValueError("arguments must be parity-homogeneous")
+    x = _parities(module, args)
     total: LambdaPoly = {}
     for i in range(1, k + 1):
         j = k + 1 - i
-        if i not in ls or j not in ls:
+        if i not in inner or j not in outer:
             continue
-        comp = compose_front(ls[j], ls[i])
+        comp = compose_front(outer[j], inner[i])
         for sig in unshuffles(i, k):
-            perm_args = [args[s - 1] for s in sig]
-            val = comp(*perm_args)
-            val = lp_relabel(
-                val, {p: sig[p - 1] for p in range(1, k + 1)}
-            )
-            val = lp_eliminate(val, k, module, range(1, k))
-            sign = antisym_sign(sig, x)
-            if (i * (j - 1)) & 1:
-                sign = -sign
-            total = lp_add(total, lp_scale(val, sign))
+            sign = antisym_sign(sig, x) * (-1) ** (i * (j - 1))
+            val = comp(*[args[s - 1] for s in sig])
+            total = lp_add(total, permute_slots(val, sig, module, sign))
     return lp_normal(total)
+
+
+def jacobi_defect(
+    ls: Dict[int, StarOp], k: int, args, module: StarModule
+) -> LambdaPoly:
+    """The arity-k generalized Jacobi sum: the unshuffle sum of ``ls``
+    composed with itself; zero for a homotopy Lie structure."""
+    return unshuffle_sum(ls, ls, k, args, module)
 
 
 def va_bracket(system, translate_sign: int = -1) -> StarOp:

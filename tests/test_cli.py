@@ -2,13 +2,18 @@
 
 Oracles: exit-code contract (0 pass, 1 verified-false with witness,
 2 usage error, 3 internal error), byte-identical reports for a fixed seed,
-schema output, the documented example invocations, and a Hypothesis fuzz
-of form files and windows that must never crash.
+recorded sha256s of seeded structures reports, schema output, the
+documented example invocations, a reader that closes the pipe early, and
+a Hypothesis fuzz of form files and windows that must never crash.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +24,8 @@ from hypothesis import strategies as st
 
 from chiralis import cli
 from chiralis.cli import run
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def report(tmp_path, name, argv):
@@ -135,6 +142,56 @@ def test_algebroid_twist_nonclosed_fails(tmp_path):
     assert code == 0 and rep["jacobi_ok"] and rep["closed"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["algebroid-twist", "--cocycle", str(DATA / "twist_nonclosed.json"),
+          "--check"], 1,
+         "c3e88c07d425282adf0e71f4e95504cc837a0a42324373509232d219e9590fb3"),
+        (["linfty-check", "--samples", "60", "--seed", "7"], 0,
+         "5dccf88d1bb77bffdb5ed947c8f69551228f634e14de328c13a705ed4bc8eb8f"),
+    ],
+    ids=["algebroid-twist-nonclosed", "linfty-check-seed7"],
+)
+def test_seeded_structures_reports_are_pinned(tmp_path, argv, code, digest):
+    # the failure witnesses of a non-closed twist run through the twisted
+    # bracket, the cochain table and the generalized Jacobi sum, so a sign
+    # slip in any of them changes these bytes
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if code == 1:
+        assert json.loads(out.read_text())["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv, verdict, head",
+    [
+        # a 66 kB report: more than a pipe holds, so the write must fail
+        (["fs-cohomology", "--m", "2", "--max-weight", "3",
+          "--max-charge", "6"], 0, 10),
+        (["chiral-infty-check", "--m", "2", "--truncate"], 1, 0),
+    ],
+    ids=["pass", "verified-false"],
+)
+def test_closed_pipe_keeps_the_verdict(argv, verdict, head):
+    # like `chiralis ... | head -c 10`: the reader leaving is not a bug
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chiralis.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    got = os.read(proc.stdout.fileno(), head) if head else b""
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == verdict
+    assert got == b"{\n  \"cells"[:head]
+    assert b"internal error" not in err and b"Traceback" not in err, err
+    assert b"Exception ignored" not in err, err
+
+
 def test_chiral_infty_check(tmp_path):
     code, rep = report(
         tmp_path, "ci.json", ["chiral-infty-check", "--m", "2"]
@@ -188,6 +245,9 @@ def test_usage_errors(tmp_path):
     assert run(["fs-cohomology", "--schema", "--out", bad_out]) == 2
     # a window without samples checks nothing, so it cannot pass
     assert run(["liestar-check", "--vars", "0"]) == 2
+    assert run(["borcherds-check", "--max-weight", "-1"]) == 2
+    assert run(["borcherds-check", "--samples", "-3"]) == 2
+    assert run(["linfty-check", "--samples", "0"]) == 2
     # malformed form files are input errors, not verified-false reports
     for i, bad in enumerate([
         {"vars": "abc", "terms": []},
