@@ -23,42 +23,12 @@ from chiralis.algebra import SuperPolyAlgebra
 from chiralis.algebroid import (
     chiral_infty_morphism,
     chiral_infty_twist,
+    fs_closed_family,
     jet_differential,
     lc_d,
     standard_chiral_infty_algebroid,
 )
 from chiralis.chevalley import ChevalleyCochain
-
-
-def closed_family(world):
-    jets = world.jets
-
-    def mono(*keys):
-        out = ring.poly_one()
-        for k in keys:
-            out = jets.mul(out, jets.gen(k))
-        return out
-
-    a2 = ChevalleyCochain(
-        world, 2,
-        {("x", "x"): {
-            ((1, 1),): ring.pscale(mono(("x", 0), ("x", 2)), 2),
-            (): ring.padd(
-                ring.pscale(mono(("x", 1), ("x", 2)), -1),
-                ring.pscale(mono(("x", 0), ("x", 3)), -1),
-            ),
-        }},
-        0,
-    )
-    a3 = ChevalleyCochain(
-        world, 3,
-        {("x", "x", "xi"): {
-            ((1, 1), (2, 2)): {(): Fraction(1, 2)},
-            ((1, 2), (2, 1)): {(): Fraction(-1, 2)},
-        }},
-        1,
-    )
-    return a2, a3
 
 
 def main() -> None:
@@ -79,7 +49,7 @@ def main() -> None:
           f"{world.jets.str(diff)}")
 
     print("-- a closed family twists the structure consistently")
-    a2, a3 = closed_family(world)
+    a2, a3 = fs_closed_family(world)
     print(f"   family closed: {not lc_d(world, {2: a2, 3: a3})}")
     _, rep = chiral_infty_twist(P, {2: a2, 3: a3}, check=True)
     print(f"   twisted Jacobi: {rep['ok']}  (verdicts match: {rep['match']})")

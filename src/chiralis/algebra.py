@@ -123,6 +123,8 @@ class JetAlgebra(SuperPolyAlgebra):
         self.gen_names = []
         self._max_order = -1
         self._D_cache: Dict = {}
+        # translation images x^(k) -> x^(k+1) for every k < _max_order
+        self._translate_images: Dict = {}
         self.D_images = self  # sentinel; D() is overridden below
         self._extend(0)
 
@@ -133,6 +135,8 @@ class JetAlgebra(SuperPolyAlgebra):
                 self._parity[key] = self.base.parity(name)
                 self._degree[key] = self.base.degree(name)
                 self.gen_names.append(key)
+                if k:
+                    self._translate_images[(name, k - 1)] = ring.poly_gen(key)
         self._max_order = max(self._max_order, order)
 
     def gen(self, key) -> Poly:
@@ -166,12 +170,7 @@ class JetAlgebra(SuperPolyAlgebra):
         orders = [k for m in p for (_, k), _ in m]
         if orders:
             self._extend(max(orders) + 1)
-        images = {
-            (name, k): ring.poly_gen((name, k + 1))
-            for name in self.base.gen_names
-            for k in range(self._max_order)
-        }
-        return ring.derive(p, images, 0, self.parity)
+        return ring.derive(p, self._translate_images, 0, self.parity)
 
     def _D_image(self, key) -> Poly:
         if key not in self._D_cache:

@@ -19,6 +19,7 @@ this functor matches the De Rham differential with the Chevalley one.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -345,8 +346,7 @@ def one_form_to_jet(world: JetWorld, omega: ring.Poly) -> ring.Poly:
                 continue
             for _ in range(e):
                 elem = world.jets.mul(world.coord(g, 0), elem)
-        for m2, c2 in elem.items():
-            ring.acc(out, m2, c * c2)
+        ring.acc_poly(out, elem, c)
     return out
 
 
@@ -360,8 +360,7 @@ def function_to_jet(world: JetWorld, f: ring.Poly) -> ring.Poly:
                 raise ValueError("expected a zero-form")
             for _ in range(e):
                 elem = world.jets.mul(elem, world.coord(g, 0))
-        for m2, c2 in elem.items():
-            ring.acc(out, m2, c * c2)
+        ring.acc_poly(out, elem, c)
     return out
 
 
@@ -477,8 +476,7 @@ def differential_current(world: JetWorld) -> ring.Poly:
             }
         )
         term = ring.pmul(lifted, world.tau(g), jets.parity)
-        for mono, c in term.items():
-            ring.acc(out, mono, c)
+        ring.acc_poly(out, term)
     return out
 
 
@@ -630,6 +628,44 @@ def standard_chiral_infty_algebroid(
     base: SuperPolyAlgebra, max_arity: int = 3
 ) -> ChiralInftyAlgebroid:
     return ChiralInftyAlgebroid(JetWorld(base), max_arity=max_arity)
+
+
+def fs_closed_family(
+    world: JetWorld,
+) -> Tuple[ChevalleyCochain, ChevalleyCochain]:
+    """The closed twist family (a2, a3) over Q[x, xi] with D(xi) = x^2.
+
+    Its components have weight <= 3; a2 alone is not closed, and a3 is the
+    ternary partner that closes it.
+    """
+    jets = world.jets
+
+    def mono(*keys):
+        out = ring.poly_one()
+        for k in keys:
+            out = jets.mul(out, jets.gen(k))
+        return out
+
+    a2 = ChevalleyCochain(
+        world, 2,
+        {("x", "x"): {
+            ((1, 1),): ring.pscale(mono(("x", 0), ("x", 2)), 2),
+            (): ring.padd(
+                ring.pscale(mono(("x", 1), ("x", 2)), -1),
+                ring.pscale(mono(("x", 0), ("x", 3)), -1),
+            ),
+        }},
+        0,
+    )
+    a3 = ChevalleyCochain(
+        world, 3,
+        {("x", "x", "xi"): {
+            ((1, 1), (2, 2)): {(): Fraction(1, 2)},
+            ((1, 2), (2, 1)): {(): Fraction(-1, 2)},
+        }},
+        1,
+    )
+    return a2, a3
 
 
 def chiral_infty_twist(

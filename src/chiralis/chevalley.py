@@ -93,8 +93,7 @@ class JetWorld:
                             tau_base(g) if is_tau(g) else g
                         ),
                     )
-                    for mono, c in term.items():
-                        ring.acc(img, mono, s * c)
+                    ring.acc_poly(img, term, s)
             if img:
                 D[tau_name(name)] = img
         self.ext = SuperPolyAlgebra(gens, D=D)
@@ -149,8 +148,7 @@ class JetWorld:
                 for _ in range(e):
                     state = self.fock.mul(state, ring.poly_gen(letter))
                     coeff *= fact
-            for m2, c2 in state.items():
-                ring.acc(out, m2, coeff * c2)
+            ring.acc_poly(out, state, coeff)
         return out
 
     def _letter_from_fock(self, key) -> Tuple[tuple, int]:
@@ -172,8 +170,7 @@ class JetWorld:
                     elem = self.jets.mul(elem, self.jets.gen(letter))
                     den *= fact
             coeff = ring.div(c, den)
-            for m2, c2 in elem.items():
-                ring.acc(out, m2, coeff * c2)
+            ring.acc_poly(out, elem, coeff)
         return out
 
     # -- the standard Lie* bracket ------------------------------------------------

@@ -28,14 +28,21 @@ and the recursion terminate.
 
 There is one product loop, :meth:`BGSystem.nth`: it expands both states
 into monomials and sums the memoized monomial products of ``_nth_mono``,
-which evaluates the two inner products of the iterate formula by calling
-``nth`` again on the shorter first argument.
+which evaluates the two inner products of the iterate formula on the
+shorter first argument.  Term 1 runs over every j up to the weight bound.
+In term 2 the annihilation mode g_(j) with j >= 0 can only contract a
+letter of b conjugate to g, so the sum runs over just the conjugate letters
+present in b (j = -1 - their operator index, in increasing j).  Every term
+is accumulated in place.  The weight and parity of each monomial are
+computed once and kept per system, so the weight bounds and parity checks
+of ``_nth_mono``, :func:`borcherds_full_check` and the Lie* bracket cost a
+dict lookup.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import ring
 from .algebra import JetAlgebra, SuperPolyAlgebra
@@ -54,10 +61,11 @@ class BGSystem:
         self.base = base
         self.odd_charge = odd_charge
         self._memo: Dict = {}
+        self._grades: Dict = {}  # monomial -> (weight, parity)
 
     # -- letters -------------------------------------------------------------
     def parity(self, key) -> int:
-        return self.base.parity(key[1])
+        return self.base._parity[key[1]]
 
     def weight(self, key) -> int:
         return -key[2]
@@ -99,11 +107,26 @@ class BGSystem:
     def mono_degree(self, mono) -> int:
         return ring.mono_degree(mono, self.degree)
 
+    def grade(self, mono) -> Tuple[int, int]:
+        """(weight, parity) of a monomial, computed once per system."""
+        hit = self._grades.get(mono)
+        if hit is None:
+            hit = (self.mono_weight(mono), ring.mono_parity(mono, self.parity))
+            self._grades[mono] = hit
+        return hit
+
     def max_weight(self, p: State) -> int:
-        return max((self.mono_weight(m) for m in p), default=0)
+        grades = self._grades
+        w = 0  # every monomial has weight >= 0
+        for m in p:
+            mw = (grades.get(m) or self.grade(m))[0]
+            if mw > w:
+                w = mw
+        return w
 
     def state_parity(self, p: State) -> Optional[int]:
-        pars = {ring.mono_parity(m, self.parity) for m in p}
+        grades = self._grades
+        pars = {(grades.get(m) or self.grade(m))[1] for m in p}
         return pars.pop() if len(pars) == 1 else None
 
     def momentum_count(self, mono) -> int:
@@ -170,11 +193,22 @@ class BGSystem:
     # -- products ---------------------------------------------------------------
     def nth(self, a: State, n: int, b: State) -> State:
         """The n-th product a_(n) b, bilinear in both states."""
+        if len(a) == 1 and len(b) == 1:
+            # one memo lookup and one scale; a Fraction coefficient keeps
+            # the result's coefficients Fraction, as in the general loop
+            ((ma, ca),) = a.items()
+            ((mb, cb),) = b.items()
+            c0 = ca * cb
+            res = self._memo.get((ma, n, mb))
+            if res is None:
+                res = self._nth_mono(ma, n, mb)
+            if type(c0) is int and c0 == 1:
+                return dict(res)
+            return {mono: c0 * c for mono, c in res.items()}
         out: State = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                for mono, c in self._nth_mono(ma, n, mb).items():
-                    ring.acc(out, mono, ca * cb * c)
+                ring.acc_poly(out, self._nth_mono(ma, n, mb), ca * cb)
         return out
 
     def _nth_mono(self, ma, n: int, mb) -> State:
@@ -190,41 +224,36 @@ class BGSystem:
         kind, name, _k = g
         m = self._voa_index(g)
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
-        a_rest = {ma_rest: 1}
-        b_state = {mb: 1}
-        ga = self.base.parity(name)
-        pa_rest = ring.mono_parity(ma_rest, self.parity)
-        w_rest = self.mono_weight(ma_rest)
-        w_b = self.mono_weight(mb)
+        w_rest, pa_rest = self.grade(ma_rest)
+        w_b = self.grade(mb)[0]
         out: State = {}
         # term 1: sum_j (-1)^j C(m,j) g_(m-j) (rest_(n+j) b)
-        jmax1 = w_rest + w_b - n - 1
-        for j in range(0, max(jmax1, -1) + 1):
+        for j in range(0, max(w_rest + w_b - n - 1, -1) + 1):
             coeff = binomial(m, j)
             if not coeff:
                 continue
-            inner = self.nth(a_rest, n + j, b_state)
-            if not inner:
-                continue
-            term = self.apply_mode(kind, name, m - j, inner)
-            if term:
-                sgn = -1 if j & 1 else 1
-                out = ring.padd(out, ring.pscale(term, sgn * coeff))
+            inner = self._nth_mono(ma_rest, n + j, mb)
+            if inner:
+                term = self.apply_mode(kind, name, m - j, inner)
+                ring.acc_poly(out, term, -coeff if j & 1 else coeff)
         # term 2: -(-1)^(m + |g||rest|) sum_j (-1)^j C(m,j)
         #           rest_(m+n-j) (g_(j) b)
-        sign2 = -1 if (m + ga * pa_rest) & 1 else 1
-        jmax2 = w_b  # g_(j) b vanishes once j exceeds letter weights
-        for j in range(0, jmax2 + 1):
+        # g_(j) b is nonzero only when b holds the conjugate letter of
+        # operator index -1-j; those j are visited in increasing order, as
+        # the full j loop would, so the result keeps its item order.
+        conj = "m" if kind == "c" else "c"
+        js = sorted(-1 - self._voa_index(h) for h, _e in mb
+                    if h[0] == conj and h[1] == name)
+        sign2 = -1 if (m + self.parity(g) * pa_rest) & 1 else 1
+        b_state = {mb: 1}
+        for j in js:
             coeff = binomial(m, j)
             if not coeff:
                 continue
-            gb = self.apply_mode(kind, name, j, b_state)
-            if not gb:
-                continue
-            inner = self.nth(a_rest, m + n - j, gb)
-            if inner:
-                sgn = -1 if j & 1 else 1
-                out = ring.padd(out, ring.pscale(inner, -sign2 * sgn * coeff))
+            sgn = -1 if j & 1 else 1
+            for gm, gc in self.apply_mode(kind, name, j, b_state).items():
+                ring.acc_poly(out, self._nth_mono(ma_rest, m + n - j, gm),
+                              -sign2 * sgn * coeff * gc)
         self._memo[key] = out
         return out
 
@@ -303,7 +332,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
             continue
         ab = va.nth(a, r + j, b)
         if ab:
-            lhs = ring.padd(lhs, ring.pscale(va.nth(ab, s + t - j, c), coeff))
+            ring.acc_poly(lhs, va.nth(ab, s + t - j, c), coeff)
     rhs: State = {}
     sign_r = -1 if (r + pa * pb) & 1 else 1
     for j in range(0, max(wb + wc - t - 1, -1) + 1):
@@ -313,7 +342,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
         bc = va.nth(b, t + j, c)
         if bc:
             sgn = -1 if j & 1 else 1
-            rhs = ring.padd(rhs, ring.pscale(va.nth(a, r + s - j, bc), sgn * coeff))
+            ring.acc_poly(rhs, va.nth(a, r + s - j, bc), sgn * coeff)
     for j in range(0, max(wa + wc - s - 1, -1) + 1):
         coeff = binomial(r, j)
         if not coeff:
@@ -321,10 +350,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
         ac = va.nth(a, s + j, c)
         if ac:
             sgn = -1 if j & 1 else 1
-            rhs = ring.padd(
-                rhs,
-                ring.pscale(va.nth(b, r + t - j, ac), -sign_r * sgn * coeff),
-            )
+            ring.acc_poly(rhs, va.nth(b, r + t - j, ac), -sign_r * sgn * coeff)
     diff = ring.psub(lhs, rhs)
     return {
         "r": r,

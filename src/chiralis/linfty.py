@@ -142,8 +142,7 @@ class BasisMultiMap:
             for n, c in combo:
                 coeff *= c
                 names.append(n)
-            for n, c in self.on_basis(names).items():
-                ring.acc(out, n, coeff * c)
+            ring.acc_poly(out, self.on_basis(names), coeff)
         return out
 
     def as_star_op(self) -> StarOp:
@@ -207,8 +206,7 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
         if key is None:
             continue
         entry = values.setdefault(key, {})
-        for nm, c in val.items():
-            ring.acc(entry, nm, s * s2 * c)
+        ring.acc_poly(entry, val, s * s2)
     return BasisMultiMap(l.space, n, values, antisym=False, shift=shifted)
 
 

@@ -3,8 +3,10 @@
 This module is the one sparse arithmetic layer of the package: every
 ``{key: scalar}`` dict -- free-field states, jet and form polynomials,
 the module-element coefficients of lambda polynomials, and matrix rows --
-is added, subtracted and scaled through :func:`acc`, :func:`padd`,
-:func:`psub` and :func:`pscale`, which never store a zero coefficient.
+is added, subtracted and scaled through :func:`acc`, :func:`acc_poly`,
+:func:`padd`, :func:`psub` and :func:`pscale`, which never store a zero
+coefficient; ``acc`` and ``acc_poly`` add into their first argument in
+place, the others return a new dict.
 
 Exact scalars are ``int`` or ``fractions.Fraction``: a coefficient stays an
 ``int`` while it is integral, and only a division (or a rational read
@@ -72,6 +74,12 @@ def acc(out: Poly, mono: Mono, c: Scalar) -> None:
         out[mono] = v
     else:
         out.pop(mono, None)
+
+
+def acc_poly(out: Poly, p: Poly, c: Scalar = 1) -> None:
+    """Accumulate ``c * p`` into ``out`` in place, dropping zeros."""
+    for m, v in p.items():
+        acc(out, m, c * v)
 
 
 def padd(p: Poly, q: Poly) -> Poly:

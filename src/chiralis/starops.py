@@ -384,22 +384,55 @@ def op_on_free_basis(
     return StarOp(arity, module, fn, op_parity)
 
 
-def lie_star_check(bracket: StarOp, basis: List[dict]) -> dict:
-    """Antisymmetry and Jacobi for an arity-2 star operation on a window."""
-    module = bracket.module
+class LieStarDefects:
+    """The antisymmetry and Jacobi defects of an arity-2 star operation,
+    each evaluated once per distinct argument tuple (an argument is keyed
+    by its set of items)."""
+
+    def __init__(self, bracket: StarOp):
+        self.bracket = bracket
+        self._flip = sigma_act((2, 1), bracket)
+        self._seen: Dict[tuple, LambdaPoly] = {}
+
+    def _once(self, identity: str, args, compute) -> LambdaPoly:
+        key = (identity,) + tuple(frozenset(x.items()) for x in args)
+        hit = self._seen.get(key)
+        if hit is None:
+            hit = self._seen[key] = compute()
+        return hit
+
+    def antisymmetry(self, a, b) -> LambdaPoly:
+        return self._once("antisymmetry", (a, b), lambda: lp_normal(
+            lp_add(self.bracket(a, b), self._flip(a, b))))
+
+    def jacobi(self, a, b, c) -> LambdaPoly:
+        return self._once("jacobi", (a, b, c), lambda: jacobi_defect(
+            {2: self.bracket}, 3, (a, b, c), self.bracket.module))
+
+
+def lie_star_check(
+    bracket: StarOp,
+    basis: List[dict],
+    defects: Optional[LieStarDefects] = None,
+) -> dict:
+    """Antisymmetry and Jacobi for an arity-2 star operation on a window.
+
+    Windows that overlap can share one ``defects`` to evaluate each
+    identity once.
+    """
+    if defects is None:
+        defects = LieStarDefects(bracket)
     failures = []
-    flip = sigma_act((2, 1), bracket)
     for a in basis:
         for b in basis:
-            d = lp_normal(lp_add(bracket(a, b), flip(a, b)))
+            d = defects.antisymmetry(a, b)
             if d:
                 failures.append({"identity": "antisymmetry", "args": (a, b),
                                  "defect": d})
-    ls = {2: bracket}
     for a in basis:
         for b in basis:
             for c in basis:
-                d = jacobi_defect(ls, 3, (a, b, c), module)
+                d = defects.jacobi(a, b, c)
                 if d:
                     failures.append({"identity": "jacobi",
                                      "args": (a, b, c), "defect": d})

@@ -15,6 +15,7 @@ from chiralis.algebra import FormAlgebra, SuperPolyAlgebra
 from chiralis.algebroid import (
     cochain_is_zero,
     chiral_infty_twist,
+    fs_closed_family,
     graded_form_functor,
     standard_chiral_algebroid,
     standard_chiral_infty_algebroid,
@@ -34,7 +35,6 @@ from chiralis.linfty import (
 )
 from chiralis.starops import jacobi_defect, lie_star_check
 
-from test_algebroid import fs_closed_family
 from test_linfty import (  # noqa: F401  (shared fixtures)
     _closed_families,
     _form,

@@ -31,6 +31,7 @@ from chiralis.algebroid import (
     default_field_samples,
     extended_commutator_defect,
     filtered_twist,
+    fs_closed_family,
     graded_form_functor,
     jet_differential,
     lc_d,
@@ -79,36 +80,6 @@ def dform(forms, *names):
     for nm in names:
         out = forms.mul(out, forms.d_gen(nm))
     return out
-
-
-def fs_closed_family(world):
-    """The exact closed (twist) family over the m=2 base, weight <= 3."""
-    jets = world.jets
-
-    def mono(*keys):
-        out = ring.poly_one()
-        for k in keys:
-            out = jets.mul(out, jets.gen(k))
-        return out
-
-    seeds2 = {
-        ("x", "x"): {
-            ((1, 1),): ring.pscale(mono(("x", 0), ("x", 2)), 2),
-            (): ring.padd(
-                ring.pscale(mono(("x", 1), ("x", 2)), -1),
-                ring.pscale(mono(("x", 0), ("x", 3)), -1),
-            ),
-        }
-    }
-    seeds3 = {
-        ("x", "x", "xi"): {
-            ((1, 1), (2, 2)): {(): Fraction(1, 2)},
-            ((1, 2), (2, 1)): {(): Fraction(-1, 2)},
-        }
-    }
-    a2 = ChevalleyCochain(world, 2, seeds2, 0)
-    a3 = ChevalleyCochain(world, 3, seeds3, 1)
-    return a2, a3
 
 
 # -- the standard algebroid and classical twists -------------------------------------

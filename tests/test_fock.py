@@ -1,4 +1,10 @@
-"""Oracle tests for the free-field vertex algebra engine."""
+"""Oracle tests for the free-field vertex algebra engine.
+
+Oracles: the vertex algebra axioms and the Borcherds identity, the Fraction
+path for the int path, and ``ReferenceBG`` -- the product kernel before
+its term-2 sum was restricted to the conjugate letters present and its
+sums were accumulated in place -- for ``nth`` and ``borcherds_full_check``.
+"""
 
 import itertools
 import random
@@ -12,7 +18,8 @@ from chiralis.fock import (
     CommutativeVA,
     borcherds_full_check,
 )
-from chiralis.ring import padd, pscale, psub
+from chiralis.exact import binomial
+from chiralis.ring import acc, acc_poly, mono_parity, padd, pscale, psub
 
 
 def one_var_system():
@@ -252,3 +259,190 @@ def test_commutative_va_divides_exactly():
     # x_(-2) x = (T x) x stays integral
     got = va.nth(x, -2, x)
     assert all(type(c) is int for c in got.values())
+
+
+# -- the product kernel against its unrestricted reference ------------------------
+
+
+class ReferenceBG(BGSystem):
+    """The product kernel with term 2 summed over every j up to the weight
+    of b, every sum built by ``padd``/``pscale``, and the gradings computed
+    anew on every call."""
+
+    def max_weight(self, p):
+        return max((self.mono_weight(m) for m in p), default=0)
+
+    def state_parity(self, p):
+        pars = {mono_parity(m, self.parity) for m in p}
+        return pars.pop() if len(pars) == 1 else None
+
+    def nth(self, a, n, b):
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                for mono, c in self._nth_mono(ma, n, mb).items():
+                    acc(out, mono, ca * cb * c)
+        return out
+
+    def _nth_mono(self, ma, n, mb):
+        key = (ma, n, mb)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if not ma:
+            res = {mb: 1} if n == -1 else {}
+            self._memo[key] = res
+            return res
+        g, e = ma[0]
+        kind, name, _k = g
+        m = self._voa_index(g)
+        ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
+        a_rest = {ma_rest: 1}
+        b_state = {mb: 1}
+        ga = self.base.parity(name)
+        pa_rest = mono_parity(ma_rest, self.parity)
+        w_rest = self.mono_weight(ma_rest)
+        w_b = self.mono_weight(mb)
+        out = {}
+        for j in range(0, max(w_rest + w_b - n - 1, -1) + 1):
+            coeff = binomial(m, j)
+            if not coeff:
+                continue
+            inner = self.nth(a_rest, n + j, b_state)
+            if not inner:
+                continue
+            term = self.apply_mode(kind, name, m - j, inner)
+            if term:
+                sgn = -1 if j & 1 else 1
+                out = padd(out, pscale(term, sgn * coeff))
+        sign2 = -1 if (m + ga * pa_rest) & 1 else 1
+        for j in range(0, w_b + 1):
+            coeff = binomial(m, j)
+            if not coeff:
+                continue
+            gb = self.apply_mode(kind, name, j, b_state)
+            if not gb:
+                continue
+            inner = self.nth(a_rest, m + n - j, gb)
+            if inner:
+                sgn = -1 if j & 1 else 1
+                out = padd(out, pscale(inner, -sign2 * sgn * coeff))
+        self._memo[key] = out
+        return out
+
+
+def reference_borcherds(va, a, b, c, r, s, t):
+    """lhs, rhs and difference of the Borcherds identity, by padd/pscale."""
+    pa, pb = va.state_parity(a), va.state_parity(b)
+    wa, wb, wc = va.max_weight(a), va.max_weight(b), va.max_weight(c)
+    lhs = {}
+    for j in range(0, max(wa + wb - r - 1, -1) + 1):
+        coeff = binomial(s, j)
+        ab = va.nth(a, r + j, b) if coeff else {}
+        if ab:
+            lhs = padd(lhs, pscale(va.nth(ab, s + t - j, c), coeff))
+    rhs = {}
+    sign_r = -1 if (r + pa * pb) & 1 else 1
+    for j in range(0, max(wb + wc - t - 1, -1) + 1):
+        coeff = binomial(r, j) * (-1 if j & 1 else 1)
+        bc = va.nth(b, t + j, c) if coeff else {}
+        if bc:
+            rhs = padd(rhs, pscale(va.nth(a, r + s - j, bc), coeff))
+    for j in range(0, max(wa + wc - s - 1, -1) + 1):
+        coeff = binomial(r, j) * (-1 if j & 1 else 1)
+        ac = va.nth(a, s + j, c) if coeff else {}
+        if ac:
+            rhs = padd(rhs, pscale(va.nth(b, r + t - j, ac), -sign_r * coeff))
+    return lhs, rhs, psub(lhs, rhs)
+
+
+def exact_items(p):
+    """A state as an ordered list: insertion order and scalar types count."""
+    return [(mono, type(c), c) for mono, c in p.items()]
+
+
+def random_sum(sys, rng, scalar, terms=3):
+    """A seeded multi-monomial state of products of up to three letters."""
+    out = {}
+    while not out:
+        for _ in range(terms):
+            acc_poly(out, random_state(sys, rng, max_len=3), scalar(rng))
+    return out
+
+
+def int_scalar(rng):
+    return rng.choice((-3, -2, -1, 1, 2, 3))
+
+
+def fraction_scalar(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def test_kernel_matches_reference_on_letter_pairs():
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    lets = letters(fast, 2)
+    for a, b in itertools.product(lets, repeat=2):
+        for n in range(-3, 4):
+            assert exact_items(fast.nth(a, n, b)) == exact_items(
+                ref.nth(a, n, b)), (a, n, b)
+
+
+@pytest.mark.parametrize("scalar", [int_scalar, fraction_scalar],
+                         ids=["int", "fraction"])
+def test_kernel_matches_reference_on_multi_monomial_states(scalar):
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    rng = random.Random(19)
+    for _ in range(30):
+        a = random_sum(fast, rng, scalar)
+        b = random_sum(fast, rng, scalar)
+        for n in range(-3, 4):
+            got = fast.nth(a, n, b)
+            assert exact_items(got) == exact_items(ref.nth(a, n, b)), (a, n, b)
+        # the one-monomial product scales by the coefficient, keeping type
+        ma, ca = next(iter(a.items()))
+        mb, cb = next(iter(b.items()))
+        got = fast.nth({ma: ca}, -1, {mb: cb})
+        assert exact_items(got) == exact_items(ref.nth({ma: ca}, -1, {mb: cb}))
+
+
+def test_borcherds_check_matches_reference():
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    lets = letters(fast, 1)
+    rng = random.Random(23)
+    cases = [(a, b, c, 0, 0, -1) for a, b, c in
+             itertools.product(lets, repeat=3)]
+    for _ in range(30):
+        abc = [random_state(fast, rng, max_weight=1) for _ in range(3)]
+        if None not in (fast.state_parity(abc[0]), fast.state_parity(abc[1])):
+            cases.append((*abc, *(rng.randint(-2, 2) for _ in range(3))))
+    for a, b, c, r, s, t in cases:
+        rep = borcherds_full_check(fast, a, b, c, r, s, t)
+        want = reference_borcherds(ref, a, b, c, r, s, t)
+        got = (rep["lhs"], rep["rhs"], rep["difference"])
+        assert [exact_items(p) for p in got] == [
+            exact_items(p) for p in want], (a, b, c, r, s, t)
+
+
+def test_grades_match_a_direct_computation():
+    fk = one_var_system()
+    ref = ReferenceBG(fk.base, odd_charge=2)
+    rng = random.Random(29)
+    x0, xi0 = fk.coord("x", 0), fk.coord("xi", 0)
+    states = [
+        {},  # the empty state: weight 0, no parity
+        padd(x0, xi0),  # parity-inhomogeneous
+        padd(fk.mom("x", -2), pscale(fk.mul(x0, fk.coord("x", -1)), 3)),
+    ]
+    states += [random_sum(fk, rng, int_scalar) for _ in range(20)]
+    assert fk.max_weight({}) == 0 and fk.state_parity({}) is None
+    assert fk.state_parity(states[1]) is None
+    for p in states:
+        for _ in range(2):  # the second call reads the kept grades
+            assert fk.max_weight(p) == ref.max_weight(p)
+            assert fk.state_parity(p) == ref.state_parity(p)
+        for mono in p:
+            assert fk.grade(mono) == (
+                fk.mono_weight(mono), mono_parity(mono, fk.parity))

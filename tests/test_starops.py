@@ -13,6 +13,7 @@ from chiralis.algebra import SuperPolyAlgebra
 from chiralis.exact import compose
 from chiralis.fock import BGSystem
 from chiralis.starops import (
+    LieStarDefects,
     lp_mul_var,
     StarModule,
     StarOp,
@@ -166,3 +167,17 @@ def test_jacobi_defect_catches_bad_bracket():
     basis = [{("l", 0): Fraction(1)}]
     rep = lie_star_check(mu, basis)
     assert not rep["ok"]
+
+
+def test_shared_defects_evaluate_each_identity_once():
+    # overlapping windows of a failing bracket give the reports of
+    # unshared runs, while each distinct pair and triple is evaluated once
+    mod = free_module({"l": 0})
+    values = {("l", "l"): {(): {("l", 0): Fraction(1)}}}
+    mu = op_on_free_basis(2, mod, values)
+    l0, l1 = ({("l", k): Fraction(1)} for k in range(2))
+    defects = LieStarDefects(mu)
+    for window in ([l0, l1], [l1, l0], [l0]):
+        rep = lie_star_check(mu, window, defects)
+        assert rep == lie_star_check(mu, window) and not rep["ok"]
+    assert len(defects._seen) == 2 ** 2 + 2 ** 3
