@@ -35,8 +35,13 @@ letter of b conjugate to g, so the sum runs over just the conjugate letters
 present in b (j = -1 - their operator index, in increasing j).  Every term
 is accumulated in place.  The weight and parity of each monomial are
 computed once and kept per system, so the weight bounds and parity checks
-of ``_nth_mono``, :func:`borcherds_full_check` and the Lie* bracket cost a
-dict lookup.
+of ``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
+lookup.
+
+The Borcherds identities of one triple (a, b, c) are checked together by
+:func:`borcherds_checks` (:func:`borcherds_full_check` checks one): the
+(r, s, t) share their products, and the sums visit only the nonzero inner
+products a_(k) b, b_(k) c and a_(k) c.
 """
 
 from __future__ import annotations
@@ -321,43 +326,102 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
     and reports whether it vanishes.  All sums are truncated by exact
     weight bounds.
     """
+    return borcherds_checks(va, a, b, c, [(r, s, t)])[0]
+
+
+def _inner_products(va, x, y, starts, weight: int, pairs) -> list:
+    """[(k, x_(k) y)] for the nonzero products that the sums of ``starts``
+    visit, in increasing k.
+
+    A start (lo, n) asks for k = lo + j with j >= 0 and k < weight (the
+    products above vanish by weight), and for j <= n when n >= 0, since
+    C(n, j) = 0 there.  ``pairs``, when given, keeps the lists across
+    calls; they are never mutated.
+    """
+    lo = min(l for l, _n in starts)
+    hi = min(weight - 1, max(l + n if n >= 0 else weight for l, n in starts))
+    if pairs is not None:
+        key = (tuple(x.items()), tuple(y.items()), lo, hi)
+        hit = pairs.get(key)
+        if hit is not None:
+            return hit
+    out = []
+    for k in range(lo, hi + 1):
+        p = va.nth(x, k, y)
+        if p:
+            out.append((k, p))
+    if pairs is not None:
+        pairs[key] = out
+    return out
+
+
+def borcherds_checks(va, a, b, c, rsts, pairs=None) -> list:
+    """Check the Borcherds identity of one triple (a, b, c) at every
+    (r, s, t) of ``rsts``; one :func:`borcherds_full_check` report each,
+    in order.
+
+    The identities of one triple share their products.  The inner products
+    a_(k) b, b_(k) c and a_(k) c are computed once over the union of the
+    ranges the sums visit, and only the nonzero ones are kept; each sum
+    walks them with j = k - r (k - t, k - s) in increasing j, so every
+    report keeps the item order and scalar types of the identity checked
+    alone.  The outer products are kept for the triple.  ``pairs`` is a
+    dict that keeps the inner-product lists across calls, for a window in
+    which each pair of states occurs with many third states.
+    """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:
         raise ValueError("arguments must be parity-homogeneous")
+    if not rsts:
+        return []
     wa, wb, wc = va.max_weight(a), va.max_weight(b), va.max_weight(c)
-    lhs: State = {}
-    for j in range(0, max(wa + wb - r - 1, -1) + 1):
-        coeff = binomial(s, j)
-        if not coeff:
-            continue
-        ab = va.nth(a, r + j, b)
-        if ab:
-            ring.acc_poly(lhs, va.nth(ab, s + t - j, c), coeff)
-    rhs: State = {}
-    sign_r = -1 if (r + pa * pb) & 1 else 1
-    for j in range(0, max(wb + wc - t - 1, -1) + 1):
-        coeff = binomial(r, j)
-        if not coeff:
-            continue
-        bc = va.nth(b, t + j, c)
-        if bc:
-            sgn = -1 if j & 1 else 1
-            ring.acc_poly(rhs, va.nth(a, r + s - j, bc), sgn * coeff)
-    for j in range(0, max(wa + wc - s - 1, -1) + 1):
-        coeff = binomial(r, j)
-        if not coeff:
-            continue
-        ac = va.nth(a, s + j, c)
-        if ac:
-            sgn = -1 if j & 1 else 1
-            ring.acc_poly(rhs, va.nth(b, r + t - j, ac), -sign_r * sgn * coeff)
-    diff = ring.psub(lhs, rhs)
-    return {
-        "r": r,
-        "s": s,
-        "t": t,
-        "ok": not diff,
-        "lhs": lhs,
-        "rhs": rhs,
-        "difference": diff,
-    }
+    ab = _inner_products(va, a, b, [(r, s) for r, s, _t in rsts], wa + wb,
+                         pairs)
+    bc = _inner_products(va, b, c, [(t, r) for r, _s, t in rsts], wb + wc,
+                         pairs)
+    ac = _inner_products(va, a, c, [(s, r) for r, s, _t in rsts], wa + wc,
+                         pairs)
+    outer: Dict = {}
+
+    def product(role, k, x, n, y):
+        # role 0, 1, 2: (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
+        key = (role, k, n)
+        hit = outer.get(key)
+        if hit is None:
+            hit = outer[key] = va.nth(x, n, y)
+        return hit
+
+    reports = []
+    for r, s, t in rsts:
+        lhs: State = {}
+        for k, p in ab:
+            j = k - r
+            coeff = binomial(s, j)  # 0 for j < 0
+            if coeff:
+                ring.acc_poly(lhs, product(0, k, p, s + t - j, c), coeff)
+        rhs: State = {}
+        sign_r = -1 if (r + pa * pb) & 1 else 1
+        for k, p in bc:
+            j = k - t
+            coeff = binomial(r, j)
+            if coeff:
+                sgn = -1 if j & 1 else 1
+                ring.acc_poly(rhs, product(1, k, a, r + s - j, p), sgn * coeff)
+        for k, p in ac:
+            j = k - s
+            coeff = binomial(r, j)
+            if coeff:
+                sgn = -1 if j & 1 else 1
+                ring.acc_poly(rhs, product(2, k, b, r + t - j, p),
+                              -sign_r * sgn * coeff)
+        diff = ring.psub(lhs, rhs)
+        reports.append({
+            "r": r,
+            "s": s,
+            "t": t,
+            "ok": not diff,
+            "lhs": lhs,
+            "rhs": rhs,
+            "difference": diff,
+        })
+    return reports

@@ -2,17 +2,20 @@
 
 Oracles: exit-code contract (0 pass, 1 verified-false with witness,
 2 usage error, 3 internal error), byte-identical reports for a fixed seed,
-recorded sha256s of seeded structures and borcherds reports, schema
-output, the documented example invocations, a reader that closes the pipe
-early, and a Hypothesis fuzz of form files and windows that must never
-crash.
+recorded sha256s of seeded structures and borcherds reports and of an
+exhaustive borcherds report, Borcherds failure witnesses against the
+per-identity oracle of ``test_fock``, schema output, the documented
+example invocations, a reader that closes the pipe early, and a Hypothesis
+fuzz of form files and windows that must never crash.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -24,7 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralis import cli
+from chiralis.algebra import SuperPolyAlgebra
 from chiralis.cli import run
+from test_fock import EXHAUSTIVE_RSTS, reference_borcherds
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -79,27 +84,78 @@ def test_seeded_borcherds_report_is_pinned(tmp_path):
         "7b323ee3a7b29ba6c1b6060be938932857310b3245ac1be14db646b18f1390ff")
 
 
+def test_exhaustive_borcherds_report_is_pinned(tmp_path):
+    # the README example: every letter triple at the five exhaustive
+    # (r, s, t), checked per triple (the digest was recorded before the
+    # identities of a triple shared their products)
+    out = tmp_path / "b.json"
+    argv = ["borcherds-check", "--vars", "1", "--max-weight", "2",
+            "--samples", "0"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f43df4195a9f9134176e46fdaeacfb2910cb1ae6e62bdc0d687ed4dbc350e918")
+
+
+class Faulty(cli.BGSystem):
+    """Doubles every 0-th product, which breaks the commutator formula."""
+
+    def nth(self, a, n, b):
+        out = super().nth(a, n, b)
+        return {k: 2 * c for k, c in out.items()} if n == 0 else out
+
+
+def one_identity_cases(samples, seed):
+    """The CLI's Borcherds cases for --vars 1 --max-weight 1, one identity
+    at a time, on a ``Faulty`` system."""
+    fk = Faulty(SuperPolyAlgebra([("x1", 0, 0), ("xi1", 1, -1)]))
+    letters = []
+    for name in ("x1", "xi1"):
+        letters += [fk.coord(name, 0), fk.coord(name, -1), fk.mom(name, -1)]
+    if samples == 0:
+        for a, b, c in itertools.product(letters, repeat=3):
+            for rst in EXHAUSTIVE_RSTS:
+                yield fk, a, b, c, rst
+    rng = random.Random(seed)
+
+    def rand_state():
+        p = fk.vac()
+        for _ in range(rng.randint(1, 2)):
+            p = fk.mul(p, rng.choice(letters))
+        return p
+
+    for _ in range(samples):
+        a, b, c = rand_state(), rand_state(), rand_state()
+        if a and b and c:
+            yield fk, a, b, c, [rng.randint(-2, 2) for _ in range(3)]
+
+
 @pytest.mark.parametrize(
     "mode", [["--samples", "0"], ["--samples", "50", "--seed", "1"]],
     ids=["exhaustive", "random"],
 )
 def test_borcherds_failure_reports_witness(tmp_path, monkeypatch, mode):
-    # doubling every 0-th product breaks the commutator formula, so both
-    # the exhaustive and the sampled suite must exit 1 with the offending
-    # difference as its witness
-    class Faulty(cli.BGSystem):
-        def nth(self, a, n, b):
-            out = super().nth(a, n, b)
-            return {k: 2 * c for k, c in out.items()} if n == 0 else out
-
+    # both the exhaustive and the sampled suite must exit 1 with the
+    # offending differences as witnesses: the same count, entries and order
+    # as the oracle gives checking one identity at a time on the same
+    # faulty products
     monkeypatch.setattr(cli, "BGSystem", Faulty)
     code, rep = report(
         tmp_path, "bf.json",
         ["borcherds-check", "--vars", "1", "--max-weight", "1", *mode],
     )
     assert code == 1 and rep["ok"] is False
-    assert rep["failures"]
-    assert all(f["difference"] for f in rep["failures"])
+    samples = int(mode[1])
+    seed = int(mode[3]) if samples else 0
+    checked, want = 0, []
+    for fk, a, b, c, rst in one_identity_cases(samples, seed):
+        checked += 1
+        diff = reference_borcherds(fk, a, b, c, *rst)[2]
+        if diff:
+            want.append({"a": a, "b": b, "c": c, "rst": rst,
+                         "difference": diff})
+    assert rep["checked"] == checked
+    assert want  # the report keeps the first ten
+    assert rep["failures"] == json.loads(json.dumps(cli.enc_any(want[:10])))
 
 
 def test_liestar_and_linfty(tmp_path):

@@ -3,7 +3,9 @@
 Oracles: the vertex algebra axioms and the Borcherds identity, the Fraction
 path for the int path, and ``ReferenceBG`` -- the product kernel before
 its term-2 sum was restricted to the conjugate letters present and its
-sums were accumulated in place -- for ``nth`` and ``borcherds_full_check``.
+sums were accumulated in place -- for ``nth`` and ``borcherds_full_check``,
+and with ``reference_borcherds`` for ``borcherds_checks``, which checks the
+identities of one triple together.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from chiralis.algebra import JetAlgebra, SuperPolyAlgebra
 from chiralis.fock import (
     BGSystem,
     CommutativeVA,
+    borcherds_checks,
     borcherds_full_check,
 )
 from chiralis.exact import binomial
@@ -424,6 +427,63 @@ def test_borcherds_check_matches_reference():
         got = (rep["lhs"], rep["rhs"], rep["difference"])
         assert [exact_items(p) for p in got] == [
             exact_items(p) for p in want], (a, b, c, r, s, t)
+
+
+# the five (r, s, t) of the exhaustive CLI window
+EXHAUSTIVE_RSTS = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (-1, 0, 0), (-1, 1, -1)]
+# negative and non-negative r and s in one list, so each inner-product list
+# spans both a capped (C(n, j) = 0 for j > n >= 0) and an uncapped range
+MIXED_RSTS = [(-2, 1, 0), (1, -1, 2), (0, 2, -1), (2, 0, -2), (-1, -2, 1)]
+
+
+def assert_checks_match_reference(fast, ref, cases):
+    """``borcherds_checks`` against ``reference_borcherds`` one (r, s, t) at
+    a time, with no pairs dict and with one shared dict used twice."""
+    shared = {}
+    for pairs in (None, shared, shared):
+        for a, b, c, rsts in cases:
+            reps = borcherds_checks(fast, a, b, c, rsts, pairs)
+            assert [(rep["r"], rep["s"], rep["t"]) for rep in reps] == rsts
+            for rep, (r, s, t) in zip(reps, rsts):
+                want = reference_borcherds(ref, a, b, c, r, s, t)
+                got = (rep["lhs"], rep["rhs"], rep["difference"])
+                assert [exact_items(p) for p in got] == [
+                    exact_items(p) for p in want], (a, b, c, r, s, t)
+                assert rep["ok"] is not bool(want[2])
+    assert shared
+
+
+def homogeneous_sum(sys, rng, scalar):
+    """A seeded parity-homogeneous sum of products of up to two letters of
+    weight at most 1."""
+    while True:
+        out = {}
+        for _ in range(2):
+            acc_poly(out, random_state(sys, rng, max_weight=1), scalar(rng))
+        if sys.state_parity(out) is not None:
+            return out
+
+
+def test_borcherds_checks_match_reference_on_letter_triples():
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    cases = [(a, b, c, rsts)
+             for a, b, c in itertools.product(letters(fast, 1), repeat=3)
+             for rsts in (EXHAUSTIVE_RSTS, MIXED_RSTS)]
+    assert_checks_match_reference(fast, ref, cases)
+
+
+@pytest.mark.parametrize("scalar", [int_scalar, fraction_scalar],
+                         ids=["int", "fraction"])
+def test_borcherds_checks_match_reference_on_multi_monomial_states(scalar):
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    rng = random.Random(31)
+    cases = []
+    for _ in range(6):
+        a, b, c = (homogeneous_sum(fast, rng, scalar) for _ in range(3))
+        cases += [(a, b, c, EXHAUSTIVE_RSTS), (a, b, c, MIXED_RSTS)]
+    assert_checks_match_reference(fast, ref, cases)
 
 
 def test_grades_match_a_direct_computation():
