@@ -14,7 +14,10 @@ A :class:`FormAlgebra` adjoins a differential ``dg`` for every generator
 ``g`` of the ambient algebra, with parity flipped, and provides the exterior
 differential ``derham_d``, the Lie derivative ``lie_D`` along the ambient
 differential, and their sum ``total_d``; all three square to zero and the
-first two anticommute.
+first two anticommute.  Forms are the twisting data of the algebroid
+layers: ``linfty.DerAlgebroid`` contracts them against derivations, and
+``algebroid.form_twist`` turns a 3-form and a 2-form into one twist of
+the standard chiral algebroid.
 
 The carriers of vector fields (``chevalley.JetWorld`` and
 ``linfty.DerAlgebroid``) add one tangent letter tau_g = d/dg per base

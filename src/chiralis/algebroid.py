@@ -13,7 +13,15 @@ Differential-form data embeds through the identification of one-forms with
 the first-order jet component: f dg maps to f g' inside the jet algebra.
 A 3-form over the base yields an arity-2 cochain (the value is the form
 contracted with the two arguments), a 2-form yields an arity-1 cochain;
-this functor matches the De Rham differential with the Chevalley one.
+this functor matches the De Rham differential with the Chevalley one
+(``lc_d`` takes the Chevalley part with the sign (-1)^(1 + p_i |phi|),
+so on parity-even cochains it is minus that image).  ``form_twist`` is
+the one path from a 3-form and a 2-form to a twist cochain.
+
+The generalized Jacobi identities of a twisted structure and the
+equation of a homotopy morphism are evaluated by
+``starops.jacobi_report`` and ``starops.morphism_defect``, the same code
+that checks the jet-free algebroids of ``linfty``.
 """
 
 from __future__ import annotations
@@ -35,16 +43,14 @@ from .exact import antisym_sign, binomial, unshuffles
 from .starops import (
     LambdaPoly,
     StarOp,
-    apply_to_value,
-    compose_front,
-    jacobi_defect,
+    jacobi_report,
     lp_add,
     lp_from_elem,
     lp_map_coeffs,
     lp_normal,
     lp_scale,
+    morphism_defect,
     permute_slots,
-    unshuffle_sum,
 )
 
 
@@ -169,7 +175,7 @@ def twist_chiral(
         return out, None
     if samples is None:
         samples = default_field_samples(world)
-    report = liestar_jacobi_report(out.bracket_op, samples)
+    report = jacobi_report({2: out.bracket_op}, samples, 3)
     report["closed"] = cochain_is_zero(chevalley_d(total))
     report["match"] = report["closed"] == report["ok"]
     return out, report
@@ -207,46 +213,6 @@ def default_field_samples(
     for tup in itertools.combinations(range(len(picked)), 3):
         samples.append([picked[i] for i in tup])
     return samples
-
-
-def liestar_jacobi_report(
-    op: StarOp, samples: Sequence[Sequence[ring.Poly]]
-) -> dict:
-    """Classical Lie* Jacobi (arity 3) of a single bracket on samples."""
-    failures = []
-    for args in samples:
-        if len(args) != 3:
-            continue
-        d = jacobi_defect({2: op}, 3, list(args), op.module)
-        if d:
-            failures.append({"args": args, "defect": d})
-    return {"ok": not failures, "failures": failures}
-
-
-def liestar_infty_jacobi(
-    ops: Dict[int, StarOp],
-    samples: Sequence[Sequence[ring.Poly]],
-    k_max: int = 3,
-    window: Optional[dict] = None,
-) -> dict:
-    """Generalized Jacobi report of a family of star operations."""
-    module = next(iter(ops.values())).module
-    failures = []
-    checked = 0
-    for args in samples:
-        k = len(args)
-        if k > k_max:
-            continue
-        checked += 1
-        d = jacobi_defect(ops, k, list(args), module)
-        if d:
-            failures.append({"arity": k, "args": args, "defect": d})
-    return {
-        "ok": not failures,
-        "failures": failures,
-        "checked": checked,
-        "window": dict(window or {}),
-    }
 
 
 # -- free-field witnesses -----------------------------------------------------------
@@ -425,37 +391,30 @@ def two_form_cochain(
     return ChevalleyCochain(world, 2, seeds, 0)
 
 
-def filtered_twist(
+def form_twist(
     world: JetWorld,
-    alpha0: ring.Poly,
-    beta0: ring.Poly,
-    check: bool = False,
-    samples: Optional[Sequence[Sequence[ring.Poly]]] = None,
-) -> Tuple[ChiralAlgebroid, Optional[dict]]:
-    """Twist the standard algebroid by a 3-form and a 2-form together.
+    three_form: Optional[ring.Poly] = None,
+    two_form: Optional[ring.Poly] = None,
+) -> Tuple[Optional[ChevalleyCochain], bool]:
+    """The twist cochain of a 3-form and a 2-form together, and whether
+    both forms are De Rham closed.
 
-    Jacobi holds exactly when both forms are closed; the twists add, so
-    this is the product-torsor structure at window scale.
+    The 3-form enters through :func:`graded_form_functor` (forced, so an
+    open form still yields its cochain), the 2-form through
+    :func:`two_form_cochain`; the twists add, which is the product-torsor
+    structure at window scale.  None if neither form is given.
     """
     forms = FormAlgebra(world.base)
     parts = []
-    if alpha0:
-        rep = graded_form_functor(world, alpha0=alpha0, force=True)
+    closed = True
+    if three_form is not None:
+        rep = graded_form_functor(world, alpha0=three_form, force=True)
+        closed = not rep["derham_d"]
         parts.append(rep["alpha"])
-    if beta0:
-        parts.append(two_form_cochain(world, beta0))
-    total = cochain_add(world, *parts) if parts else None
-    algebroid = ChiralAlgebroid(world, total)
-    if not check:
-        return algebroid, None
-    if samples is None:
-        samples = default_field_samples(world)
-    report = liestar_jacobi_report(algebroid.bracket_op, samples)
-    report["closed"] = (not forms.derham_d(alpha0)) and (
-        not forms.derham_d(beta0)
-    )
-    report["match"] = report["closed"] == report["ok"]
-    return algebroid, report
+    if two_form is not None:
+        closed = closed and not forms.derham_d(two_form)
+        parts.append(two_form_cochain(world, two_form))
+    return cochain_add(world, *parts), closed
 
 
 # -- homotopy chiral algebroids over a differential base -----------------------------
@@ -693,9 +652,7 @@ def chiral_infty_twist(
         return out, None
     if samples is None:
         samples = default_field_samples(world)
-    report = liestar_infty_jacobi(
-        out.ops(), samples, k_max=P.max_arity
-    )
+    report = jacobi_report(out.ops(), samples, P.max_arity)
     dal = lc_d(world, dict(new))
     report["closed"] = not dal
     report["match"] = report["closed"] == report["ok"]
@@ -715,45 +672,12 @@ def morphism_residual(
     difference between the two sides of the morphism equation, supported
     up to arity three.
     """
-    world = P.world
-    module = world.module
-    n = len(args)
-    if n > 3:
-        raise ValueError("morphism residual supported up to arity three")
-    pars = [module.parity(a) for a in args]
-    if any(p is None for p in pars):
-        raise ValueError("arguments must be parity-homogeneous")
-    ls, lps = P.ops(), Q.ops()
+    module = P.world.module
     ident = StarOp(1, module, lp_from_elem, 0)
     fs = {k: twisted_op(ident if k == 1 else None, b)
           for k, b in betas.items() if b is not None}
     fs.setdefault(1, ident)
-
-    def f_elem(x):
-        """f_1 on an element (result is an element)."""
-        return fs[1](x).get((), {})
-
-    lhs = unshuffle_sum(ls, fs, n, args, module)
-    rhs: LambdaPoly = {}
-    # target differential applied to the top correction
-    if n > 1 and n in fs:
-        rhs = compose_front(lps[1], fs[n])(*args)
-    # the target arity-n operation on first components
-    if n in lps:
-        rhs = lp_add(rhs, lps[n](*[f_elem(a) for a in args]))
-    if n == 3 and 2 in lps and 2 in fs:
-        for sig in unshuffles(1, 3):
-            pair = fs[2](args[sig[1] - 1], args[sig[2] - 1])
-            if not pair:
-                continue
-            single = f_elem(args[sig[0] - 1])
-            total = apply_to_value(lps[2], single, pair)
-            sign = antisym_sign(sig, pars)
-            # the odd binary component crosses the leading argument
-            if pars[sig[0] - 1]:
-                sign = -sign
-            rhs = lp_add(rhs, permute_slots(total, sig, module, sign))
-    return lp_normal(lp_add(lhs, lp_scale(rhs, -1)))
+    return morphism_defect(P.ops(), Q.ops(), fs, args, module)
 
 
 def chiral_infty_morphism(

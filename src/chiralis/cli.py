@@ -43,15 +43,13 @@ from . import __version__, ring
 from .algebra import FormAlgebra, SuperPolyAlgebra
 from .algebroid import (
     chiral_infty_twist,
-    cochain_add,
     cochain_seeds,
     default_field_samples,
+    form_twist,
     fs_closed_family,
-    graded_form_functor,
     standard_chiral_algebroid,
     standard_chiral_infty_algebroid,
     twist_chiral,
-    two_form_cochain,
 )
 from .chevalley import JetWorld
 from .fock import BGSystem, borcherds_checks
@@ -444,25 +442,15 @@ def cmd_algebroid_twist(args) -> int:
     data = load_json(args.cocycle)
     nvars = parse_vars(data)
     base = even_base(nvars)
-    world = JetWorld(base)
     forms = FormAlgebra(base)
-    parts = []
-    closed = True
-    if "three_form" in data:
-        omega = parse_form(data["three_form"], forms, "three_form", 3)
-        rep = graded_form_functor(world, alpha0=omega, force=True)
-        closed = closed and not rep.get("derham_d")
-        parts.append(rep["alpha"])
-    if "two_form" in data:
-        beta = parse_form(data["two_form"], forms, "two_form", 2)
-        closed = closed and not forms.derham_d(beta)
-        parts.append(two_form_cochain(world, beta))
-    if not parts:
+    given = {}
+    for field, degree in (("three_form", 3), ("two_form", 2)):
+        if field in data:
+            given[field] = parse_form(data[field], forms, field, degree)
+    if not given:
         raise UsageError("cocycle file needs 'three_form' or 'two_form'")
     P = standard_chiral_algebroid(base)
-    total = parts[0]
-    for extra in parts[1:]:
-        total = cochain_add(world, total, extra)
+    total, closed = form_twist(P.world, **given)
     Q, check = twist_chiral(P, total, check=args.check)
     report = {
         "command": "algebroid-twist",
@@ -476,7 +464,8 @@ def cmd_algebroid_twist(args) -> int:
         report["jacobi_ok"] = check["ok"]
         report["closed"] = check["closed"]
         report["match"] = check["match"]
-        report["failures"] = check["failures"][:5]
+        report["failures"] = [{"args": f["args"], "defect": f["defect"]}
+                              for f in check["failures"][:5]]
         report["ok"] = check["ok"]
     emit(report, args.out)
     return 0 if report["ok"] else 1

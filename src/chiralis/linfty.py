@@ -12,9 +12,14 @@ structures are provided and compared:
 The second half of the module implements the two-term algebroid
 A (+) Der(A) of a differential super-commutative algebra: the
 differential, the Lie bracket of vector fields and their action on
-functions, twists of the higher operations by differential forms
-(contracted against the vector-field projections of the arguments), and
-order-by-order conjugation by arity-wise module-valued morphisms.
+functions, twists of the operations by parity-even differential forms,
+and order-by-order conjugation by the morphisms of parity-odd forms.
+Both kinds of form act through one signed contraction against the
+vector-field projections of the arguments (the form's parity picks the
+sign).  This is the jet-free case of the chiral layer in ``algebroid``:
+the twisted structures and morphisms are star operations with the zero
+translation, checked by the same ``starops.jacobi_report`` and
+``starops.morphism_defect``.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from .algebra import (
     tau_base,
     tau_name,
 )
-from .exact import Row, antisym_sign, echelon, unshuffles
+from .exact import Row, echelon
 from .starops import (
     StarModule,
     StarOp,
-    jacobi_defect,
+    jacobi_report,
     lp_from_elem,
-    unshuffle_sum,
+    morphism_defect,
     zero_translate,
 )
 
@@ -173,20 +178,13 @@ def direct_jacobi_report(
     ls: Dict[int, BasisMultiMap], space: GradedSpace, max_k: int
 ) -> dict:
     """Generalized Jacobi defects evaluated on all basis words up to max_k."""
-    mod = space.module()
     ops = {n: l.as_star_op() for n, l in ls.items()}
     # words are drawn with the shifted parities: an antisymmetric map
     # kills a repeated even letter and may not kill a repeated odd one
     pars = {n: space.parity(n) ^ 1 for n in space.names}
-    failures = []
-    for k in range(1, max_k + 1):
-        for word in basis_words(space.names, pars, k):
-            args = [{n: 1} for n in word]
-            d = jacobi_defect(ops, k, args, mod)
-            if d:
-                failures.append({"arity": k, "word": word,
-                                 "defect": d.get((), {})})
-    return {"ok": not failures, "failures": failures}
+    words = [[{n: 1} for n in word] for k in range(1, max_k + 1)
+             for word in basis_words(space.names, pars, k)]
+    return jacobi_report(ops, words, max_k)
 
 
 def decalage(l: BasisMultiMap) -> BasisMultiMap:
@@ -284,12 +282,19 @@ def linfty_report(
 # -- the two-term algebroid of a differential algebra ----------------------------
 
 
-def twist_sign(pars: Sequence[int]) -> int:
-    """Sign exponent attached to an n-fold contraction with the given
-    argument parities; it makes the contraction graded-antisymmetric and
-    compatible with the differential on forms."""
+def contraction_sign(pars: Sequence[int], form_parity: int) -> int:
+    """Sign exponent attached to an n-fold contraction of a form of the
+    given parity with arguments of the given parities.
+
+    On parity-even forms (twist components) it makes the contraction
+    graded-antisymmetric and compatible with the differential on forms;
+    a parity-odd form (a morphism component) carries the further
+    n + sum(pars).
+    """
     n = len(pars)
-    return ((n - 1) + sum((n - i) * p for i, p in enumerate(pars))) & 1
+    q = form_parity & 1
+    return ((n - 1 + q * n)
+            + sum((n - i + q) * p for i, p in enumerate(pars))) & 1
 
 
 def defect_sign(pars: Sequence[int]) -> int:
@@ -442,14 +447,30 @@ class DerAlgebroid:
             ring.acc(out, key, c)
         return out
 
-    def contract_signed(self, alpha: ring.Poly, fields) -> ring.Poly:
-        """Contraction with the sign that makes it graded-antisymmetric."""
-        fields = list(fields)
-        t = self.contract(alpha, fields)
+    def contract_signed(self, omega: ring.Poly, elems) -> ring.Poly:
+        """Contraction with the sign of :func:`contraction_sign`; the
+        form's own parity selects the twist or the morphism convention."""
+        elems = list(elems)
+        t = self.contract(omega, elems)
         if not t:
             return {}
-        s = twist_sign([self.carrier.poly_parity(u) for u in fields])
+        s = contraction_sign([self.carrier.poly_parity(e) for e in elems],
+                             self.forms.poly_parity(omega))
         return ring.pscale(t, -1) if s else t
+
+    def plus_contraction(self, base: Optional[StarOp], omega: ring.Poly,
+                         arity: int) -> StarOp:
+        """``base`` (None for zero) plus the signed contraction of
+        ``omega`` against the derivation parts of the arguments."""
+
+        def fn(*args):
+            v = base(*args).get((), {}) if base is not None else {}
+            return lp_from_elem(ring.padd(v, self.contract_signed(omega,
+                                                                  args)))
+
+        parity = (base.parity if base is not None
+                  else (arity + self.forms.poly_parity(omega)) & 1)
+        return StarOp(arity, self.module, fn, parity)
 
     def ops(
         self, alphas: Dict[int, ring.Poly], max_arity: int = 3
@@ -460,16 +481,6 @@ class DerAlgebroid:
                 raise ValueError(
                     f"twist component {n} must be parity-even as a form"
                 )
-        out: Dict[int, StarOp] = {}
-
-        def l1(e):
-            v = self.diff(e)
-            a1 = alphas.get(1)
-            if a1:
-                v = ring.padd(v, self.contract_signed(a1, [e]))
-            return lp_from_elem(v)
-
-        out[1] = StarOp(1, self.module, l1, 1)
 
         def l2(e1, e2):
             X1, X2 = self.sigma(e1), self.sigma(e2)
@@ -484,24 +495,31 @@ class DerAlgebroid:
                     (-1) ** (p1 * p2),
                 ),
             )
-            a2 = alphas.get(2)
-            if a2:
-                v = ring.padd(v, self.contract_signed(a2, [e1, e2]))
             return lp_from_elem(v)
 
-        out[2] = StarOp(2, self.module, l2, 0)
-
-        for n in range(3, max_arity + 1):
+        base = {1: StarOp(1, self.module,
+                          lambda e: lp_from_elem(self.diff(e)), 1),
+                2: StarOp(2, self.module, l2, 0)}
+        out: Dict[int, StarOp] = dict(base)
+        for n in range(1, max(max_arity, 2) + 1):
             an = alphas.get(n)
-            if not an:
-                continue
-
-            def ln(*args, an=an):
-                v = self.contract_signed(an, args)
-                return lp_from_elem(v)
-
-            out[n] = StarOp(n, self.module, ln, n & 1)
+            if an:
+                out[n] = self.plus_contraction(base.get(n), an, n)
         return out
+
+    def morphism_ops(self, betas: Dict[int, ring.Poly]) -> Dict[int, StarOp]:
+        """The morphism f_1 = id + <beta_1, sigma(-)> and
+        f_n = <beta_n, sigma(-) ^ ... ^ sigma(-)> for n >= 2."""
+        for n, b in betas.items():
+            if b and self.forms.poly_parity(b) != 1:
+                raise ValueError(
+                    f"morphism component {n} must be parity-odd as a form"
+                )
+        ident = StarOp(1, self.module, lp_from_elem, 0)
+        fs = {n: self.plus_contraction(ident if n == 1 else None, b, n)
+              for n, b in betas.items() if b}
+        fs.setdefault(1, ident)
+        return fs
 
     def total_d(self, alpha: ring.Poly) -> ring.Poly:
         return self.forms.total_d(alpha)
@@ -514,113 +532,13 @@ def twist_jacobi_report(
     max_k: int = 3,
 ) -> dict:
     """Generalized Jacobi defects of the twisted structure on sample tuples."""
-    ops = alg.ops(alphas, max_arity=max_k)
-    failures = []
-    for args in samples:
-        k = len(args)
-        if k > max_k:
-            continue
-        d = jacobi_defect(ops, k, list(args), alg.module)
-        if d:
-            failures.append({"args": args, "defect": d.get((), {})})
+    report = jacobi_report(alg.ops(alphas, max_arity=max_k), samples, max_k)
     alpha_total = {}
     for a in alphas.values():
         alpha_total = ring.padd(alpha_total, a)
-    closed = not alg.total_d(alpha_total)
-    return {
-        "ok": not failures,
-        "failures": failures,
-        "closed": closed,
-        "match": closed == (not failures),
-    }
-
-
-def _beta_contract(alg, beta, elems):
-    t = alg.contract(beta, [alg.sigma(e) for e in elems])
-    if not t:
-        return {}
-    s = morphism_sign([alg.carrier.poly_parity(e) for e in elems])
-    return ring.pscale(t, -1) if s else t
-
-
-def morphism_sign(pars: Sequence[int]) -> int:
-    """Sign exponent attached to the contraction components of a morphism."""
-    return (1 + defect_sign(pars)) & 1
-
-
-def morphism_defect(
-    alg: DerAlgebroid,
-    l_ops: Dict[int, StarOp],
-    lp_ops: Dict[int, StarOp],
-    betas: Dict[int, ring.Poly],
-    args: Sequence[ring.Poly],
-) -> ring.Poly:
-    """Defect of the morphism equation at arity len(args).
-
-    The morphism is f_1 = id + <beta_1, sigma(-)> and
-    f_n = <beta_n, sigma(-) ^ ... ^ sigma(-)> for n >= 2, mapping the
-    source structure ``l_ops`` to the target ``lp_ops``; supported up to
-    arity three.
-    """
-    for n, b in betas.items():
-        if b and alg.forms.poly_parity(b) != 1:
-            raise ValueError(
-                f"morphism component {n} must be parity-odd as a form"
-            )
-    n = len(args)
-    pars = [alg.carrier.poly_parity(a) for a in args]
-    if any(p is None for p in pars):
-        raise ValueError("arguments must be parity-homogeneous")
-
-    def f(k, elems):
-        if k == 1:
-            out = dict(elems[0])
-            b1 = betas.get(1)
-            if b1:
-                out = ring.padd(
-                    out, _beta_contract(alg, b1, [elems[0]])
-                )
-            return out
-        bk = betas.get(k)
-        if not bk:
-            return {}
-        return _beta_contract(alg, bk, elems)
-
-    def l_eval(ops, k, elems):
-        if k not in ops:
-            return {}
-        v = ops[k](*elems)
-        return v.get((), {}) if v else {}
-
-    f_ops = {
-        k: StarOp(k, alg.module, lambda *e, k=k: lp_from_elem(f(k, e)))
-        for k in range(1, n + 1)
-    }
-    lhs = unshuffle_sum(l_ops, f_ops, n, args, alg.module).get((), {})
-    rhs: ring.Poly = {}
-    # l'_1 applied to f_n
-    top = f(n, list(args)) if n > 1 else None
-    if n > 1 and top:
-        rhs = ring.padd(rhs, l_eval(lp_ops, 1, [top]))
-    # l'_n applied to f_1 in every slot
-    rhs = ring.padd(
-        rhs, l_eval(lp_ops, n, [f(1, [a]) for a in args])
-    )
-    if n == 3:
-        for sig in unshuffles(1, 3):
-            x1 = f(1, [args[sig[0] - 1]])
-            x2 = f(2, [args[sig[1] - 1], args[sig[2] - 1]])
-            if not x2:
-                continue
-            sign = antisym_sign(sig, pars)
-            # the odd binary component crosses the leading argument
-            if pars[sig[0] - 1]:
-                sign = -sign
-            rhs = ring.padd(
-                rhs,
-                ring.pscale(l_eval(lp_ops, 2, [x1, x2]), sign),
-            )
-    return ring.psub(lhs, rhs)
+    report["closed"] = not alg.total_d(alpha_total)
+    report["match"] = report["closed"] == report["ok"]
+    return report
 
 
 def conjugation_report(
@@ -632,24 +550,22 @@ def conjugation_report(
     """Check that twisting by the total differential of the morphism forms
     is exactly conjugation: id + beta-contraction is a morphism from the
     alpha-twist to the (alpha + total_d beta)-twist."""
+    fs = alg.morphism_ops(betas)
     beta_total: ring.Poly = {}
     for b in betas.values():
         beta_total = ring.padd(beta_total, b)
-    dbeta = alg.total_d(beta_total)
-    new_alphas: Dict[int, ring.Poly] = {}
-    for m, a in alphas.items():
-        new_alphas[m] = dict(a)
+    dbeta = alg.forms.split(alg.total_d(beta_total))
+    new_alphas = {m: dict(a) for m, a in alphas.items()}
     for m in range(1, 5):
-        comp = alg.forms.split(dbeta).get(m) if dbeta else None
-        if comp:
-            new_alphas[m] = ring.padd(new_alphas.get(m, {}), comp)
+        if dbeta.get(m):
+            new_alphas[m] = ring.padd(new_alphas.get(m, {}), dbeta[m])
     l_ops = alg.ops(alphas)
     lp_ops = alg.ops(new_alphas)
     failures = []
     for args in samples:
-        d = morphism_defect(alg, l_ops, lp_ops, betas, args)
+        d = morphism_defect(l_ops, lp_ops, fs, args, alg.module)
         if d:
-            failures.append({"args": args, "defect": d})
+            failures.append({"args": args, "defect": d.get((), {})})
     return {"ok": not failures, "failures": failures,
             "twist": new_alphas}
 

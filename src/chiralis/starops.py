@@ -316,6 +316,59 @@ def jacobi_defect(
     return unshuffle_sum(ls, ls, k, args, module)
 
 
+def jacobi_report(ops: Dict[int, StarOp], samples, k_max: int) -> dict:
+    """Generalized Jacobi defects of a family on the sample tuples of
+    arity at most ``k_max``, one failure entry per nonzero defect."""
+    module = next(iter(ops.values())).module
+    failures = []
+    checked = 0
+    for args in samples:
+        k = len(args)
+        if k > k_max:
+            continue
+        checked += 1
+        d = jacobi_defect(ops, k, list(args), module)
+        if d:
+            failures.append({"arity": k, "args": args, "defect": d})
+    return {"ok": not failures, "failures": failures, "checked": checked}
+
+
+def morphism_defect(
+    ls: Dict[int, StarOp], lps: Dict[int, StarOp], fs: Dict[int, StarOp],
+    args, module: StarModule,
+) -> LambdaPoly:
+    """Defect of the homotopy morphism equation at arity n = len(args) <= 3.
+
+    ``fs`` maps the structure ``ls`` to ``lps``; ``fs[1]`` must be present.
+    The left side is the unshuffle sum of ``ls`` into ``fs``, the right
+    side lps_1 o f_n + lps_n(f_1 x_1, ..., f_1 x_n) and, at arity three,
+    the terms lps_2(f_1 x, f_2(y, z)) over the (1, 2)-unshuffles.
+    """
+    n = len(args)
+    if n > 3:
+        raise ValueError("the morphism equation is supported up to arity three")
+    x = _parities(module, args)
+    lhs = unshuffle_sum(ls, fs, n, args, module)
+    rhs: LambdaPoly = {}
+    if n > 1 and n in fs:
+        rhs = compose_front(lps[1], fs[n])(*args)
+    firsts = [fs[1](a).get((), {}) for a in args]
+    if n in lps:
+        rhs = lp_add(rhs, lps[n](*firsts))
+    if n == 3 and 2 in lps and 2 in fs:
+        for sig in unshuffles(1, 3):
+            pair = fs[2](args[sig[1] - 1], args[sig[2] - 1])
+            if not pair:
+                continue
+            val = apply_to_value(lps[2], firsts[sig[0] - 1], pair)
+            sign = antisym_sign(sig, x)
+            # the odd binary component crosses the leading argument
+            if x[sig[0] - 1]:
+                sign = -sign
+            rhs = lp_add(rhs, permute_slots(val, sig, module, sign))
+    return lp_normal(lp_add(lhs, lp_scale(rhs, -1)))
+
+
 def va_bracket(system, translate_sign: int = -1) -> StarOp:
     """The Lie* bracket of a vertex algebra engine.
 

@@ -30,12 +30,11 @@ from chiralis.algebroid import (
     cochain_seeds,
     default_field_samples,
     extended_commutator_defect,
-    filtered_twist,
+    form_twist,
     fs_closed_family,
     graded_form_functor,
     jet_differential,
     lc_d,
-    liestar_infty_jacobi,
     morphism_residual,
     non_centrality_witness,
     standard_chiral_algebroid,
@@ -44,8 +43,13 @@ from chiralis.algebroid import (
     two_form_cochain,
     validate_lc_component,
 )
-from chiralis.chevalley import ChevalleyCochain, JetWorld, symmetrized_seed
-from chiralis.starops import lp_normal
+from chiralis.chevalley import (
+    ChevalleyCochain,
+    JetWorld,
+    chevalley_d,
+    symmetrized_seed,
+)
+from chiralis.starops import jacobi_report, lp_add, lp_normal, lp_scale
 
 
 def even_world(n=3):
@@ -138,19 +142,33 @@ def test_module_action_invariant_under_twist():
             assert P.module_action(f, n, v) == Q.module_action(f, n, v)
 
 
-def test_filtered_twist_additivity_and_match():
+def test_form_twist_additivity_and_match():
     world = even_world()
     forms = FormAlgebra(world.base)
+    P = standard_chiral_algebroid(world.base)
     omega = dform(forms, "x1", "x2", "x3")
     beta = forms.mul(
         forms.inject(world.base.gen("x1")), dform(forms, "x2", "x3")
     )
-    # beta is not closed: the combined twist must fail and say so
-    _, rep = filtered_twist(world, omega, beta, check=True)
+    # beta is not De Rham closed: the combined twist is not Chevalley
+    # closed either, and must fail Jacobi and say so
+    total, derham_closed = form_twist(P.world, omega, beta)
+    _, rep = twist_chiral(P, total, check=True)
+    assert not derham_closed
     assert not rep["ok"] and not rep["closed"] and rep["match"]
     closed_beta = dform(forms, "x1", "x2")
-    _, rep2 = filtered_twist(world, omega, closed_beta, check=True)
+    total2, derham_closed2 = form_twist(P.world, omega, closed_beta)
+    _, rep2 = twist_chiral(P, total2, check=True)
+    assert derham_closed2
     assert rep2["ok"] and rep2["closed"] and rep2["match"]
+    # the twists add
+    alone, _ = form_twist(P.world, three_form=omega)
+    other, _ = form_twist(P.world, two_form=closed_beta)
+    for a, b in itertools.product(world.frame_names(), repeat=2):
+        args = (world.tau(a), world.tau(b))
+        assert lp_normal(total2(*args)) == lp_normal(
+            lp_add(alone(*args), other(*args)))
+    assert form_twist(P.world) == (None, True)
 
 
 def test_two_form_cochain_shape():
@@ -199,8 +217,9 @@ def test_untwisted_generalized_jacobi():
     world = fs_world()
     P = standard_chiral_infty_algebroid(world.base)
     samples = default_field_samples(world)
-    rep = liestar_infty_jacobi(P.ops(), samples, k_max=3)
+    rep = jacobi_report(P.ops(), samples, 3)
     assert rep["ok"], rep["failures"][:1]
+    assert rep["checked"] == len(samples)
 
 
 def test_unary_operation_is_zero_mode_not_prolongation():
@@ -369,13 +388,18 @@ def test_form_functor_morphism_identity():
     P = ChiralInftyAlgebroid(world)
     mrep = chiral_infty_morphism(P, {1: rep["beta"]})
     assert mrep["ok"] and mrep["residual_matches_differential"]
-    # the differential of beta is exactly the alpha of d(beta)
+    # the functor matches the differentials: the Chevalley differential
+    # of beta is the alpha of d(beta); lc_d takes it with the LC sign
+    # (-1)^(1 + p_i |phi|), which is -1 on every term for the
+    # parity-even beta, so there it is minus that alpha
     d = lc_d(world, {1: rep["beta"]})
     assert sorted(d) == [2]
-    samples = default_field_samples(world)
-    for args in samples:
-        if len(args) != 2:
-            continue
-        got = lp_normal(d[2](*args))
+    ch = chevalley_d(rep["beta"])
+    nonzero = 0
+    for s in default_field_samples(world):
+        args = s[:2]
         want = lp_normal(rep["alpha"](*args))
-        assert got == want
+        assert lp_normal(ch(*args)) == want
+        assert lp_normal(d[2](*args)) == lp_normal(lp_scale(want, -1))
+        nonzero += bool(want)
+    assert nonzero > 0

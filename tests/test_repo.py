@@ -1,0 +1,65 @@
+"""Checks on the repository itself: no dead imports, a README that runs.
+
+Both use the standard library only (``ast``, ``re``).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "chiralis"
+
+
+def unused_imports(source: str):
+    """Module-level imported names that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_unused_import_finder():
+    src = "import os, sys\nfrom . import ring\nfrom .x import a, b as c\n" \
+          "print(sys.argv, ring.ZERO, c)\n"
+    assert unused_imports(src) == [(1, "os"), (3, "a")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def readme_blocks():
+    text = (ROOT / "README.md").read_text()
+    return re.findall(r"```python\n(.*?)```", text, re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(readme_blocks()) >= 2
+
+
+@pytest.mark.parametrize("block", readme_blocks())
+def test_readme_block(block):
+    """Each python block runs; a trailing ``expr  # value`` line must
+    evaluate to the value in its comment."""
+    *body, last = block.rstrip().splitlines()
+    expr, _, want = last.partition("#")
+    ns: dict = {}
+    if not expr.strip():
+        exec(block, ns)
+        return
+    exec("\n".join(body), ns)
+    assert eval(expr, ns) == eval(want, {})
