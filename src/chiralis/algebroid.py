@@ -44,6 +44,7 @@ from .starops import (
     LambdaPoly,
     StarOp,
     jacobi_report,
+    lp_acc,
     lp_add,
     lp_from_elem,
     lp_map_coeffs,
@@ -473,16 +474,15 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     for tup in itertools.combinations_with_replacement(frame, n):
         pars = [world.frame_parity(nm) for nm in tup]
         args = [world.tau(nm) for nm in tup]
-        total = lp_map_coeffs(phi(*args), world.jets.D)
+        total: LambdaPoly = {}
+        lp_acc(total, lp_map_coeffs(phi(*args), world.jets.D))
         for sig in unshuffles(1, n):
             img = world.sigma(d1(args[sig[0] - 1]).get((), {}))
             if not img:
                 continue
             val = phi(img, *[args[s - 1] for s in sig[1:]])
             sign = s_extra * antisym_sign(sig, pars)
-            total = lp_add(
-                total, permute_slots(val, sig, world.module, sign)
-            )
+            lp_acc(total, permute_slots(val, sig, world.module, sign))
         if (phi.parity + n) & 1:
             # global sign on the class |phi| != n mod 2, which makes this
             # anticommute with the bracket part of the differential

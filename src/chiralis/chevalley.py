@@ -43,6 +43,7 @@ from .starops import (
     StarModule,
     StarOp,
     apply_to_value,
+    lp_acc,
     lp_add,
     lp_apply_translate_minus_vars,
     lp_deriv_var,
@@ -279,7 +280,7 @@ class ChevalleyCochain(StarOp):
                 parts.append((fmono, g))
             v = self._term_value(parts)
             if v:
-                out = lp_add(out, lp_scale(v, coeff))
+                lp_acc(out, v, coeff)
         return lp_normal(out)
 
 
@@ -295,15 +296,15 @@ def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,
 
     if slot == n:
         return lp_map_coeffs(val, times_f)
-    acc: LambdaPoly = {}
+    out: LambdaPoly = {}
     m = 0
     while val:
         c = ring.div((-1) ** m, math.factorial(m))
-        acc = lp_add(acc, lp_scale(lp_map_coeffs(val, times_f), c))
+        lp_acc(out, lp_map_coeffs(val, times_f), c)
         val = lp_deriv_var(val, slot)
         f = world.jets.translate(f)
         m += 1
-    return acc
+    return out
 
 
 def symmetrized_seed(
@@ -322,7 +323,7 @@ def symmetrized_seed(
     for perm in itertools.permutations(range(1, n + 1)):
         if tuple(names[p - 1] for p in perm) != tuple(names):
             continue
-        total = lp_add(total, permute_slots(
+        lp_acc(total, permute_slots(
             val, inverse(perm), world.module, antisym_sign(perm, pars)))
         count += 1
     return lp_normal(lp_scale(total, ring.div(1, count)))
@@ -358,9 +359,7 @@ def _chevalley_d(phi: ChevalleyCochain, lc: bool) -> ChevalleyCochain:
             sign = antisym_sign(sig, pars)
             if lc and (1 + pars[i - 1] * phi.parity) & 1:
                 sign = -sign
-            total = lp_add(
-                total, permute_slots(term, sig, world.module, sign)
-            )
+            lp_acc(total, permute_slots(term, sig, world.module, sign))
         if total:
             seeds[tup] = total
     parity = phi.parity if lc else (phi.parity + 1) & 1

@@ -389,14 +389,15 @@ def cmd_linfty_check(args) -> int:
     rng = random.Random(args.seed)
     sp = GradedSpace([("u", 0), ("v", 1), ("w", 1), ("z", 2)])
     pars = {n: sp.parity(n) for n in sp.names}
+    words = {arity: basis_words(sp.names, pars, arity) for arity in (1, 2, 3)}
     disagreements = []
     passes = 0
     checked = 0
     for trial in range(args.samples):
         ls = {}
-        for arity in (1, 2, 3):
+        for arity, arity_words in words.items():
             vals = {}
-            for word in basis_words(sp.names, pars, arity):
+            for word in arity_words:
                 want = (sum(pars[n] for n in word) + arity) & 1
                 img = {
                     n: rng.randrange(-2, 3)

@@ -9,6 +9,15 @@ structures are provided and compared:
     coalgebra of the parity-shifted space, with the structure maps
     transported through the decalage isomorphism.
 
+The two paths still share only basis bookkeeping: the canonical sort of
+a basis tuple (``_canon``), the basis-word lists (``basis_words``) and
+each map's lookup of its stored values.  Work that depends on words and
+parities alone is cached for the process: ``_canon``, the word lists and
+the (chosen, rest, Koszul sign) extraction splits of a word
+(``_extractions``).  Each ``BasisMultiMap`` canonicalizes a name tuple
+once, and the coderivation square computes the image of each basis word
+once per structure, forming delta^2(w) from those images.
+
 The second half of the module implements the two-term algebroid
 A (+) Der(A) of a differential super-commutative algebra: the
 differential, the Lie bracket of vector fields and their action on
@@ -24,6 +33,7 @@ translation, checked by the same ``starops.jacobi_report`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,8 +83,13 @@ class GradedSpace:
         return StarModule(parity=self.elem_parity, translate=zero_translate)
 
 
-def _canon(names: Sequence[str], parities: Sequence[int], antisym: bool):
-    """Sort a basis tuple, tracking the (anti)symmetry sign; None if zero."""
+@functools.lru_cache(maxsize=None)
+def _canon(names: tuple, parities: tuple, antisym: bool):
+    """Sort a basis tuple, tracking the (anti)symmetry sign; None if zero.
+
+    A pure function of its three tuples, cached for the process: the
+    words of a space and their re-sorts recur across structures.
+    """
     arr = list(zip(names, parities))
     sign = 1
     for i in range(len(arr)):
@@ -113,7 +128,7 @@ class BasisMultiMap:
             if tuple(sorted(tup)) != tuple(tup):
                 raise ValueError("value tuples must be sorted")
             key, s = _canon(
-                tup, [self._parity(n) for n in tup], antisym
+                tuple(tup), tuple(self._parity(n) for n in tup), antisym
             )
             if key is None:
                 if any(val.values()):
@@ -122,19 +137,29 @@ class BasisMultiMap:
             v = {n: c for n, c in val.items() if c}
             if v:
                 self.values[tup] = v
+        # name tuple -> (value or None, sign), filled by _lookup
+        self._seen: Dict[tuple, Tuple[Optional[Elem], int]] = {}
 
     def _parity(self, name: str) -> int:
         if self.shift is not None:
             return self.shift[name]
         return self.space.parity(name)
 
+    def _lookup(self, names: tuple) -> Tuple[Optional[Elem], int]:
+        """The stored value of the canonical form of ``names`` (None when
+        it is zero) and the sign of the re-sort; each tuple is
+        canonicalized once per map."""
+        hit = self._seen.get(names)
+        if hit is None:
+            key, s = _canon(
+                names, tuple(self._parity(n) for n in names), self.antisym
+            )
+            hit = self._seen[names] = (
+                self.values.get(key) if key is not None else None, s)
+        return hit
+
     def on_basis(self, names: Sequence[str]) -> Elem:
-        key, s = _canon(
-            names, [self._parity(n) for n in names], self.antisym
-        )
-        if key is None:
-            return {}
-        val = self.values.get(key)
+        val, s = self._lookup(tuple(names))
         if not val:
             return {}
         return {n: s * c for n, c in val.items()}
@@ -147,7 +172,9 @@ class BasisMultiMap:
             for n, c in combo:
                 coeff *= c
                 names.append(n)
-            ring.acc_poly(out, self.on_basis(names), coeff)
+            val, s = self._lookup(tuple(names))
+            if val:
+                ring.acc_poly(out, val, s * coeff)
         return out
 
     def as_star_op(self) -> StarOp:
@@ -163,15 +190,22 @@ def basis_words(
     names: Sequence[str], parities: Dict[str, int], length: int
 ) -> List[tuple]:
     """Sorted tuples with repeats allowed only for even-parity letters."""
+    return list(_words(tuple(sorted((n, parities[n]) for n in names)),
+                       length))
+
+
+@functools.lru_cache(maxsize=None)
+def _words(letters: Tuple[Tuple[str, int], ...], length: int) -> tuple:
+    """:func:`basis_words` on sorted (name, parity) letters, cached."""
     out = []
-    for tup in itertools.combinations_with_replacement(sorted(names), length):
+    for tup in itertools.combinations_with_replacement(letters, length):
         if any(
-            tup[i] == tup[i + 1] and parities[tup[i]]
+            tup[i] == tup[i + 1] and tup[i][1]
             for i in range(length - 1)
         ):
             continue
-        out.append(tup)
-    return out
+        out.append(tuple(n for n, _ in tup))
+    return tuple(out)
 
 
 def direct_jacobi_report(
@@ -200,12 +234,38 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
             if ((n - 1 - i) * space.parity(nm)) & 1:
                 s = -s
         # re-sort for the shifted parities (same letters, sign may differ)
-        key, s2 = _canon(tup, [shifted[nm] for nm in tup], False)
+        key, s2 = _canon(tup, tuple(shifted[nm] for nm in tup), False)
         if key is None:
             continue
         entry = values.setdefault(key, {})
         ring.acc_poly(entry, val, s * s2)
     return BasisMultiMap(l.space, n, values, antisym=False, shift=shifted)
+
+
+@functools.lru_cache(maxsize=None)
+def _extractions(word: tuple, parities: tuple, n: int) -> tuple:
+    """Each way to pull n letters of a word to the front, as (chosen
+    letters, remaining letters, their parities, Koszul sign), in the
+    lexicographic order of the chosen positions.  It depends on the word
+    and its letters' parities only, so it is computed once per process."""
+    N = len(word)
+    out = []
+    for pos in itertools.combinations(range(N), n):
+        rest = [p for p in range(N) if p not in pos]
+        # Koszul sign extracting the chosen letters to the front
+        s = 1
+        taken = set()
+        for p in pos:
+            skipped = sum(
+                parities[q] for q in range(p) if q not in taken
+            )
+            if parities[p] and (skipped & 1):
+                s = -s
+            taken.add(p)
+        out.append((tuple(word[p] for p in pos),
+                    tuple(word[p] for p in rest),
+                    tuple(parities[p] for p in rest), s))
+    return tuple(out)
 
 
 def coderivation_apply(
@@ -217,50 +277,49 @@ def coderivation_apply(
     shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
     out: Dict[tuple, ring.Scalar] = {}
     for word, coeff in vec.items():
-        N = len(word)
+        pars = tuple(shifted[x] for x in word)
         for n, hat in hat_ls.items():
-            if n > N:
+            if n > len(word):
                 continue
-            for pos in itertools.combinations(range(N), n):
-                chosen = [word[p] for p in pos]
-                rest = [word[p] for p in range(N) if p not in pos]
-                # Koszul sign extracting the chosen letters to the front
-                s = 1
-                taken = set()
-                for p in pos:
-                    skipped = sum(
-                        shifted[word[q]] for q in range(p)
-                        if q not in taken
-                    )
-                    if shifted[word[p]] and (skipped & 1):
-                        s = -s
-                    taken.add(p)
-                img = hat.on_basis(chosen)
-                for nm, c in img.items():
+            for chosen, rest, rest_pars, s in _extractions(word, pars, n):
+                val, s1 = hat._lookup(chosen)
+                if not val:
+                    continue
+                for nm, c in val.items():
                     key, s2 = _canon(
-                        [nm] + rest,
-                        [shifted[x] for x in [nm] + rest],
-                        False,
+                        (nm,) + rest, (shifted[nm],) + rest_pars, False
                     )
                     if key is None:
                         continue
-                    ring.acc(out, key, coeff * c * s * s2)
+                    ring.acc(out, key, coeff * (s1 * c) * s * s2)
     return out
 
 
 def coderivation_square_report(
     ls: Dict[int, BasisMultiMap], space: GradedSpace, max_k: int
 ) -> dict:
-    """delta^2 = 0 on all words up to length max_k, through decalage."""
+    """delta^2 = 0 on all words up to length max_k, through decalage.
+
+    delta(w) is computed once per basis word w and delta^2(w) is the sum
+    of c * delta(w') over the words w' of delta(w), which are basis words
+    of the same length or shorter.
+    """
     hat_ls = {n: decalage(l) for n, l in ls.items()}
     shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
+    images: Dict[tuple, Dict[tuple, ring.Scalar]] = {}
+
+    def delta(word: tuple) -> Dict[tuple, ring.Scalar]:
+        img = images.get(word)
+        if img is None:
+            img = images[word] = coderivation_apply(hat_ls, space, {word: 1})
+        return img
+
     failures = []
     for k in range(1, max_k + 1):
         for word in basis_words(space.names, shifted, k):
-            one = {word: 1}
-            sq = coderivation_apply(
-                hat_ls, space, coderivation_apply(hat_ls, space, one)
-            )
+            sq: Dict[tuple, ring.Scalar] = {}
+            for w2, c in delta(word).items():
+                ring.acc_poly(sq, delta(w2), c)
             if sq:
                 failures.append({"word": word, "square": sq})
     return {"ok": not failures, "failures": failures}

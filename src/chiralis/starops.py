@@ -18,6 +18,9 @@ the sum of the consumed slots.
 
 Modules are anything with a parity function and a translation operator on
 elements; elements themselves are dicts with exact rational coefficients.
+Sums of lambda polynomials accumulate in place through :func:`lp_acc`,
+which copies an element the first time it enters a sum, so a sum never
+shares (and never changes) an element of its summands.
 Ordinary (non-star) multilinear algebra is the special case where the
 translation is zero and no z-symbols ever appear.
 """
@@ -53,19 +56,39 @@ def zero_translate(_elem: dict) -> dict:
 # -- lambda polynomial arithmetic ---------------------------------------------
 
 
-def _lp_acc(out: LambdaPoly, m: LamMono, e: dict) -> None:
-    """Accumulate the element ``e`` at ``m`` into ``out``, dropping zeros."""
-    cur = ring.padd(out.get(m, {}), e)
-    if cur:
-        out[m] = cur
+def _lp_acc(out: LambdaPoly, m: LamMono, e: dict,
+            c: ring.Scalar = 1) -> None:
+    """Accumulate ``c * e`` at ``m`` into ``out`` in place, dropping zeros.
+
+    ``e`` is copied on first insert, so ``out`` owns every element it
+    holds and adding into one never reaches the caller's dicts.
+    """
+    cur = out.get(m)
+    if cur is None:
+        if e:
+            out[m] = ring.pscale(e, c)
     else:
-        out.pop(m, None)
+        ring.acc_poly(cur, e, c)
+        if not cur:
+            del out[m]
+
+
+def lp_acc(out: LambdaPoly, p: LambdaPoly, c: ring.Scalar = 1) -> None:
+    """Accumulate ``c * p`` into ``out`` in place: ``ring.acc_poly`` for
+    lambda polynomials.  ``out`` ends equal to ``lp_add(out,
+    lp_scale(p, c))``, item order and scalar types included, and shares
+    no element with ``p``."""
+    if not c:
+        return
+    if c == 1:
+        c = 1  # as in ring.pscale, a unit scale keeps int coefficients int
+    for m, e in p.items():
+        _lp_acc(out, m, e, c)
 
 
 def lp_add(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
     out = {m: dict(e) for m, e in p.items()}
-    for m, e in q.items():
-        _lp_acc(out, m, e)
+    lp_acc(out, q)
     return out
 
 
@@ -126,9 +149,10 @@ def lp_apply_translate_minus_vars(
 ) -> LambdaPoly:
     """Apply the operator (T - sum of slot variables) ``times`` times."""
     for _ in range(times):
-        out = lp_map_coeffs(p, module.translate)
+        out: LambdaPoly = {}
+        lp_acc(out, lp_map_coeffs(p, module.translate))
         for s in slots:
-            out = lp_add(out, lp_scale(lp_mul_var(p, s), -1))
+            lp_acc(out, lp_mul_var(p, s), -1)
         p = out
     return p
 
@@ -144,9 +168,9 @@ def lp_subst_sum(p: LambdaPoly, slot: int, new_slots: Sequence[int]) -> LambdaPo
             nxt: LambdaPoly = {}
             for mm, ee in terms.items():
                 for ns in new_slots:
-                    nxt = lp_add(nxt, lp_mul_var({mm: ee}, ns))
+                    _lp_acc(nxt, _mono_mul(mm, ((ns, 1),)), ee)
             terms = nxt
-        out = lp_add(out, terms)
+        lp_acc(out, terms)
     return out
 
 
@@ -160,7 +184,7 @@ def lp_eliminate(p: LambdaPoly, slot: int, module: StarModule,
         term: LambdaPoly = {base: e}
         if power:
             term = lp_apply_translate_minus_vars(term, module, kept, power)
-        out = lp_add(out, term)
+        lp_acc(out, term)
     return lp_normal(out)
 
 
@@ -256,7 +280,7 @@ def compose_front(outer: StarOp, inner: StarOp) -> StarOp:
             w = outer({k: c for k, c in m.items()}, *args[i:])
             w = lp_relabel(w, relabel)
             w = lp_subst_sum(w, 1, range(1, i + 1))
-            out = lp_add(out, lp_mul_mono(w, mono))
+            lp_acc(out, lp_mul_mono(w, mono))
         return lp_eliminate(out, n, outer.module, range(1, n))
 
     return StarOp(n, outer.module, fn, (outer.parity + inner.parity) & 1)
@@ -271,7 +295,7 @@ def apply_to_value(op: StarOp, a, val: LambdaPoly) -> LambdaPoly:
     out: LambdaPoly = {}
     for mono, m in val.items():
         shifted = tuple((s + 1, e) for s, e in mono)
-        out = lp_add(out, lp_mul_mono(op(a, m), shifted))
+        lp_acc(out, lp_mul_mono(op(a, m), shifted))
     return out
 
 
@@ -304,7 +328,7 @@ def unshuffle_sum(
         for sig in unshuffles(i, k):
             sign = antisym_sign(sig, x) * (-1) ** (i * (j - 1))
             val = comp(*[args[s - 1] for s in sig])
-            total = lp_add(total, permute_slots(val, sig, module, sign))
+            lp_acc(total, permute_slots(val, sig, module, sign))
     return lp_normal(total)
 
 
@@ -417,7 +441,6 @@ def op_on_free_basis(
         kept = range(1, arity)
 
         def expand(i, prefix_mono, coeff, names):
-            nonlocal out
             for (name, k), c in args[i].items():
                 if i < arity - 1:
                     mono = _mono_mul(prefix_mono, ((i + 1, k),) if k else ())
@@ -428,8 +451,8 @@ def op_on_free_basis(
                         term = lp_apply_translate_minus_vars(
                             val, module, kept, k
                         )
-                        term = lp_mul_mono(term, prefix_mono, coeff * c)
-                        out = lp_add(out, term)
+                        lp_acc(out, lp_mul_mono(term, prefix_mono),
+                               coeff * c)
 
         expand(0, (), 1, [])
         return lp_normal(out)

@@ -49,7 +49,14 @@ from chiralis.chevalley import (
     chevalley_d,
     symmetrized_seed,
 )
-from chiralis.starops import jacobi_report, lp_add, lp_normal, lp_scale
+from chiralis.starops import (
+    StarOp,
+    jacobi_report,
+    lp_add,
+    lp_from_elem,
+    lp_normal,
+    lp_scale,
+)
 
 
 def even_world(n=3):
@@ -283,6 +290,40 @@ def test_fs_closed_family_twist_passes():
     assert not lc_d(world, {2: a2, 3: a3})
     Q, rep = chiral_infty_twist(P, {2: a2, 3: a3}, check=True)
     assert rep["ok"] and rep["closed"] and rep["match"]
+
+
+def _sub_samples(samples, k):
+    """The distinct length-k sub-tuples of the sample tuples, in order."""
+    seen = {}
+    for tup in samples:
+        for sub in itertools.combinations(tup, k):
+            key = tuple(tuple(sorted(e.items())) for e in sub)
+            seen.setdefault(key, list(sub))
+    return list(seen.values())
+
+
+def test_arity_one_and_two_identities_on_default_samples():
+    """l1^2 = 0 and the Leibniz rule of l1 over l2 hold on the singletons
+    and pairs of the default window (whose samples are all triples), for
+    the untwisted structure, for a2 alone and for the closed family."""
+    world = fs_world()
+    P = standard_chiral_infty_algebroid(world.base)
+    a2, a3 = fs_closed_family(world)
+    samples = default_field_samples(world)
+    for fam in ({}, {2: a2}, {2: a2, 3: a3}):
+        Q, _ = chiral_infty_twist(P, fam)
+        for k in (1, 2):
+            rep = jacobi_report(Q.ops(), _sub_samples(samples, k), 3)
+            assert rep["ok"], (sorted(fam), k, rep["failures"][:1])
+            assert rep["checked"] > 0
+    # fault injection: l1 + id squares to 2 l1 + id, which is not zero
+    ops = dict(P.ops())
+    l1 = ops[1]
+    ops[1] = StarOp(1, l1.module,
+                    lambda e: lp_add(l1(e), lp_from_elem(e)), l1.parity)
+    for k in (1, 2):
+        rep = jacobi_report(ops, _sub_samples(samples, k), 3)
+        assert not rep["ok"] and rep["failures"][0]["arity"] == k
 
 
 def test_fs_family_truncation_fails():

@@ -4,12 +4,17 @@ Oracles: the sl2 bracket and a small differential graded example satisfy
 both verification paths; random structure maps on a 4-dimensional graded
 space produce matching verdicts from the direct Jacobi sums and from the
 square of the induced coderivation (the two paths share no code beyond
-basis bookkeeping); the linear solver is checked against hand systems.
+basis bookkeeping); the coderivation square, which computes each word's
+image once from cached extraction splits, matches the word-by-word
+reference below failure by failure; the linear solver is checked against
+hand systems.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+from chiralis import ring
 from chiralis.exact import Row
 from chiralis.linfty import (
     BasisMultiMap,
@@ -23,7 +28,95 @@ from chiralis.linfty import (
 )
 
 
-def test_sl2_is_lie():
+# -- the word-by-word coderivation square, kept as the reference --------------
+
+
+def reference_canon(names, parities, antisym):
+    """Bubble-sort a basis tuple with its (anti)symmetry sign; None if zero."""
+    arr = list(zip(names, parities))
+    sign = 1
+    for i in range(len(arr)):
+        for j in range(len(arr) - 1 - i):
+            if arr[j][0] > arr[j + 1][0]:
+                if antisym:
+                    sign = -sign
+                if arr[j][1] and arr[j + 1][1]:
+                    sign = -sign
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+    for j in range(len(arr) - 1):
+        if arr[j][0] == arr[j + 1][0]:
+            if antisym != bool(arr[j][1]):
+                return None, 0
+    return tuple(n for n, _ in arr), sign
+
+
+def reference_on_basis(hat, names):
+    pars = [hat.shift[n] for n in names]
+    key, s = reference_canon(names, pars, hat.antisym)
+    if key is None:
+        return {}
+    return {n: s * c for n, c in hat.values.get(key, {}).items()}
+
+
+def reference_coderivation_apply(hat_ls, space, vec):
+    shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
+    out = {}
+    for word, coeff in vec.items():
+        N = len(word)
+        for n, hat in hat_ls.items():
+            if n > N:
+                continue
+            for pos in itertools.combinations(range(N), n):
+                chosen = [word[p] for p in pos]
+                rest = [word[p] for p in range(N) if p not in pos]
+                s = 1
+                taken = set()
+                for p in pos:
+                    skipped = sum(
+                        shifted[word[q]] for q in range(p)
+                        if q not in taken
+                    )
+                    if shifted[word[p]] and (skipped & 1):
+                        s = -s
+                    taken.add(p)
+                for nm, c in reference_on_basis(hat, chosen).items():
+                    key, s2 = reference_canon(
+                        [nm] + rest, [shifted[x] for x in [nm] + rest], False
+                    )
+                    if key is None:
+                        continue
+                    ring.acc(out, key, coeff * c * s * s2)
+    return out
+
+
+def reference_coderivation_square_report(ls, space, max_k):
+    hat_ls = {n: decalage(l) for n, l in ls.items()}
+    shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
+    failures = []
+    for k in range(1, max_k + 1):
+        for word in basis_words(space.names, shifted, k):
+            sq = reference_coderivation_apply(
+                hat_ls, space,
+                reference_coderivation_apply(hat_ls, space, {word: 1}),
+            )
+            if sq:
+                failures.append({"word": word, "square": sq})
+    return {"ok": not failures, "failures": failures}
+
+
+def assert_square_matches_reference(ls, space, max_k=3):
+    got = coderivation_square_report(ls, space, max_k)
+    want = reference_coderivation_square_report(ls, space, max_k)
+    assert got["ok"] == want["ok"]
+    assert [f["word"] for f in got["failures"]] == [
+        f["word"] for f in want["failures"]]
+    for g, w in zip(got["failures"], want["failures"]):
+        assert g["square"] == w["square"], (g["word"], g, w)
+    return got
+
+
+def _sl2(fh=2):
+    """The sl2 bracket; any ``fh`` but 2 breaks the Jacobi identity."""
     sp = GradedSpace([("e", 0), ("f", 0), ("h", 0)])
     l2 = BasisMultiMap(
         sp,
@@ -31,36 +124,98 @@ def test_sl2_is_lie():
         {
             ("e", "f"): {"h": Fraction(1)},
             ("e", "h"): {"e": Fraction(-2)},
-            ("f", "h"): {"f": Fraction(2)},
+            ("f", "h"): {"f": Fraction(fh)},
         },
     )
-    rep = linfty_report({2: l2}, sp, 3)
+    return {2: l2}, sp
+
+
+def _dg():
+    sp = GradedSpace([("a", 1), ("b", 2)])
+    l1 = BasisMultiMap(sp, 1, {("a",): {"b": Fraction(1)}})
+    l2 = BasisMultiMap(sp, 2, {("a", "a"): {"b": Fraction(1)}})
+    return {1: l1, 2: l2}, sp
+
+
+def test_sl2_is_lie():
+    rep = linfty_report(*_sl2(), 3)
     assert rep["ok"] and rep["agree"], rep
 
 
 def test_broken_sl2_fails_both_ways():
-    sp = GradedSpace([("e", 0), ("f", 0), ("h", 0)])
-    l2 = BasisMultiMap(
-        sp,
-        2,
-        {
-            ("e", "f"): {"h": Fraction(1)},
-            ("e", "h"): {"e": Fraction(-2)},
-            ("f", "h"): {"f": Fraction(3)},  # wrong coefficient
-        },
-    )
-    rep = linfty_report({2: l2}, sp, 3)
+    rep = linfty_report(*_sl2(3), 3)  # wrong coefficient
     assert not rep["direct"]["ok"]
     assert not rep["coderivation"]["ok"]
     assert rep["agree"]
 
 
 def test_odd_generator_dg_example():
-    sp = GradedSpace([("a", 1), ("b", 2)])
-    l1 = BasisMultiMap(sp, 1, {("a",): {"b": Fraction(1)}})
-    l2 = BasisMultiMap(sp, 2, {("a", "a"): {"b": Fraction(1)}})
-    rep = linfty_report({1: l1, 2: l2}, sp, 3)
+    rep = linfty_report(*_dg(), 3)
     assert rep["ok"] and rep["agree"], rep
+
+
+def _shifted_random_structure(rng, sp, density, scalar):
+    """Random l_1, l_2, l_3 on ``sp`` with value words drawn on the
+    shifted parities, so that the arity-2 and arity-3 maps are populated;
+    each allowed value letter is drawn with probability 1/density."""
+    pars = {n: sp.parity(n) for n in sp.names}
+    shifted = {n: p ^ 1 for n, p in pars.items()}
+    ls = {}
+    for arity in (1, 2, 3):
+        vals = {}
+        for word in basis_words(sp.names, shifted, arity):
+            want = (sum(pars[n] for n in word) + arity) & 1
+            img = {
+                n: scalar(rng.randrange(-2, 3))
+                for n in sp.names
+                if pars[n] == want and rng.randrange(density) == 0
+            }
+            img = {n: c for n, c in img.items() if c}
+            if img:
+                vals[word] = img
+        if vals:
+            ls[arity] = BasisMultiMap(sp, arity, vals)
+    return ls
+
+
+def test_coderivation_square_matches_reference_on_examples():
+    assert assert_square_matches_reference(*_sl2())["ok"]
+    broken = assert_square_matches_reference(*_sl2(3))
+    assert broken["failures"]
+    assert assert_square_matches_reference(*_dg())["ok"]
+
+
+def test_coderivation_square_matches_reference_on_random_structures():
+    rng = random.Random(5)
+    sp = GradedSpace([("u", 0), ("v", 1), ("w", 1), ("z", 2)])
+    full = passing = failing = 0
+    for trial in range(40):
+        density = (2, 4, 16)[trial % 3]
+        scalar = Fraction if trial % 4 == 3 else int
+        ls = _shifted_random_structure(rng, sp, density, scalar)
+        if not ls:
+            continue
+        full += 2 in ls and 3 in ls
+        rep = assert_square_matches_reference(ls, sp)
+        passing += rep["ok"]
+        failing += bool(rep["failures"])
+    # both verdicts and populated higher arities are exercised
+    assert full >= 20 and passing and failing, (full, passing, failing)
+
+
+def test_on_basis_value_cannot_be_corrupted():
+    ls, sp = _sl2()
+    l2 = ls[2]
+    for names in (("e", "f"), ("f", "e")):
+        first = l2.on_basis(names)
+        want = dict(first)
+        first["h"] = Fraction(99)
+        first["e"] = Fraction(1)
+        assert l2.on_basis(names) == want
+        out = l2({names[0]: 1}, {names[1]: 1})
+        assert out == want
+        out.clear()
+        assert l2.on_basis(names) == want
 
 
 def test_even_repeat_value_rejected():
@@ -140,9 +295,6 @@ def test_linear_solve():
 # -- algebroid torsors of a differential superalgebra ----------------------------
 
 
-import itertools
-
-from chiralis import ring
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.linfty import (
     DerAlgebroid,

@@ -19,6 +19,7 @@ from chiralis.starops import (
     StarOp,
     jacobi_defect,
     lie_star_check,
+    lp_acc,
     lp_add,
     lp_eliminate,
     lp_is_zero,
@@ -181,3 +182,44 @@ def test_shared_defects_evaluate_each_identity_once():
         rep = lie_star_check(mu, window, defects)
         assert rep == lie_star_check(mu, window) and not rep["ok"]
     assert len(defects._seen) == 2 ** 2 + 2 ** 3
+
+
+def _random_lp(rng, scalar):
+    """A lambda polynomial on a few monomials and letters, so that sums
+    of two of them overlap, cancel and drop elements."""
+    monos = [(), ((1, 1),), ((1, 2),), ((1, 1), (2, 1))]
+    out = {}
+    for m in rng.sample(monos, rng.randrange(1, len(monos) + 1)):
+        e = {}
+        for g in rng.sample("abc", rng.randrange(1, 4)):
+            c = rng.choice((-2, -1, 1, 2))
+            e[((g, 1),)] = scalar(c) if rng.randrange(2) else c
+        out[m] = e
+    return out
+
+
+def _typed(p):
+    return [(m, [(k, v, type(v)) for k, v in e.items()])
+            for m, e in p.items()]
+
+
+def test_lp_acc_matches_lp_add_of_scaled():
+    rng = random.Random(31)
+    scales = (1, -1, 2, 0, Fraction(1), Fraction(-1), Fraction(1, 2),
+              Fraction(-3, 2))
+    for trial in range(300):
+        scalar = (int, Fraction)[trial % 2]
+        out, p = _random_lp(rng, scalar), _random_lp(rng, scalar)
+        if trial % 3 == 0:
+            p = lp_scale(out, -1)  # everything cancels
+        c = rng.choice(scales)
+        want = lp_add(out, lp_scale(p, c))
+        p_before = _typed(p)
+        lp_acc(out, p, c)
+        assert _typed(out) == _typed(want), (out, p, c)
+        # out owns its elements: changing them leaves p alone
+        for e in out.values():
+            for k in list(e):
+                e[k] = 7
+            e[(("new", 1),)] = 1
+        assert _typed(p) == p_before
