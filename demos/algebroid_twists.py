@@ -1,34 +1,34 @@
 """Twisting the standard chiral algebroid by differential forms.
 
-Over Q[x1, x2, x3] the standard chiral algebroid carries the jet tangent
-Lie* bracket.  A closed 3-form yields a cocycle and a new (twisted)
-algebroid whose bracket still satisfies the Lie* Jacobi identity; a
-non-closed form yields a bracket that fails Jacobi, with an explicit
-witness.  The chiral module action of jets of functions is part of the
-structure and is bitwise unchanged by any twist.
+Over Q[x1, x2, x3], with no differential, the standard homotopy chiral
+algebroid is an ordinary chiral algebroid: its unary operation is zero
+and its bracket is the jet tangent Lie* bracket.  A closed 3-form yields
+a cocycle and a new (twisted) algebroid whose bracket still satisfies the
+Lie* Jacobi identity; a non-closed form yields a bracket that fails
+Jacobi, with an explicit witness.  The chiral module action of jets of
+functions is part of the structure and is bitwise unchanged by any twist.
 """
 
 from chiralis.algebra import FormAlgebra, SuperPolyAlgebra
 from chiralis.algebroid import (
+    chiral_infty_twist,
     graded_form_functor,
-    standard_chiral_algebroid,
-    twist_chiral,
+    standard_chiral_infty_algebroid,
 )
-from chiralis.chevalley import JetWorld
 
 
 def main() -> None:
     base = SuperPolyAlgebra([(f"x{i}", 0, 0) for i in range(1, 4)])
-    world = JetWorld(base)
     forms = FormAlgebra(base)
-    P = standard_chiral_algebroid(base)
+    P = standard_chiral_infty_algebroid(base)
+    world = P.world
 
     print("-- twist by the closed volume form dx1^dx2^dx3")
     om = forms.mul(
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
     rep = graded_form_functor(world, alpha0=om)
-    Q, chk = twist_chiral(P, rep["alpha"], check=True)
+    Q, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
     print(f"   Jacobi holds: {chk['ok']}, cocycle closed: {chk['closed']}")
 
     print("-- module action survives the twist unchanged")
@@ -40,21 +40,19 @@ def main() -> None:
     )
     print(f"   identical on all tested modes: {same}")
 
-    print("-- a non-closed form over Q[x1..x4] is rejected, or fails")
+    print("-- a non-closed form over Q[x1..x4] is not a cocycle, and fails")
     base4 = SuperPolyAlgebra([(f"x{i}", 0, 0) for i in range(1, 5)])
-    world4 = JetWorld(base4)
     forms4 = FormAlgebra(base4)
+    P4 = standard_chiral_infty_algebroid(base4)
     bad = forms4.mul(
         forms4.inject(base4.gen("x4")),
         forms4.d_gen("x1"), forms4.d_gen("x2"), forms4.d_gen("x3"),
     )
-    rep4 = graded_form_functor(world4, alpha0=bad)
-    print(f"   accepted: {rep4['ok']} (the De Rham differential is the witness)")
-    forced = graded_form_functor(world4, alpha0=bad, force=True)
-    P4 = standard_chiral_algebroid(base4)
-    _, chk4 = twist_chiral(P4, forced["alpha"], check=True)
+    rep4 = graded_form_functor(P4.world, alpha0=bad)
+    print(f"   closed: {rep4['ok']} (the De Rham differential is the witness)")
+    _, chk4 = chiral_infty_twist(P4, {2: rep4["alpha"]}, check=True)
     w = chk4["failures"][0]
-    print(f"   forced anyway: Jacobi holds: {chk4['ok']}; "
+    print(f"   twisted anyway: Jacobi holds: {chk4['ok']}; "
           f"first witness on {len(w['args'])} fields recorded")
 
 

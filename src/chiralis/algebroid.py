@@ -4,10 +4,15 @@ The standard model lives on the free-field state space: the carrier splits
 as jets of the base plus jets of vector fields, the bracket is the standard
 Lie* bracket of the free-field system pulled through the jet dictionary,
 and the full chiral module action of jets of functions is available at
-every integer mode.  Twists add an antisymmetric function-multilinear
-2-cochain on lifted vector fields to the bracket; the twisted bracket
-satisfies the Lie* Jacobi identity exactly when the cochain is closed for
-the Chevalley differential.
+every integer mode.  ``ChiralInftyAlgebroid`` is the one chiral algebroid
+class: its unary operation is the differential induced by the base, and
+twists add a family of antisymmetric function-multilinear cochains on
+lifted vector fields to its operations; the twisted structure satisfies
+the generalized Jacobi identities exactly when the family is closed for
+the combined differential ``lc_d``.  An ordinary chiral algebroid, over an
+even base with D = 0, is the strict case: the unary operation is zero,
+only the bracket is twisted (by a 2-cochain), and ``lc_d`` reduces to the
+Chevalley differential.
 
 Differential-form data embeds through the identification of one-forms with
 the first-order jet component: f dg maps to f g' inside the jet algebra.
@@ -36,7 +41,6 @@ from .chevalley import (
     ChevalleyCochain,
     JetWorld,
     _chevalley_d,
-    chevalley_d,
     tau_name,
 )
 from .exact import antisym_sign, binomial, unshuffles
@@ -113,73 +117,7 @@ def twisted_op(base: Optional[StarOp], alpha: ChevalleyCochain) -> StarOp:
     return StarOp(alpha.arity, world.module, fn, parity)
 
 
-# -- the standard chiral algebroid and its twists ---------------------------------
-
-
-class ChiralAlgebroid:
-    """The standard chiral algebroid of a base, twisted by a 2-cochain.
-
-    The carrier is the direct sum of the jets of the base and the jets of
-    vector fields (tangent degree at most one in the extended jet
-    algebra); the chiral module action of jets of functions is part of the
-    structure and is never touched by a twist.
-    """
-
-    def __init__(
-        self, world: JetWorld, alpha: Optional[ChevalleyCochain] = None
-    ):
-        if alpha is not None and alpha.arity != 2:
-            raise ValueError("a twist is an arity-2 cochain")
-        self.world = world
-        self.alpha = alpha
-        mu = world.bracket()
-        self.bracket_op = mu if alpha is None else twisted_op(mu, alpha)
-
-    def bracket(self, a: ring.Poly, b: ring.Poly) -> LambdaPoly:
-        return self.bracket_op(a, b)
-
-    def module_action(
-        self, a: ring.Poly, n: int, v: ring.Poly
-    ) -> ring.Poly:
-        """The n-th chiral action of a jet of a function on the carrier.
-
-        Defined for every integer n through the free-field dictionary;
-        independent of any twist.
-        """
-        w = self.world
-        if w.sigma(a):
-            raise ValueError("the acting element must be a function")
-        return w.from_fock(w.fock.nth(w.to_fock(a), n, w.to_fock(v)))
-
-
-def standard_chiral_algebroid(base: SuperPolyAlgebra) -> ChiralAlgebroid:
-    return ChiralAlgebroid(JetWorld(base))
-
-
-def twist_chiral(
-    algebroid: ChiralAlgebroid,
-    alpha: ChevalleyCochain,
-    check: bool = False,
-    samples: Optional[Sequence[Sequence[ring.Poly]]] = None,
-) -> Tuple[ChiralAlgebroid, Optional[dict]]:
-    """Add an arity-2 cochain to the bracket; optionally verify Jacobi.
-
-    With ``check`` set the Lie* Jacobi identity of the twisted bracket is
-    evaluated on the samples and compared with closedness of the total
-    twist: the two verdicts must agree, and the report says whether they
-    do.
-    """
-    world = algebroid.world
-    total = cochain_add(world, algebroid.alpha, alpha)
-    out = ChiralAlgebroid(world, total)
-    if not check:
-        return out, None
-    if samples is None:
-        samples = default_field_samples(world)
-    report = jacobi_report({2: out.bracket_op}, samples, 3)
-    report["closed"] = cochain_is_zero(chevalley_d(total))
-    report["match"] = report["closed"] == report["ok"]
-    return out, report
+# -- the sample window ---------------------------------------------------------------
 
 
 def default_field_samples(
@@ -335,15 +273,14 @@ def graded_form_functor(
     world: JetWorld,
     alpha0: Optional[ring.Poly] = None,
     beta0: Optional[ring.Poly] = None,
-    force: bool = False,
 ) -> dict:
     """Cochains from differential forms over an even base.
 
-    A 3-form yields the arity-2 cocycle alpha(xi, eta) =
-    alpha0(xi, eta, .) embedded through one-forms; it is rejected (with
-    the De Rham value) when not closed, unless ``force`` is set.  A
-    2-form yields the arity-1 cochain of the corresponding change of
-    splitting.
+    A 3-form yields the arity-2 cochain alpha(xi, eta) =
+    alpha0(xi, eta, .) embedded through one-forms, with its De Rham
+    differential ``derham_d``; ``ok`` says whether that is zero, i.e.
+    whether alpha is a cocycle.  A 2-form yields the arity-1 cochain of
+    the corresponding change of splitting.
     """
     base = world.base
     if any(base.parity(nm) for nm in base.gen_names):
@@ -353,8 +290,7 @@ def graded_form_functor(
     names = sorted(world.frame_names())
     if alpha0 is not None:
         d = forms.derham_d(alpha0)
-        if d and not force:
-            return {"ok": False, "derham_d": d}
+        out["ok"] = not d
         out["derham_d"] = d
         seeds: Dict[tuple, LambdaPoly] = {}
         for a, b in itertools.combinations(names, 2):
@@ -400,8 +336,7 @@ def form_twist(
     """The twist cochain of a 3-form and a 2-form together, and whether
     both forms are De Rham closed.
 
-    The 3-form enters through :func:`graded_form_functor` (forced, so an
-    open form still yields its cochain), the 2-form through
+    The 3-form enters through :func:`graded_form_functor`, the 2-form through
     :func:`two_form_cochain`; the twists add, which is the product-torsor
     structure at window scale.  None if neither form is given.
     """
@@ -409,8 +344,8 @@ def form_twist(
     parts = []
     closed = True
     if three_form is not None:
-        rep = graded_form_functor(world, alpha0=three_form, force=True)
-        closed = not rep["derham_d"]
+        rep = graded_form_functor(world, alpha0=three_form)
+        closed = rep["ok"]
         parts.append(rep["alpha"])
     if two_form is not None:
         closed = closed and not forms.derham_d(two_form)
@@ -543,30 +478,33 @@ def validate_lc_component(
                 )
 
 
+# the highest arity of an operation and of a checked Jacobi identity
+MAX_ARITY = 3
+
+
 class ChiralInftyAlgebroid:
-    """The standard homotopy chiral algebroid of a differential base.
+    """The standard homotopy chiral algebroid of a base, twisted.
 
     Operations: the induced differential at arity 1 plus an optional
     twist component, the standard bracket at arity 2 plus a twist, and
-    pure twist components at higher arities.
+    pure twist components at arity 3.  Each twist component has total
+    degree 2.  The chiral module action of jets of functions is part of
+    the structure and is never touched by a twist.
     """
 
     def __init__(
         self,
         world: JetWorld,
         alphas: Optional[Dict[int, ChevalleyCochain]] = None,
-        max_arity: int = 3,
-        total_degree: int = 2,
     ):
         self.world = world
-        self.max_arity = max_arity
         self.alphas: Dict[int, ChevalleyCochain] = {}
         for n, a in (alphas or {}).items():
             if a is None or cochain_is_zero(a):
                 continue
             if a.arity != n:
                 raise ValueError("component arity mismatch")
-            validate_lc_component(world, a, total_degree)
+            validate_lc_component(world, a, total_degree=2)
             self.alphas[n] = a
         self._ops: Optional[Dict[int, StarOp]] = None
 
@@ -575,18 +513,34 @@ class ChiralInftyAlgebroid:
             return self._ops
         base = {1: jet_differential(self.world), 2: self.world.bracket()}
         out: Dict[int, StarOp] = dict(base)
-        for n in range(1, max(self.max_arity, 2) + 1):
+        for n in range(1, MAX_ARITY + 1):
             an = self.alphas.get(n)
             if an is not None:
                 out[n] = twisted_op(base.get(n), an)
         self._ops = out
         return out
 
+    def bracket(self, a: ring.Poly, b: ring.Poly) -> LambdaPoly:
+        return self.ops()[2](a, b)
+
+    def module_action(
+        self, a: ring.Poly, n: int, v: ring.Poly
+    ) -> ring.Poly:
+        """The n-th chiral action of a jet of a function on the carrier.
+
+        Defined for every integer n through the free-field dictionary;
+        independent of any twist.
+        """
+        w = self.world
+        if w.sigma(a):
+            raise ValueError("the acting element must be a function")
+        return w.from_fock(w.fock.nth(w.to_fock(a), n, w.to_fock(v)))
+
 
 def standard_chiral_infty_algebroid(
-    base: SuperPolyAlgebra, max_arity: int = 3
+    base: SuperPolyAlgebra,
 ) -> ChiralInftyAlgebroid:
-    return ChiralInftyAlgebroid(JetWorld(base), max_arity=max_arity)
+    return ChiralInftyAlgebroid(JetWorld(base))
 
 
 def fs_closed_family(
@@ -631,13 +585,13 @@ def chiral_infty_twist(
     P: ChiralInftyAlgebroid,
     alphas: Dict[int, ChevalleyCochain],
     check: bool = False,
-    samples: Optional[Sequence[Sequence[ring.Poly]]] = None,
 ) -> Tuple[ChiralInftyAlgebroid, Optional[dict]]:
     """Add a cochain family to the operations; twists are additive.
 
     With ``check`` set the generalized Jacobi identities of the twisted
-    structure are evaluated on the samples and compared against the
-    independently computed cocycle condition on the total twist.
+    structure are evaluated on :func:`default_field_samples` and compared
+    against the independently computed cocycle condition on the total
+    twist.
     """
     world = P.world
     new: Dict[int, ChevalleyCochain] = {}
@@ -645,14 +599,10 @@ def chiral_infty_twist(
         s = cochain_add(world, P.alphas.get(n), alphas.get(n))
         if s is not None and not cochain_is_zero(s):
             new[n] = s
-    out = ChiralInftyAlgebroid(
-        world, new, max_arity=P.max_arity
-    )
+    out = ChiralInftyAlgebroid(world, new)
     if not check:
         return out, None
-    if samples is None:
-        samples = default_field_samples(world)
-    report = jacobi_report(out.ops(), samples, P.max_arity)
+    report = jacobi_report(out.ops(), default_field_samples(world), MAX_ARITY)
     dal = lc_d(world, dict(new))
     report["closed"] = not dal
     report["match"] = report["closed"] == report["ok"]
@@ -683,15 +633,14 @@ def morphism_residual(
 def chiral_infty_morphism(
     P: ChiralInftyAlgebroid,
     betas: Dict[int, ChevalleyCochain],
-    samples: Optional[Sequence[Sequence[ring.Poly]]] = None,
-    k_max: int = 3,
 ) -> dict:
     """Build the morphism given by a degree-1 cochain family and check it.
 
     The morphism maps P to its twist by the differential of the family;
-    the report records that the morphism equation holds against that
-    target, and that against P itself the residual is exactly the
-    differential of the family.
+    the report records, on the leading 1, 2 and 3 arguments of each
+    :func:`default_field_samples` triple, that the morphism equation holds
+    against that target, and that against P itself the residual is
+    exactly the differential of the family.
     """
     world = P.world
     for nn, b in betas.items():
@@ -701,8 +650,7 @@ def chiral_infty_morphism(
             raise ValueError("component arity mismatch")
         validate_lc_component(world, b, total_degree=1)
     betas = {nn: b for nn, b in betas.items() if b is not None}
-    if samples is None:
-        samples = default_field_samples(world)
+    samples = default_field_samples(world)
     dbeta = lc_d(world, dict(betas))
     target, _ = chiral_infty_twist(P, dbeta)
     report = {
@@ -712,7 +660,7 @@ def chiral_infty_morphism(
         "exact_target": sorted(dbeta),
     }
     for s in samples:
-        for k in range(1, k_max + 1):
+        for k in range(1, MAX_ARITY + 1):
             args = list(s[:k])
             res = morphism_residual(P, target, betas, args)
             if res:

@@ -47,9 +47,7 @@ from .algebroid import (
     default_field_samples,
     form_twist,
     fs_closed_family,
-    standard_chiral_algebroid,
     standard_chiral_infty_algebroid,
-    twist_chiral,
 )
 from .chevalley import JetWorld
 from .fock import BGSystem, borcherds_checks
@@ -450,9 +448,9 @@ def cmd_algebroid_twist(args) -> int:
             given[field] = parse_form(data[field], forms, field, degree)
     if not given:
         raise UsageError("cocycle file needs 'three_form' or 'two_form'")
-    P = standard_chiral_algebroid(base)
+    P = standard_chiral_infty_algebroid(base)
     total, closed = form_twist(P.world, **given)
-    Q, check = twist_chiral(P, total, check=args.check)
+    _, check = chiral_infty_twist(P, {2: total}, check=args.check)
     report = {
         "command": "algebroid-twist",
         "version": __version__,
@@ -612,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("borcherds-check",
                         help="Borcherds identity suite on free fields")
-    sp.add_argument("--system", choices=["bg"], default="bg")
     sp.add_argument("--vars", type=int, default=1)
     sp.add_argument("--max-weight", type=int, default=2)
     sp.add_argument("--samples", type=int, default=0,
@@ -636,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("algebroid-twist",
                         help="twist the standard chiral algebroid")
-    sp.add_argument("--base", choices=["std"], default="std")
     sp.add_argument("--cocycle", required=False,
                     help="JSON file with the twisting forms")
     sp.add_argument("--check", action="store_true")

@@ -262,10 +262,6 @@ def euler_lines(cells: List[dict]) -> Tuple[List[dict], bool]:
     return table, ok
 
 
-def build(m: int) -> ChiralKoszul:
-    return ChiralKoszul(m)
-
-
 def weight_zero_dimension(m: int, max_charge: Optional[int] = None) -> int:
     """Total weight-0 cohomology dimension across the charge window."""
     K = ChiralKoszul(m)

@@ -316,14 +316,17 @@ def unshuffle_sum(
         s^{-1} o outer_j(inner_i(x_{s1}..x_{si}), x_{s(i+1)}, ..., x_{sk})
 
     evaluated on the given argument tuple; a pair (i, j) missing from
-    either family contributes nothing.
+    either family contributes nothing, and the argument parities are read
+    only once a pair is present.
     """
-    x = _parities(module, args)
+    x = None
     total: LambdaPoly = {}
     for i in range(1, k + 1):
         j = k + 1 - i
         if i not in inner or j not in outer:
             continue
+        if x is None:
+            x = _parities(module, args)
         comp = compose_front(outer[j], inner[i])
         for sig in unshuffles(i, k):
             sign = antisym_sign(sig, x) * (-1) ** (i * (j - 1))

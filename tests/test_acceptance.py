@@ -17,9 +17,7 @@ from chiralis.algebroid import (
     chiral_infty_twist,
     fs_closed_family,
     graded_form_functor,
-    standard_chiral_algebroid,
     standard_chiral_infty_algebroid,
-    twist_chiral,
 )
 from chiralis.chevalley import ChevalleyCochain, JetWorld, chevalley_d
 from chiralis.fock import BGSystem, borcherds_full_check
@@ -262,8 +260,8 @@ def test_09_graded_classification_by_forms():
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
     rep = graded_form_functor(world, alpha0=om)
-    P = standard_chiral_algebroid(world.base)
-    _, chk = twist_chiral(P, rep["alpha"], check=True)
+    P = standard_chiral_infty_algebroid(world.base)
+    _, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
     assert chk["ok"] and chk["closed"] and chk["match"]
 
     world4 = JetWorld(
@@ -276,9 +274,8 @@ def test_09_graded_classification_by_forms():
     )
     rep4 = graded_form_functor(world4, alpha0=bad)
     assert not rep4["ok"] and rep4["derham_d"]
-    forced = graded_form_functor(world4, alpha0=bad, force=True)
-    P4 = standard_chiral_algebroid(world4.base)
-    _, chk4 = twist_chiral(P4, forced["alpha"], check=True)
+    P4 = standard_chiral_infty_algebroid(world4.base)
+    _, chk4 = chiral_infty_twist(P4, {2: rep4["alpha"]}, check=True)
     assert not chk4["ok"] and chk4["failures"]
     assert not chk4["closed"] and chk4["match"]
 
@@ -314,8 +311,8 @@ def test_11_module_structure_is_rigid():
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
     rep = graded_form_functor(world, alpha0=om)
-    P = standard_chiral_algebroid(world.base)
-    Q, chk = twist_chiral(P, rep["alpha"], check=True)
+    P = standard_chiral_infty_algebroid(world.base)
+    Q, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
     assert chk["ok"]
     f = world.jets.mul(world.coord("x1"), world.coord("x2", 1))
     states = [

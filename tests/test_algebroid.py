@@ -27,6 +27,7 @@ from chiralis.algebroid import (
     ChiralInftyAlgebroid,
     chiral_infty_morphism,
     chiral_infty_twist,
+    cochain_is_zero,
     cochain_seeds,
     default_field_samples,
     extended_commutator_defect,
@@ -37,9 +38,7 @@ from chiralis.algebroid import (
     lc_d,
     morphism_residual,
     non_centrality_witness,
-    standard_chiral_algebroid,
     standard_chiral_infty_algebroid,
-    twist_chiral,
     two_form_cochain,
     validate_lc_component,
 )
@@ -98,7 +97,7 @@ def dform(forms, *names):
 
 def test_standard_bracket_frames_abelian():
     world = even_world()
-    P = standard_chiral_algebroid(world.base)
+    P = standard_chiral_infty_algebroid(world.base)
     for a, b in itertools.combinations(world.frame_names(), 2):
         assert P.bracket(world.tau(a), world.tau(b)) == {}
 
@@ -109,8 +108,8 @@ def test_twist_by_closed_three_form_passes():
     omega = dform(forms, "x1", "x2", "x3")
     rep = graded_form_functor(world, alpha0=omega)
     assert rep["ok"] and rep["derham_d"] == {}
-    P = standard_chiral_algebroid(world.base)
-    _, report = twist_chiral(P, rep["alpha"], check=True)
+    P = standard_chiral_infty_algebroid(world.base)
+    _, report = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
     assert report["ok"] and report["closed"] and report["match"]
 
 
@@ -123,9 +122,8 @@ def test_twist_by_non_closed_three_form_fails_with_witness():
     )
     rep = graded_form_functor(world, alpha0=omega)
     assert not rep["ok"] and rep["derham_d"]
-    forced = graded_form_functor(world, alpha0=omega, force=True)
-    P = standard_chiral_algebroid(world.base)
-    _, report = twist_chiral(P, forced["alpha"], check=True)
+    P = standard_chiral_infty_algebroid(world.base)
+    _, report = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
     assert not report["ok"] and report["failures"]
     assert not report["closed"] and report["match"]
 
@@ -133,11 +131,11 @@ def test_twist_by_non_closed_three_form_fails_with_witness():
 def test_module_action_invariant_under_twist():
     world = even_world()
     forms = FormAlgebra(world.base)
-    P = standard_chiral_algebroid(world.base)
+    P = standard_chiral_infty_algebroid(world.base)
     rep = graded_form_functor(
         world, alpha0=dform(forms, "x1", "x2", "x3")
     )
-    Q, _ = twist_chiral(P, rep["alpha"])
+    Q, _ = chiral_infty_twist(P, {2: rep["alpha"]})
     f = world.jets.mul(world.coord("x1"), world.coord("x2", 1))
     states = [
         world.tau("x1"),
@@ -152,7 +150,7 @@ def test_module_action_invariant_under_twist():
 def test_form_twist_additivity_and_match():
     world = even_world()
     forms = FormAlgebra(world.base)
-    P = standard_chiral_algebroid(world.base)
+    P = standard_chiral_infty_algebroid(world.base)
     omega = dform(forms, "x1", "x2", "x3")
     beta = forms.mul(
         forms.inject(world.base.gen("x1")), dform(forms, "x2", "x3")
@@ -160,12 +158,12 @@ def test_form_twist_additivity_and_match():
     # beta is not De Rham closed: the combined twist is not Chevalley
     # closed either, and must fail Jacobi and say so
     total, derham_closed = form_twist(P.world, omega, beta)
-    _, rep = twist_chiral(P, total, check=True)
+    _, rep = chiral_infty_twist(P, {2: total}, check=True)
     assert not derham_closed
     assert not rep["ok"] and not rep["closed"] and rep["match"]
     closed_beta = dform(forms, "x1", "x2")
     total2, derham_closed2 = form_twist(P.world, omega, closed_beta)
-    _, rep2 = twist_chiral(P, total2, check=True)
+    _, rep2 = chiral_infty_twist(P, {2: total2}, check=True)
     assert derham_closed2
     assert rep2["ok"] and rep2["closed"] and rep2["match"]
     # the twists add
@@ -176,6 +174,43 @@ def test_form_twist_additivity_and_match():
         assert lp_normal(total2(*args)) == lp_normal(
             lp_add(alone(*args), other(*args)))
     assert form_twist(P.world) == (None, True)
+
+
+def test_even_base_twist_is_the_strict_case():
+    """Over an even base with D = 0 a 2-cochain twist is an ordinary
+    chiral algebroid: the unary operation vanishes, the report is the Lie*
+    Jacobi report of the twisted bracket alone, and ``closed`` is
+    Chevalley closedness, which ``lc_d`` gives with the opposite sign on
+    these parity-even cochains."""
+    world = even_world(4)
+    forms = FormAlgebra(world.base)
+    P = standard_chiral_infty_algebroid(world.base)
+    samples = default_field_samples(world)
+    omega = dform(forms, "x1", "x2", "x3")
+    x = {nm: forms.inject(world.base.gen(nm)) for nm in ("x1", "x4")}
+    cases = [
+        (omega, None),
+        (forms.mul(x["x4"], omega), None),
+        (omega, dform(forms, "x3", "x4")),
+        (omega, forms.mul(x["x1"], dform(forms, "x2", "x4"))),
+    ]
+    verdicts = []
+    for three, two in cases:
+        total, _ = form_twist(world, three, two)
+        Q, rep = chiral_infty_twist(P, {2: total}, check=True)
+        l1 = Q.ops()[1]
+        assert all(lp_normal(l1(v)) == {} for s in samples for v in s)
+        bracket_only = jacobi_report({2: Q.ops()[2]}, samples, 3)
+        assert {k: rep[k] for k in bracket_only} == bracket_only
+        ch = chevalley_d(total)
+        assert rep["closed"] == cochain_is_zero(ch) == rep["ok"]
+        d = lc_d(world, {2: total})
+        assert sorted(d) == ([] if rep["closed"] else [3])
+        for s in samples:
+            got = lp_normal(d[3](*s)) if d else {}
+            assert got == lp_normal(lp_scale(ch(*s), -1))
+        verdicts.append(rep["closed"])
+    assert verdicts == [True, False, True, False]
 
 
 def test_two_form_cochain_shape():

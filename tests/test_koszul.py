@@ -22,12 +22,12 @@ from fractions import Fraction
 
 from chiralis import ring
 from chiralis.exact import rank_kernel
-from chiralis.koszul import ChiralKoszul, build, weight_zero_dimension
+from chiralis.koszul import ChiralKoszul, weight_zero_dimension
 
 
 def test_build_rejects_bad_exponent():
     try:
-        build(0)
+        ChiralKoszul(0)
         assert False, "expected a rejection"
     except ValueError:
         pass

@@ -1,13 +1,18 @@
-"""Checks on the repository itself: no dead imports, a README that runs.
+"""Checks on the repository itself: no dead imports, a README whose
+examples run and whose command lines parse.
 
-Both use the standard library only (``ast``, ``re``).
+They use the standard library (``ast``, ``re``, ``shlex``) and the CLI's
+own argument parser.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from chiralis import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "chiralis"
@@ -63,3 +68,40 @@ def test_readme_block(block):
         return
     exec("\n".join(body), ns)
     assert eval(expr, ns) == eval(want, {})
+
+
+def readme_commands():
+    """The ``chiralis ...`` lines of the README's command block."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    return [line for line in block.group(1).splitlines()
+            if line.startswith("chiralis ")]
+
+
+def command_variants(line):
+    """The argv lists of a line: each ``[--flag]`` left out, and given."""
+    words = shlex.split(line)[1:]
+    bare = [w for w in words if not w.startswith("[")]
+    full = [w.strip("[]") for w in words]
+    return [bare] if bare == full else [bare, full]
+
+
+def test_command_variants():
+    assert command_variants("chiralis x --m 2 [--t]") == [
+        ["x", "--m", "2"], ["x", "--m", "2", "--t"]]
+
+
+def test_readme_names_every_subcommand():
+    names = [shlex.split(line)[1] for line in readme_commands()]
+    assert sorted(names) == sorted(cli.SCHEMAS)
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line, capsys):
+    """A README command that names a removed option fails here."""
+    for argv in command_variants(line):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{argv}: {capsys.readouterr().err}")
+        assert args.command == argv[0]

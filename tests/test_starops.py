@@ -9,6 +9,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.exact import compose
 from chiralis.fock import BGSystem
@@ -28,6 +30,7 @@ from chiralis.starops import (
     op_equal_on,
     op_on_free_basis,
     sigma_act,
+    unshuffle_sum,
     va_bracket,
 )
 
@@ -168,6 +171,25 @@ def test_jacobi_defect_catches_bad_bracket():
     basis = [{("l", 0): Fraction(1)}]
     rep = lie_star_check(mu, basis)
     assert not rep["ok"]
+
+
+def test_unshuffle_sum_reads_parities_only_for_present_terms():
+    # an argument of mixed parity is an error whenever a term is
+    # evaluated, and no error where the family has no (i, j) pair
+    mod = free_module({"l": 0, "m": 1})
+    values = {("l", "l"): {(): {("l", 0): Fraction(1)}}}
+    mu = op_on_free_basis(2, mod, values)
+    l0 = {("l", 0): Fraction(1)}
+    mixed = {("l", 0): Fraction(1), ("m", 0): Fraction(1)}
+    for args in ([mixed, l0, l0], [l0, l0, mixed]):
+        with pytest.raises(ValueError):
+            jacobi_defect({2: mu}, 3, args, mod)
+    # on homogeneous arguments the (2, 2) term is evaluated (this bracket
+    # fails Jacobi)
+    assert jacobi_defect({2: mu}, 3, [l0, l0, l0], mod)
+    # arity 2 needs an arity-1 member, so {2: mu} has no pair there
+    assert jacobi_defect({2: mu}, 2, [mixed, l0], mod) == {}
+    assert unshuffle_sum({}, {}, 3, [mixed, mixed, l0], mod) == {}
 
 
 def test_shared_defects_evaluate_each_identity_once():
