@@ -97,9 +97,6 @@ class SuperPolyAlgebra:
     def mul(self, *ps: Poly) -> Poly:
         return ring.pmul_many(ps, self.parity)
 
-    def derive(self, p: Poly, images: Dict, dparity: int) -> Poly:
-        return ring.derive(p, images, dparity, self.parity)
-
     def D(self, p: Poly) -> Poly:
         return ring.derive(p, self.D_images, 1, self.parity)
 
@@ -158,10 +155,6 @@ class JetAlgebra(SuperPolyAlgebra):
     def weight(self, key) -> int:
         return key[1]
 
-    def poly_weight(self, p: Poly):
-        ws = {ring.mono_degree(m, self.weight) for m in p}
-        return ws.pop() if len(ws) == 1 else None
-
     def lift(self, p: Poly) -> Poly:
         """Inject a base-algebra polynomial as jet variables of order 0."""
         return {
@@ -215,12 +208,6 @@ class FormAlgebra:
         kind, g = key
         p = self.ambient.parity(g)
         return p ^ 1 if kind == "d" else p
-
-    def degree(self, key) -> int:
-        return self.ambient.degree(key[1])
-
-    def weight(self, key) -> int:
-        return self.ambient.weight(key[1])
 
     def poly_parity(self, p: Poly):
         pars = {ring.mono_parity(m, self.parity) for m in p}
@@ -287,17 +274,6 @@ class FormAlgebra:
 
     def total_d(self, p: Poly) -> Poly:
         return ring.padd(self.derham_d(p), self.lie_D(p))
-
-    def is_closed(self, p: Poly, total: bool = True) -> bool:
-        return not (self.total_d(p) if total else self.derham_d(p))
-
-    def str(self, p: Poly) -> str:
-        def name(key):
-            kind, g = key
-            base = self.ambient._genname(g)
-            return f"d{base}" if kind == "d" else base
-
-        return ring.poly_str(p, name)
 
 
 # -- tangent letters -----------------------------------------------------------

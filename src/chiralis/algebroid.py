@@ -43,7 +43,7 @@ from .chevalley import (
     _chevalley_d,
     tau_name,
 )
-from .exact import antisym_sign, binomial, unshuffles
+from .exact import antisym_sign, unshuffles
 from .starops import (
     LambdaPoly,
     StarOp,
@@ -152,69 +152,6 @@ def default_field_samples(
     for tup in itertools.combinations(range(len(picked)), 3):
         samples.append([picked[i] for i in tup])
     return samples
-
-
-# -- free-field witnesses -----------------------------------------------------------
-
-
-def non_centrality_witness(world: JetWorld) -> dict:
-    """The defect of naive normal ordering on the standard carrier.
-
-    Compares the (-1)-st product of the squared zero-mode coordinate with
-    the naive Fock monomial against the first momentum mode; their
-    difference is a pure first-order coordinate mode.
-    """
-    nm = world.frame_names()[0]
-    fk = world.fock
-    x0 = ring.poly_gen(("c", nm, 0))
-    mom = ring.poly_gen(("m", nm, -1))
-    product = fk.nth(fk.mul(x0, x0), -1, mom)
-    naive = fk.mul(x0, x0, mom)
-    diff = ring.psub(product, naive)
-    return {
-        "difference": diff,
-        "jet_image": world.from_fock(diff),
-        "generator": nm,
-    }
-
-
-def extended_commutator_defect(
-    world: JetWorld,
-    a: ring.Poly,
-    n: int,
-    b: ring.Poly,
-    m: int,
-    v: ring.Poly,
-) -> ring.Poly:
-    """Defect of the mode-commutator formula on a state, any integer m.
-
-    [a_[n], b_[m]] v - sum_j C(n,j) (a_(j) b)_[n+m-j] v computed in the
-    free-field realization; zero in particular for negative m when b is a
-    jet of a function.
-    """
-    fk = world.fock
-    fa, fb, fv = world.to_fock(a), world.to_fock(b), world.to_fock(v)
-    pa, pb = fk.state_parity(fa), fk.state_parity(fb)
-    if pa is None or pb is None:
-        raise ValueError("states must be parity-homogeneous")
-    out = fk.nth(fa, n, fk.nth(fb, m, fv))
-    swap = fk.nth(fb, m, fk.nth(fa, n, fv))
-    if (pa * pb) & 1:
-        out = ring.padd(out, swap)
-    else:
-        out = ring.psub(out, swap)
-    wmax = fk.max_weight(fa) + fk.max_weight(fb)
-    for j in range(0, wmax + 1):
-        c = binomial(n, j)
-        if not c:
-            continue
-        ab = fk.nth(fa, j, fb)
-        if not ab:
-            continue
-        out = ring.psub(
-            out, ring.pscale(fk.nth(ab, n + m - j, fv), c)
-        )
-    return out
 
 
 # -- differential forms into cochains -----------------------------------------------
@@ -401,6 +338,9 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     """
     world = phi.world
     n = phi.arity
+    if not differential_current(world):
+        # a base without a differential: both parts vanish
+        return ChevalleyCochain(world, n, {}, (phi.parity + 1) & 1)
     d1 = jet_differential(world)
     frame = sorted(world.frame_names())
     seeds: Dict[tuple, LambdaPoly] = {}

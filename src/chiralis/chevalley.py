@@ -1,4 +1,4 @@
-"""Jet tangent carriers, Chevalley cochains, and the mode Lie algebra.
+"""Jet tangent carriers, their Lie* bracket, and Chevalley cochains.
 
 The carrier of a polynomial base algebra A is the jet algebra of A extended
 by tangent frame generators tau_g = d/dg (one per base generator, with
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import ring
 from .algebra import (
@@ -36,7 +36,7 @@ from .algebra import (
     tau_base,
     tau_name,
 )
-from .exact import antisym_sign, binomial, inverse, unshuffles
+from .exact import antisym_sign, inverse, unshuffles
 from .fock import BGSystem
 from .starops import (
     LambdaPoly,
@@ -307,28 +307,6 @@ def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,
     return out
 
 
-def symmetrized_seed(
-    world: JetWorld, names: tuple, val: LambdaPoly
-) -> LambdaPoly:
-    """Project a would-be seed onto the antisymmetry constraint.
-
-    Seeds on tuples with repeated (odd) frame letters must be invariant
-    under the stabilizer of the tuple acting through relabel/eliminate and
-    Koszul signs; this averages over that stabilizer.
-    """
-    n = len(names)
-    pars = [world.frame_parity(nm) for nm in names]
-    total: LambdaPoly = {}
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        if tuple(names[p - 1] for p in perm) != tuple(names):
-            continue
-        lp_acc(total, permute_slots(
-            val, inverse(perm), world.module, antisym_sign(perm, pars)))
-        count += 1
-    return lp_normal(lp_scale(total, ring.div(1, count)))
-
-
 def _chevalley_d(phi: ChevalleyCochain, lc: bool) -> ChevalleyCochain:
     """The body of :func:`chevalley_d`, in either sign convention.
 
@@ -373,57 +351,3 @@ def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:
     the standard frame being abelian) and re-wrapped as a cochain.
     """
     return _chevalley_d(phi, False)
-
-
-def multilin_expected(
-    phi: StarOp, slot: int, f: ring.Poly, args, world: JetWorld
-) -> LambdaPoly:
-    """The function-multilinearity prediction for phi(..., f*a_slot, ...)."""
-    fpar = world.jets.poly_parity(f)
-    prefix = phi.parity
-    for a in args[: slot - 1]:
-        prefix = (prefix + world.jets.poly_parity(a)) & 1
-    sign = -1 if (fpar and prefix) else 1
-    return lp_scale(_leibniz(world, phi(*args), slot, phi.arity, f), sign)
-
-
-def multilinearity_check(
-    phi: StarOp, slot: int, f: ring.Poly, args, world: JetWorld
-) -> dict:
-    scaled = list(args)
-    scaled[slot - 1] = world.jets.mul(f, args[slot - 1])
-    got = phi(*scaled)
-    want = multilin_expected(phi, slot, f, args, world)
-    diff = lp_normal(lp_add(got, lp_scale(want, -1)))
-    return {"ok": not diff, "difference": diff}
-
-
-def lie_modes_bracket(
-    mu: StarOp,
-    a: dict,
-    n: int,
-    b: dict,
-    m: int,
-    decompose: Callable[[dict], Dict[tuple, ring.Scalar]],
-) -> Dict[tuple, ring.Scalar]:
-    """The bracket [a_[n], b_[m]] = sum_j C(n,j) (a_(j) b)_[n+m-j] in the
-    mode Lie algebra of a Lie* algebra.
-
-    ``decompose`` writes an element as translation-power combinations
-    {(basis_name, k): c} meaning c * T^k(basis vector); classes reduce by
-    (T v)_[p] = p * v_[p-1].
-    """
-    val = mu(a, b)
-    out: Dict[tuple, ring.Scalar] = {}
-    for mono, elem in val.items():
-        j = mono[0][1] if mono else 0
-        coeff = binomial(n, j) * math.factorial(j)
-        if not coeff:
-            continue
-        for (name, k), c in decompose(elem).items():
-            p = n + m - j
-            fall = 1
-            for step in range(k):
-                fall *= p - step
-            ring.acc(out, (name, p - k), coeff * c * fall)
-    return out

@@ -43,11 +43,6 @@ def binomial(n: int, k: int) -> int:
 # Permutations (1-indexed tuples)
 
 
-def compose(sigma: Sequence[int], tau: Sequence[int]) -> tuple[int, ...]:
-    """Composition (sigma . tau)(k) = sigma(tau(k)), 1-indexed tuples."""
-    return tuple(sigma[t - 1] for t in tau)
-
-
 def inverse(sigma: Sequence[int]) -> tuple[int, ...]:
     """Inverse permutation, 1-indexed."""
     inv = [0] * len(sigma)

@@ -46,11 +46,10 @@ products a_(k) b, b_(k) c and a_(k) c.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 from . import ring
-from .algebra import JetAlgebra, SuperPolyAlgebra
+from .algebra import SuperPolyAlgebra
 from .exact import binomial
 
 State = ring.Poly
@@ -106,9 +105,6 @@ class BGSystem:
     def mono_weight(self, mono) -> int:
         return ring.mono_degree(mono, self.weight)
 
-    def mono_charge(self, mono) -> int:
-        return ring.mono_degree(mono, self.charge)
-
     def mono_degree(self, mono) -> int:
         return ring.mono_degree(mono, self.degree)
 
@@ -133,9 +129,6 @@ class BGSystem:
         grades = self._grades
         pars = {(grades.get(m) or self.grade(m))[1] for m in p}
         return pars.pop() if len(pars) == 1 else None
-
-    def momentum_count(self, mono) -> int:
-        return sum(e for (kind, _n, _k), e in mono if kind == "m")
 
     # -- translation -------------------------------------------------------------
     def T(self, p: State) -> State:
@@ -269,49 +262,6 @@ class BGSystem:
             return f"{fam}[{k}]"
 
         return ring.poly_str(p, name)
-
-
-class CommutativeVA:
-    """Commutative vertex algebra of a (jet or plain) super algebra.
-
-    Products: a_(-1-k) b = (T^k a / k!) b for k >= 0 and a_(n) b = 0 for
-    n >= 0, where T is the jet translation (zero when the underlying
-    algebra carries no translation).
-    """
-
-    def __init__(self, algebra: SuperPolyAlgebra):
-        self.algebra = algebra
-
-    def T(self, p):
-        if isinstance(self.algebra, JetAlgebra):
-            return self.algebra.translate(p)
-        return {}
-
-    def vac(self):
-        return ring.poly_one()
-
-    def mul(self, *ps):
-        return ring.pmul_many(ps, self.algebra.parity)
-
-    def max_weight(self, p) -> int:
-        if isinstance(self.algebra, JetAlgebra):
-            return max(
-                (ring.mono_degree(m, self.algebra.weight) for m in p),
-                default=0,
-            )
-        return 0
-
-    def state_parity(self, p):
-        return self.algebra.poly_parity(p)
-
-    def nth(self, a, n: int, b):
-        if n >= 0 or not a or not b:
-            return {}
-        k = -n - 1
-        ta = a
-        for _ in range(k):
-            ta = self.T(ta)
-        return ring.pdiv(self.mul(ta, b), math.factorial(k))
 
 
 def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:

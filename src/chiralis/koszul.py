@@ -16,7 +16,7 @@ classes of 1, x, ..., x^{m-1}.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .algebra import SuperPolyAlgebra
 from .exact import echelon, rank_kernel, reduce_against
@@ -260,14 +260,3 @@ def euler_lines(cells: List[dict]) -> Tuple[List[dict], bool]:
     table = [lines[k] for k in sorted(lines)]
     ok = all(line["euler"] == line["cochain_euler"] for line in table)
     return table, ok
-
-
-def weight_zero_dimension(m: int, max_charge: Optional[int] = None) -> int:
-    """Total weight-0 cohomology dimension across the charge window."""
-    K = ChiralKoszul(m)
-    if max_charge is None:
-        max_charge = max(2 * m, m + 1)
-    total = 0
-    for entry in K.cohomology(0, max_charge)["cells"]:
-        total += entry["dim"]
-    return total

@@ -46,7 +46,6 @@ from .algebra import (
     tau_base,
     tau_name,
 )
-from .exact import Row, echelon
 from .starops import (
     StarModule,
     StarOp,
@@ -157,12 +156,6 @@ class BasisMultiMap:
             hit = self._seen[names] = (
                 self.values.get(key) if key is not None else None, s)
         return hit
-
-    def on_basis(self, names: Sequence[str]) -> Elem:
-        val, s = self._lookup(tuple(names))
-        if not val:
-            return {}
-        return {n: s * c for n, c in val.items()}
 
     def __call__(self, *args: Elem) -> Elem:
         out: Elem = {}
@@ -325,19 +318,6 @@ def coderivation_square_report(
     return {"ok": not failures, "failures": failures}
 
 
-def linfty_report(
-    ls: Dict[int, BasisMultiMap], space: GradedSpace, max_k: int
-) -> dict:
-    direct = direct_jacobi_report(ls, space, max_k)
-    coder = coderivation_square_report(ls, space, max_k)
-    return {
-        "ok": direct["ok"] and coder["ok"],
-        "direct": direct,
-        "coderivation": coder,
-        "agree": direct["ok"] == coder["ok"],
-    }
-
-
 # -- the two-term algebroid of a differential algebra ----------------------------
 
 
@@ -354,13 +334,6 @@ def contraction_sign(pars: Sequence[int], form_parity: int) -> int:
     q = form_parity & 1
     return ((n - 1 + q * n)
             + sum((n - i + q) * p for i, p in enumerate(pars))) & 1
-
-
-def defect_sign(pars: Sequence[int]) -> int:
-    """Sign exponent relating the generalized Jacobi defect of a twisted
-    structure to the contraction of the differential of the twist."""
-    n = len(pars)
-    return sum((n - 1 - i) * p for i, p in enumerate(pars)) & 1
 
 
 class DerAlgebroid:
@@ -580,9 +553,6 @@ class DerAlgebroid:
         fs.setdefault(1, ident)
         return fs
 
-    def total_d(self, alpha: ring.Poly) -> ring.Poly:
-        return self.forms.total_d(alpha)
-
 
 def twist_jacobi_report(
     alg: DerAlgebroid,
@@ -595,7 +565,7 @@ def twist_jacobi_report(
     alpha_total = {}
     for a in alphas.values():
         alpha_total = ring.padd(alpha_total, a)
-    report["closed"] = not alg.total_d(alpha_total)
+    report["closed"] = not alg.forms.total_d(alpha_total)
     report["match"] = report["closed"] == report["ok"]
     return report
 
@@ -613,7 +583,7 @@ def conjugation_report(
     beta_total: ring.Poly = {}
     for b in betas.values():
         beta_total = ring.padd(beta_total, b)
-    dbeta = alg.forms.split(alg.total_d(beta_total))
+    dbeta = alg.forms.split(alg.forms.total_d(beta_total))
     new_alphas = {m: dict(a) for m, a in alphas.items()}
     for m in range(1, 5):
         if dbeta.get(m):
@@ -627,24 +597,3 @@ def conjugation_report(
             failures.append({"args": args, "defect": d.get((), {})})
     return {"ok": not failures, "failures": failures,
             "twist": new_alphas}
-
-
-# -- linear solving over the rationals ------------------------------------------
-
-
-def linear_solve(
-    eqs: List[Row], nunk: int
-) -> Optional[List[ring.Scalar]]:
-    """One exact solution of a sparse linear system, or None.
-
-    Each equation is a Row over columns 0..nunk (column nunk holds the
-    right-hand side); free unknowns are set to zero.
-    """
-    red, pivots = echelon(eqs, nunk + 1)
-    sol: List[ring.Scalar] = [0] * nunk
-    # reduced rows: each pivot is 1 and every free unknown is zero
-    for row, piv in zip(red, pivots):
-        if piv == nunk:
-            return None
-        sol[piv] = row.get(nunk, 0)
-    return sol

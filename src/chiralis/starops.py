@@ -103,10 +103,6 @@ def lp_from_elem(e: dict) -> LambdaPoly:
     return {(): dict(e)} if e else {}
 
 
-def lp_is_zero(p: LambdaPoly) -> bool:
-    return all(not e for e in p.values())
-
-
 def lp_normal(p: LambdaPoly) -> LambdaPoly:
     return {m: e for m, e in p.items() if e}
 
@@ -299,13 +295,6 @@ def apply_to_value(op: StarOp, a, val: LambdaPoly) -> LambdaPoly:
     return out
 
 
-def op_equal_on(phi: StarOp, psi: StarOp, tuples) -> bool:
-    for args in tuples:
-        if lp_normal(lp_add(phi(*args), lp_scale(psi(*args), -1))):
-            return False
-    return True
-
-
 def unshuffle_sum(
     inner: Dict[int, StarOp], outer: Dict[int, StarOp], k: int, args,
     module: StarModule,
@@ -422,45 +411,6 @@ def va_bracket(system, translate_sign: int = -1) -> StarOp:
         return lp_normal(out)
 
     return StarOp(2, module, fn, 0)
-
-
-def op_on_free_basis(
-    arity: int,
-    module: StarModule,
-    values: Dict[tuple, LambdaPoly],
-    op_parity: int = 0,
-) -> StarOp:
-    """A star operation on a module free over the translation algebra.
-
-    Elements are dicts keyed by ``(name, k)`` meaning the k-th translate of
-    the basis vector ``name``; ``values`` gives canonical values on tuples
-    of basis names.  Evaluation extends by linearity and translation
-    covariance: a translate in slot i < n multiplies by z_i, a translate in
-    the last slot applies (T - z_1 - ... - z_{n-1}).
-    """
-
-    def fn(*args):
-        out: LambdaPoly = {}
-        kept = range(1, arity)
-
-        def expand(i, prefix_mono, coeff, names):
-            for (name, k), c in args[i].items():
-                if i < arity - 1:
-                    mono = _mono_mul(prefix_mono, ((i + 1, k),) if k else ())
-                    expand(i + 1, mono, coeff * c, names + [name])
-                else:
-                    val = values.get(tuple(names + [name]))
-                    if val:
-                        term = lp_apply_translate_minus_vars(
-                            val, module, kept, k
-                        )
-                        lp_acc(out, lp_mul_mono(term, prefix_mono),
-                               coeff * c)
-
-        expand(0, (), 1, [])
-        return lp_normal(out)
-
-    return StarOp(arity, module, fn, op_parity)
 
 
 class LieStarDefects:

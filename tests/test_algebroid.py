@@ -18,6 +18,7 @@ Oracles used here:
     the defining cochain family.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -30,24 +31,19 @@ from chiralis.algebroid import (
     cochain_is_zero,
     cochain_seeds,
     default_field_samples,
-    extended_commutator_defect,
     form_twist,
     fs_closed_family,
     graded_form_functor,
     jet_differential,
     lc_d,
     morphism_residual,
-    non_centrality_witness,
     standard_chiral_infty_algebroid,
     two_form_cochain,
     validate_lc_component,
 )
-from chiralis.chevalley import (
-    ChevalleyCochain,
-    JetWorld,
-    chevalley_d,
-    symmetrized_seed,
-)
+from chiralis.chevalley import ChevalleyCochain, JetWorld, chevalley_d
+from chiralis.exact import binomial
+from chiralis.fock import BGSystem
 from chiralis.starops import (
     StarOp,
     jacobi_report,
@@ -56,6 +52,13 @@ from chiralis.starops import (
     lp_normal,
     lp_scale,
 )
+
+from test_chevalley import symmetrized_seed
+
+
+# sha256 of repr(lc_d families) of the strict cases, recorded while hat_d
+# still evaluated the empty differential current
+LC_D_EVEN = "7f7cf9ec2a92fb1b67e4e3606aaea80b5525d25da20f17c9765d38759cf12cbd"
 
 
 def even_world(n=3):
@@ -176,6 +179,19 @@ def test_form_twist_additivity_and_match():
     assert form_twist(P.world) == (None, True)
 
 
+def strict_cases(world, forms):
+    """Closed and open 3-form + 2-form twists over Q[x1..x4]."""
+    omega = dform(forms, "x1", "x2", "x3")
+    x = {nm: forms.inject(world.base.gen(nm)) for nm in ("x1", "x4")}
+    cases = [
+        (omega, None),
+        (forms.mul(x["x4"], omega), None),
+        (omega, dform(forms, "x3", "x4")),
+        (omega, forms.mul(x["x1"], dform(forms, "x2", "x4"))),
+    ]
+    return [form_twist(world, three, two)[0] for three, two in cases]
+
+
 def test_even_base_twist_is_the_strict_case():
     """Over an even base with D = 0 a 2-cochain twist is an ordinary
     chiral algebroid: the unary operation vanishes, the report is the Lie*
@@ -186,17 +202,8 @@ def test_even_base_twist_is_the_strict_case():
     forms = FormAlgebra(world.base)
     P = standard_chiral_infty_algebroid(world.base)
     samples = default_field_samples(world)
-    omega = dform(forms, "x1", "x2", "x3")
-    x = {nm: forms.inject(world.base.gen(nm)) for nm in ("x1", "x4")}
-    cases = [
-        (omega, None),
-        (forms.mul(x["x4"], omega), None),
-        (omega, dform(forms, "x3", "x4")),
-        (omega, forms.mul(x["x1"], dform(forms, "x2", "x4"))),
-    ]
     verdicts = []
-    for three, two in cases:
-        total, _ = form_twist(world, three, two)
+    for total in strict_cases(world, forms):
         Q, rep = chiral_infty_twist(P, {2: total}, check=True)
         l1 = Q.ops()[1]
         assert all(lp_normal(l1(v)) == {} for s in samples for v in s)
@@ -211,6 +218,21 @@ def test_even_base_twist_is_the_strict_case():
             assert got == lp_normal(lp_scale(ch(*s), -1))
         verdicts.append(rep["closed"])
     assert verdicts == [True, False, True, False]
+
+
+def test_lc_d_on_an_even_base_skips_the_empty_current(monkeypatch):
+    """An even base has no differential, so ``lc_d`` asks for no product
+    of the empty differential current; its families keep the digest they
+    had while ``hat_d`` still evaluated that current."""
+    world = even_world(4)
+    twists = strict_cases(world, FormAlgebra(world.base))
+    nth, firsts = BGSystem.nth, []
+    monkeypatch.setattr(BGSystem, "nth", lambda self, a, n, b: (
+        firsts.append(a) or nth(self, a, n, b)))
+    got = [{k: cochain_seeds(v) for k, v in lc_d(world, {2: t}).items()}
+           for t in twists]
+    assert firsts and all(firsts)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == LC_D_EVEN
 
 
 def test_two_form_cochain_shape():
@@ -228,13 +250,36 @@ def test_two_form_cochain_shape():
 
 
 def test_non_centrality_witness():
+    # naive normal ordering on the standard carrier: the (-1)-st product
+    # of the squared zero-mode coordinate with the first momentum mode
+    # differs from the naive Fock monomial by a first-order coordinate mode
     world = fs_world()
-    rep = non_centrality_witness(world)
-    assert rep["generator"] == "x"
-    assert rep["difference"] == {
-        ((("c", "x", -1), 1),): Fraction(-2)
-    }
-    assert rep["jet_image"] == {((("x", 1), 1),): Fraction(2)}
+    fk = world.fock
+    nm = world.frame_names()[0]
+    assert nm == "x"
+    x0 = ring.poly_gen(("c", nm, 0))
+    mom = ring.poly_gen(("m", nm, -1))
+    diff = ring.psub(fk.nth(fk.mul(x0, x0), -1, mom), fk.mul(x0, x0, mom))
+    assert diff == {((("c", "x", -1), 1),): Fraction(-2)}
+    assert world.from_fock(diff) == {((("x", 1), 1),): Fraction(2)}
+
+
+def extended_commutator_defect(world, a, n, b, m, v):
+    """[a_[n], b_[m]] v - sum_j C(n,j) (a_(j) b)_[n+m-j] v in the
+    free-field realization, for any integer m."""
+    fk = world.fock
+    fa, fb, fv = world.to_fock(a), world.to_fock(b), world.to_fock(v)
+    pa, pb = fk.state_parity(fa), fk.state_parity(fb)
+    assert pa is not None and pb is not None
+    out = fk.nth(fa, n, fk.nth(fb, m, fv))
+    swap = fk.nth(fb, m, fk.nth(fa, n, fv))
+    out = ring.padd(out, swap) if pa * pb else ring.psub(out, swap)
+    for j in range(0, fk.max_weight(fa) + fk.max_weight(fb) + 1):
+        c = binomial(n, j)
+        ab = fk.nth(fa, j, fb) if c else {}
+        if ab:
+            out = ring.psub(out, ring.pscale(fk.nth(ab, n + m - j, fv), c))
+    return out
 
 
 def test_extended_commutator_formula_negative_modes():

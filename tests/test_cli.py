@@ -305,6 +305,13 @@ def test_derham_closed(tmp_path):
     assert code == 0 and rep["closed"]
 
 
+def test_seed_is_taken_only_by_the_seeded_commands():
+    assert run(["fs-cohomology", "--m", "2", "--seed", "1"]) == 2
+    for name in cli.SCHEMAS:
+        seeded = name in ("borcherds-check", "linfty-check")
+        assert (run([name, "--seed", "1", "--schema"]) == 2) != seeded
+
+
 def test_usage_errors(tmp_path):
     assert run(["fs-cohomology", "--m", "0"]) == 2
     # an empty or inverted window is a usage error, never a vacuous pass

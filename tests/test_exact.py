@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from chiralis import exact
-from chiralis.linfty import linear_solve
 
 
 def bubble_koszul(sigma, parities):
@@ -67,10 +66,11 @@ def test_compose_and_inverse():
     sigma = (2, 3, 1)
     tau = (3, 1, 2)
     # (sigma . tau)(k) = sigma(tau(k))
-    assert exact.compose(sigma, tau) == (1, 2, 3)
+    assert tuple(sigma[t - 1] for t in tau) == (1, 2, 3)
     for perm in itertools.permutations(range(1, 5)):
-        assert exact.compose(perm, exact.inverse(perm)) == (1, 2, 3, 4)
-        assert exact.compose(exact.inverse(perm), perm) == (1, 2, 3, 4)
+        inv = exact.inverse(perm)
+        assert tuple(perm[t - 1] for t in inv) == (1, 2, 3, 4)
+        assert tuple(inv[t - 1] for t in perm) == (1, 2, 3, 4)
 
 
 def test_sgn_by_inversion_count():
@@ -222,38 +222,35 @@ def test_echelon_int_matrix_matches_fraction_copy():
     assert_exact([got])
 
 
+# systems [A | b] and their reduced forms: an int pivot other than 1, a
+# normalized int pivot 1 (acc / 1 would make a float), a Fraction result
+SYSTEMS = [
+    ([{0: 2, 1: 6}], [{0: 1, 1: 3}]),
+    ([{0: 1, 1: 1, 2: 2}, {1: 1, 2: 1}], [{0: 1, 2: 1}, {1: 1, 2: 1}]),
+    ([{0: 3, 1: 1}, {0: 1, 1: 1, 2: 4}], [{0: 1, 2: -2}, {1: 1, 2: 6}]),
+    ([{0: 2, 1: 3}], [{0: 1, 1: Fraction(3, 2)}]),
+]
+
+
 def test_rank_kernel_random_int_against_fraction_copy():
     rng = random.Random(31)
+    cases = [(rows, 1 + max(max(row) for row in rows))
+             for rows, _ in SYSTEMS]
     for _ in range(60):
         ncols = rng.randint(1, 6)
-        rows = [
+        cases.append(([
             {c: v for c in range(ncols) if (v := rng.randint(-4, 4))}
             for _ in range(rng.randint(1, 6))
-        ]
+        ], ncols))
+    for rows, ncols in cases:
         got = exact.rank_kernel(rows, ncols)
         assert got == exact.rank_kernel(fraction_copy(rows), ncols)
         assert_exact(got[1])
         red, _ = exact.echelon(rows, ncols)
         assert_exact(red)
-
-
-def test_linear_solve_int_system_matches_fraction_copy():
-    # an int pivot other than 1 (2x = 6), and a normalized pivot that is
-    # the int 1 (x + y = 2): there acc / 1 would make the float 2.0
-    for eqs, want in [
-        ([{0: 2, 1: 6}], [3]),
-        ([{0: 1, 1: 1, 2: 2}, {1: 1, 2: 1}], [1, 1]),
-        ([{0: 3, 1: 1}, {0: 1, 1: 1, 2: 4}], None),
-    ]:
-        nunk = max(max(row) for row in eqs)
-        sol = linear_solve(eqs, nunk)
-        assert sol == linear_solve(fraction_copy(eqs), nunk)
-        if want is None:
-            continue
-        assert sol[: len(want)] == want
-        assert all(type(v) in (int, Fraction) for v in sol)
-    sol = linear_solve([{0: 2, 1: 3}], 1)
-    assert sol == [Fraction(3, 2)] and type(sol[0]) is Fraction
+    for (rows, want), (_, ncols) in zip(SYSTEMS, cases):
+        red, _ = exact.echelon(rows, ncols)
+        assert red == want == exact.echelon(fraction_copy(rows), ncols)[0]
 
 
 def test_binomial_is_memoized():

@@ -20,9 +20,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from chiralis import ring
 from chiralis.exact import rank_kernel
-from chiralis.koszul import ChiralKoszul, weight_zero_dimension
+from chiralis.koszul import ChiralKoszul
 
 
 def test_build_rejects_bad_exponent():
@@ -109,7 +111,7 @@ def test_differential_grading():
                 img = K.d({mono: Fraction(1)})
                 for mo in img:
                     assert fk.mono_weight(mo) == w
-                    assert fk.mono_charge(mo) == q
+                    assert ring.mono_degree(mo, fk.charge) == q
                     assert (
                         fk.mono_degree(mo)
                         == fk.mono_degree(mono) + 1
@@ -151,7 +153,8 @@ def test_weight_zero_cohomology_is_classical_koszul():
                 assert cell["degree"] == 0
                 reps.extend(cell["representatives"])
         assert total == m
-        assert weight_zero_dimension(m) == m
+        narrower = K.cohomology(0, max(2 * m, m + 1))["cells"]
+        assert sum(c["dim"] for c in narrower) == m
         # representatives are exactly the powers x_0^a, 0 <= a < m
         fk = K.fock
         got = set()
@@ -214,3 +217,24 @@ def test_basis_order_independence():
                 dims[d] = len(kernel) - prank
             for d, dim in entries.items():
                 assert dims.get(d, 0) == dim
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cell_cohomology takes kernel vectors that stay nonzero modulo the "
+    "image without reducing them against the representatives already "
+    "taken; the fix changes the pinned fs_cohomology_wide report and "
+    "lands with the benchmark re-pin"))
+@pytest.mark.parametrize("m, weight, charge, degree",
+                         [(2, 3, 1, 0), (3, 3, 1, 0), (3, 3, 6, -1)])
+def test_representatives_are_independent_modulo_the_image(
+        m, weight, charge, degree):
+    K = ChiralKoszul(m)
+    cell = next(c for c in K.cell_cohomology(weight, charge)
+                if c["degree"] == degree)
+    image, _, basis = K.differential_matrix(weight, charge, degree - 1)
+    index = {mono: i for i, mono in enumerate(basis)}
+    reps = [{index[mo]: c for mo, c in r.items()}
+            for r in cell["representatives"]]
+    assert len(reps) == cell["dim"]
+    rank = rank_kernel(image, len(basis))[0]
+    assert rank_kernel(image + reps, len(basis))[0] == rank + len(reps)

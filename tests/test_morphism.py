@@ -28,10 +28,12 @@ from chiralis.algebroid import (
     lc_d,
     morphism_residual,
 )
-from chiralis.chevalley import ChevalleyCochain, JetWorld, symmetrized_seed
+from chiralis.chevalley import ChevalleyCochain, JetWorld
 from chiralis.cli import enc_any
 from chiralis.linfty import DerAlgebroid, conjugation_report
 from chiralis.starops import morphism_defect
+
+from test_chevalley import symmetrized_seed
 
 GOLDEN = "680888f1385eed4031334e60c72ce2eb6fdb85228c0921c1f2e53c852ffcb30b"
 

@@ -1,5 +1,5 @@
-"""Checks on the repository itself: no dead imports, a README whose
-examples run and whose command lines parse.
+"""Checks on the repository itself: no dead imports, no definitions that
+only tests use, a README whose examples run and whose command lines parse.
 
 They use the standard library (``ast``, ``re``, ``shlex``) and the CLI's
 own argument parser.
@@ -8,6 +8,7 @@ own argument parser.
 import ast
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,61 @@ def test_unused_import_finder():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# definitions that only tests and the benchmark tracer name, with why
+# they stay in the library
+TEST_ONLY = {
+    "koszul.ChiralKoszul.differential_matrix": "a benchmark tracer span",
+    "fock.borcherds_full_check": "a benchmark tracer span",
+    "chevalley.chevalley_d": "the Chevalley differential, d^2 = 0",
+    "linfty.twist_jacobi_report": "the finite torsor law",
+    "linfty.conjugation_report": "the finite torsor law",
+}
+
+
+def names(tree):
+    """How often a syntax tree reads each name or attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(modules, elsewhere):
+    """Top-level definitions and public methods of ``modules`` (name ->
+    source) that no module names outside the definition itself, and that
+    the text ``elsewhere`` never mentions."""
+    trees = {m: ast.parse(src) for m, src in modules.items()}
+    read = sum(map(names, trees.values()),
+               Counter(re.findall(r"\w+", elsewhere)))
+    found = []
+    for mod, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defs = [(top.name, top)] + [
+                    (f"{top.name}.{f.name}", f) for f in top.body
+                    if isinstance(f, ast.FunctionDef) and f.name[0] != "_"]
+                found += [f"{mod}.{qual}" for qual, node in defs
+                          if read[node.name] == names(node)[node.name]]
+    return found
+
+
+def test_unreferenced_finder():
+    a = "def f():\n    return g()\n\ndef g():\n    return g()\n\n" \
+        "class C:\n    def used(self):\n        pass\n\n" \
+        "    def unused(self):\n        return self.unused()\n"
+    assert unreferenced({"a": a, "b": "h = f"}, "") == [
+        "a.C", "a.C.used", "a.C.unused"]
+    assert unreferenced({"a": a}, "C().used(); f") == ["a.C.unused"]
+
+
+def test_library_code_has_callers():
+    """Each definition of the package is named by the package, a demo or
+    the README, or is listed in ``TEST_ONLY``."""
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    elsewhere = "\n".join(p.read_text() for p in
+                          [ROOT / "README.md", *ROOT.glob("demos/*.py")])
+    assert sorted(unreferenced(modules, elsewhere)) == sorted(TEST_ONLY)
 
 
 def readme_blocks():
