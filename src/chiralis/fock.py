@@ -24,12 +24,20 @@ letter of the first argument with the iterate formula
 
 whose two standard special cases are the commutator formula (m >= 0) and
 the normal-ordering formula (m = -1); weight bounds make every sum finite
-and the recursion terminate.
+and the recursion terminate.  It stops at a one-letter first argument,
+whose products have a closed form: the letter of operator index -1-l is
+T^l phi / l! for the field phi of its mode family, and by the derivative
+rule (T a)_(n) = -n a_(n-1),
+
+  (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l),
+
+one mode applied to the second argument.
 
 There is one product loop, :meth:`BGSystem.nth`: it expands both states
 into monomials and sums the memoized monomial products of ``_nth_mono``,
 which evaluates the two inner products of the iterate formula on the
-shorter first argument.  Term 1 runs over every j up to the weight bound.
+shorter first argument.  Term 1 runs over every j up to the weight bound;
+its modes are creation modes, each a multiplication by one letter.
 In term 2 the annihilation mode g_(j) with j >= 0 can only contract a
 letter of b conjugate to g, so the sum runs over just the conjugate letters
 present in b (j = -1 - their operator index, in increasing j).  Every term
@@ -38,10 +46,13 @@ computed once and kept per system, so the weight bounds and parity checks
 of ``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
 lookup.
 
-The Borcherds identities of one triple (a, b, c) are checked together by
-:func:`borcherds_checks` (:func:`borcherds_full_check` checks one): the
-(r, s, t) share their products, and the sums visit only the nonzero inner
-products a_(k) b, b_(k) c and a_(k) c.
+:func:`borcherds_checks` checks the Borcherds identities of the triples
+(a, b, c) for one pair (a, b) and a list of third states c
+(:func:`borcherds_full_check` checks one).  The tables of the pair -- the
+nonzero inner products a_(k) b, each (r, s, t)'s left-hand-side terms and
+the ranges of the other sums -- are built once; per third state only the
+nonzero inner products b_(k) c and a_(k) c and the outer products are
+computed, and the (r, s, t) of one triple share them.
 """
 
 from __future__ import annotations
@@ -210,30 +221,56 @@ class BGSystem:
         return out
 
     def _nth_mono(self, ma, n: int, mb) -> State:
+        """The n-th product of two monomials, memoized per system.
+
+        A one-letter first argument is the base case: its products are one
+        mode of its field, (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l)
+        with l = -1 - (operator index of the letter), applied to b.  A
+        longer first argument peels its leftmost letter with the iterate
+        formula, down to a one-letter rest.
+        """
+        memo = self._memo
         key = (ma, n, mb)
-        hit = self._memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         if not ma:
             res = {mb: 1} if n == -1 else {}
-            self._memo[key] = res
+            memo[key] = res
             return res
         g, e = ma[0]
         kind, name, _k = g
         m = self._voa_index(g)
+        if e == 1 and len(ma) == 1:
+            l = -1 - m
+            coeff = binomial(n, l)
+            if l & 1:
+                coeff = -coeff
+            res = ring.pscale(self.apply_mode(kind, name, n - l, {mb: 1}),
+                              coeff) if coeff else {}
+            memo[key] = res
+            return res
+        parity = self.parity
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
         w_rest, pa_rest = self.grade(ma_rest)
         w_b = self.grade(mb)[0]
         out: State = {}
-        # term 1: sum_j (-1)^j C(m,j) g_(m-j) (rest_(n+j) b)
+        # term 1: sum_j (-1)^j C(m,j) g_(m-j) (rest_(n+j) b); m - j <= -1,
+        # so g_(m-j) multiplies by a letter
         for j in range(0, max(w_rest + w_b - n - 1, -1) + 1):
-            coeff = binomial(m, j)
-            if not coeff:
+            inner = memo.get((ma_rest, n + j, mb))
+            if inner is None:
+                inner = self._nth_mono(ma_rest, n + j, mb)
+            if not inner:
                 continue
-            inner = self._nth_mono(ma_rest, n + j, mb)
-            if inner:
-                term = self.apply_mode(kind, name, m - j, inner)
-                ring.acc_poly(out, term, -coeff if j & 1 else coeff)
+            coeff = binomial(m, j)
+            if j & 1:
+                coeff = -coeff
+            letter = ((self._letter_from_voa(kind, name, m - j), 1),)
+            for mono, c in inner.items():
+                prod, sign = ring.mono_mul(letter, mono, parity)
+                if prod is not None:
+                    ring.acc(out, prod, coeff * sign * c)
         # term 2: -(-1)^(m + |g||rest|) sum_j (-1)^j C(m,j)
         #           rest_(m+n-j) (g_(j) b)
         # g_(j) b is nonzero only when b holds the conjugate letter of
@@ -242,17 +279,18 @@ class BGSystem:
         conj = "m" if kind == "c" else "c"
         js = sorted(-1 - self._voa_index(h) for h, _e in mb
                     if h[0] == conj and h[1] == name)
-        sign2 = -1 if (m + self.parity(g) * pa_rest) & 1 else 1
+        sign2 = -1 if (m + parity(g) * pa_rest) & 1 else 1
         b_state = {mb: 1}
         for j in js:
             coeff = binomial(m, j)
-            if not coeff:
-                continue
-            sgn = -1 if j & 1 else 1
+            if j & 1:
+                coeff = -coeff
             for gm, gc in self.apply_mode(kind, name, j, b_state).items():
-                ring.acc_poly(out, self._nth_mono(ma_rest, m + n - j, gm),
-                              -sign2 * sgn * coeff * gc)
-        self._memo[key] = out
+                inner = memo.get((ma_rest, m + n - j, gm))
+                if inner is None:
+                    inner = self._nth_mono(ma_rest, m + n - j, gm)
+                ring.acc_poly(out, inner, -sign2 * coeff * gc)
+        memo[key] = out
         return out
 
     def str(self, p: State) -> str:
@@ -276,20 +314,31 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
     and reports whether it vanishes.  All sums are truncated by exact
     weight bounds.
     """
-    return borcherds_checks(va, a, b, c, [(r, s, t)])[0]
+    return borcherds_checks(va, a, b, [c], [(r, s, t)])[0][0]
 
 
-def _inner_products(va, x, y, starts, weight: int, pairs) -> list:
-    """[(k, x_(k) y)] for the nonzero products that the sums of ``starts``
-    visit, in increasing k.
+def _span(starts) -> Tuple[int, Optional[int]]:
+    """(lo, cap): the sums of ``starts`` visit k >= lo, and k <= cap.
 
-    A start (lo, n) asks for k = lo + j with j >= 0 and k < weight (the
-    products above vanish by weight), and for j <= n when n >= 0, since
-    C(n, j) = 0 there.  ``pairs``, when given, keeps the lists across
-    calls; they are never mutated.
+    A start (l, n) asks for k = l + j with j >= 0, and for j <= n when
+    n >= 0, since C(n, j) = 0 there; ``cap`` is None when some n < 0.
+    The products x_(k) y with k >= wt x + wt y vanish, which caps k too.
     """
     lo = min(l for l, _n in starts)
-    hi = min(weight - 1, max(l + n if n >= 0 else weight for l, n in starts))
+    cap = None if any(n < 0 for _l, n in starts) else max(
+        l + n for l, n in starts)
+    return lo, cap
+
+
+def _inner_products(va, x, y, span, weight: int, pairs) -> list:
+    """[(k, x_(k) y)] for the nonzero products with k in ``span`` (see
+    :func:`_span`) and k < ``weight``, in increasing k.
+
+    ``pairs``, when given, keeps the lists across calls; they are never
+    mutated.
+    """
+    lo, cap = span
+    hi = weight - 1 if cap is None else min(weight - 1, cap)
     if pairs is not None:
         key = (tuple(x.items()), tuple(y.items()), lo, hi)
         hit = pairs.get(key)
@@ -305,73 +354,86 @@ def _inner_products(va, x, y, starts, weight: int, pairs) -> list:
     return out
 
 
-def borcherds_checks(va, a, b, c, rsts, pairs=None) -> list:
-    """Check the Borcherds identity of one triple (a, b, c) at every
-    (r, s, t) of ``rsts``; one :func:`borcherds_full_check` report each,
-    in order.
+def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
+    """Check the Borcherds identity of the triples (a, b, c), for c in
+    ``cs``, at every (r, s, t) of ``rsts``: per third state, one
+    :func:`borcherds_full_check` report per (r, s, t), in order.
 
-    The identities of one triple share their products.  The inner products
-    a_(k) b, b_(k) c and a_(k) c are computed once over the union of the
-    ranges the sums visit, and only the nonzero ones are kept; each sum
-    walks them with j = k - r (k - t, k - s) in increasing j, so every
-    report keeps the item order and scalar types of the identity checked
-    alone.  The outer products are kept for the triple.  ``pairs`` is a
-    dict that keeps the inner-product lists across calls, for a window in
-    which each pair of states occurs with many third states.
+    The tables of the pair (a, b) are built once: the parities and
+    weights, the nonzero inner products a_(k) b over the union of the
+    ranges the sums visit, each (r, s, t)'s left-hand-side terms, and the
+    ranges of b_(k) c and a_(k) c.  Per third state only those two lists
+    and the outer products are computed; the identities of one triple
+    share them.  Each sum walks its list with j = k - r (k - t, k - s) in
+    increasing j, so every report keeps the item order and scalar types of
+    the identity checked alone.  ``pairs`` is a dict that keeps the
+    inner-product lists across calls, for a window in which each pair of
+    states occurs with many third states.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:
         raise ValueError("arguments must be parity-homogeneous")
     if not rsts:
-        return []
-    wa, wb, wc = va.max_weight(a), va.max_weight(b), va.max_weight(c)
-    ab = _inner_products(va, a, b, [(r, s) for r, s, _t in rsts], wa + wb,
-                         pairs)
-    bc = _inner_products(va, b, c, [(t, r) for r, _s, t in rsts], wb + wc,
-                         pairs)
-    ac = _inner_products(va, a, c, [(s, r) for r, s, _t in rsts], wa + wc,
-                         pairs)
-    outer: Dict = {}
-
-    def product(role, k, x, n, y):
-        # role 0, 1, 2: (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
-        key = (role, k, n)
-        hit = outer.get(key)
-        if hit is None:
-            hit = outer[key] = va.nth(x, n, y)
-        return hit
-
-    reports = []
+        return [[] for _c in cs]
+    wa, wb = va.max_weight(a), va.max_weight(b)
+    ab = _inner_products(va, a, b, _span([(r, s) for r, s, _t in rsts]),
+                         wa + wb, pairs)
+    span_bc = _span([(t, r) for r, _s, t in rsts])
+    span_ac = _span([(s, r) for r, s, _t in rsts])
+    tables = []  # per (r, s, t): its left-hand-side terms and sign
     for r, s, t in rsts:
-        lhs: State = {}
+        lhs_terms = []
         for k, p in ab:
             j = k - r
             coeff = binomial(s, j)  # 0 for j < 0
             if coeff:
-                ring.acc_poly(lhs, product(0, k, p, s + t - j, c), coeff)
-        rhs: State = {}
+                lhs_terms.append((k, p, s + t - j, coeff))
         sign_r = -1 if (r + pa * pb) & 1 else 1
-        for k, p in bc:
-            j = k - t
-            coeff = binomial(r, j)
-            if coeff:
-                sgn = -1 if j & 1 else 1
-                ring.acc_poly(rhs, product(1, k, a, r + s - j, p), sgn * coeff)
-        for k, p in ac:
-            j = k - s
-            coeff = binomial(r, j)
-            if coeff:
-                sgn = -1 if j & 1 else 1
-                ring.acc_poly(rhs, product(2, k, b, r + t - j, p),
-                              -sign_r * sgn * coeff)
-        diff = ring.psub(lhs, rhs)
-        reports.append({
-            "r": r,
-            "s": s,
-            "t": t,
-            "ok": not diff,
-            "lhs": lhs,
-            "rhs": rhs,
-            "difference": diff,
-        })
-    return reports
+        tables.append((r, s, t, lhs_terms, sign_r))
+    out = []
+    for c in cs:
+        wc = va.max_weight(c)
+        bc = _inner_products(va, b, c, span_bc, wb + wc, pairs)
+        ac = _inner_products(va, a, c, span_ac, wa + wc, pairs)
+        # (role, k, n) -> (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
+        outer: Dict = {}
+        reports = []
+        for r, s, t, lhs_terms, sign_r in tables:
+            lhs: State = {}
+            for k, p, n, coeff in lhs_terms:
+                prod = outer.get((0, k, n))
+                if prod is None:
+                    prod = outer[0, k, n] = va.nth(p, n, c)
+                ring.acc_poly(lhs, prod, coeff)
+            rhs: State = {}
+            for k, p in bc:
+                j = k - t
+                coeff = binomial(r, j)
+                if coeff:
+                    n = r + s - j
+                    prod = outer.get((1, k, n))
+                    if prod is None:
+                        prod = outer[1, k, n] = va.nth(a, n, p)
+                    ring.acc_poly(rhs, prod, -coeff if j & 1 else coeff)
+            for k, p in ac:
+                j = k - s
+                coeff = binomial(r, j)
+                if coeff:
+                    n = r + t - j
+                    prod = outer.get((2, k, n))
+                    if prod is None:
+                        prod = outer[2, k, n] = va.nth(b, n, p)
+                    ring.acc_poly(rhs, prod,
+                                  -sign_r * (-1 if j & 1 else 1) * coeff)
+            diff = ring.psub(lhs, rhs)
+            reports.append({
+                "r": r,
+                "s": s,
+                "t": t,
+                "ok": not diff,
+                "lhs": lhs,
+                "rhs": rhs,
+                "difference": diff,
+            })
+        out.append(reports)
+    return out

@@ -4,7 +4,9 @@ Oracles: exit-code contract (0 pass, 1 verified-false with witness,
 2 usage error, 3 internal error), byte-identical reports for a fixed seed,
 recorded sha256s of seeded structures and borcherds reports and of an
 exhaustive borcherds report, Borcherds failure witnesses against the
-per-identity oracle of ``test_fock``, schema output, the documented
+per-identity oracle of ``test_fock`` (for faults in ``nth`` and in the
+kernel's one-letter base case), the memo and kept inner products of a
+Borcherds window against a fresh recomputation, schema output, the documented
 example invocations, a reader that closes the pipe early, and a Hypothesis
 fuzz of form files and windows that must never crash.
 """
@@ -29,7 +31,8 @@ from hypothesis import strategies as st
 from chiralis import cli
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.cli import run
-from test_fock import EXHAUSTIVE_RSTS, reference_borcherds
+from chiralis.fock import BGSystem, borcherds_checks
+from test_fock import EXHAUSTIVE_RSTS, exact_items, reference_borcherds
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -104,10 +107,24 @@ class Faulty(cli.BGSystem):
         return {k: 2 * c for k, c in out.items()} if n == 0 else out
 
 
-def one_identity_cases(samples, seed):
+class SignlessLetter(cli.BGSystem):
+    """Drops the (-1)^l of the one-letter base case
+    (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l), for every product
+    that the kernel computes."""
+
+    def _nth_mono(self, ma, n, mb):
+        fresh = (ma, n, mb) not in self._memo
+        res = super()._nth_mono(ma, n, mb)
+        if fresh and len(ma) == 1 and ma[0][1] == 1 and (
+                -1 - self._voa_index(ma[0][0])) & 1:
+            res = self._memo[ma, n, mb] = {m: -c for m, c in res.items()}
+        return res
+
+
+def one_identity_cases(samples, seed, system=Faulty):
     """The CLI's Borcherds cases for --vars 1 --max-weight 1, one identity
-    at a time, on a ``Faulty`` system."""
-    fk = Faulty(SuperPolyAlgebra([("x1", 0, 0), ("xi1", 1, -1)]))
+    at a time, on a ``system`` (a faulty ``BGSystem`` subclass)."""
+    fk = system(SuperPolyAlgebra([("x1", 0, 0), ("xi1", 1, -1)]))
     letters = []
     for name in ("x1", "xi1"):
         letters += [fk.coord(name, 0), fk.coord(name, -1), fk.mom(name, -1)]
@@ -156,6 +173,73 @@ def test_borcherds_failure_reports_witness(tmp_path, monkeypatch, mode):
     assert rep["checked"] == checked
     assert want  # the report keeps the first ten
     assert rep["failures"] == json.loads(json.dumps(cli.enc_any(want[:10])))
+
+
+@pytest.mark.parametrize(
+    "mode", [["--samples", "0"], ["--samples", "50", "--seed", "1"]],
+    ids=["exhaustive", "random"],
+)
+def test_borcherds_catches_a_faulty_one_letter_base_case(tmp_path,
+                                                         monkeypatch, mode):
+    # a fault inside the kernel, below every nth call: the witnesses are the
+    # oracle's, checking one identity at a time on the same products
+    monkeypatch.setattr(cli, "BGSystem", SignlessLetter)
+    code, rep = report(
+        tmp_path, "bs.json",
+        ["borcherds-check", "--vars", "1", "--max-weight", "1", *mode],
+    )
+    assert code == 1 and rep["ok"] is False
+    samples = int(mode[1])
+    seed = int(mode[3]) if samples else 0
+    checked, want = 0, []
+    for fk, a, b, c, rst in one_identity_cases(samples, seed, SignlessLetter):
+        checked += 1
+        diff = reference_borcherds(fk, a, b, c, *rst)[2]
+        if diff:
+            want.append({"a": a, "b": b, "c": c, "rst": rst,
+                         "difference": diff})
+    assert rep["checked"] == checked
+    assert want
+    assert rep["failures"] == json.loads(json.dumps(cli.enc_any(want[:10])))
+
+
+def test_borcherds_window_leaves_cached_products_intact(tmp_path,
+                                                        monkeypatch):
+    # the memo and the kept inner-product lists are shared by every triple
+    # of the window; recomputed on a fresh system after the run, each must
+    # still hold its first value, item order and scalar types included
+    systems, kept = [], []
+
+    class Recorded(cli.BGSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(self)
+
+    def recording(va, a, b, cs, rsts, pairs=None):
+        kept.append(pairs)
+        return borcherds_checks(va, a, b, cs, rsts, pairs)
+
+    monkeypatch.setattr(cli, "BGSystem", Recorded)
+    monkeypatch.setattr(cli, "borcherds_checks", recording)
+    code, rep = report(
+        tmp_path, "bm.json",
+        ["borcherds-check", "--vars", "1", "--max-weight", "2",
+         "--samples", "0"],
+    )
+    assert code == 0 and rep["ok"]
+    (fk,) = systems
+    pairs = kept[0]
+    assert pairs and all(p is pairs for p in kept)
+    assert fk._memo
+    for (ma, n, mb), value in fk._memo.items():
+        fresh = BGSystem(fk.base)
+        assert exact_items(fresh._nth_mono(ma, n, mb)) == exact_items(
+            value), (ma, n, mb)
+    for (x, y, lo, hi), value in pairs.items():
+        fresh = BGSystem(fk.base)
+        want = [(k, exact_items(p)) for k in range(lo, hi + 1)
+                if (p := fresh.nth(dict(x), k, dict(y)))]
+        assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
 
 
 def test_liestar_and_linfty(tmp_path):

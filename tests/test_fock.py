@@ -2,10 +2,11 @@
 
 Oracles: the vertex algebra axioms and the Borcherds identity, the Fraction
 path for the int path, and ``ReferenceBG`` -- the product kernel before
-its term-2 sum was restricted to the conjugate letters present and its
-sums were accumulated in place -- for ``nth`` and ``borcherds_full_check``,
-and with ``reference_borcherds`` for ``borcherds_checks``, which checks the
-identities of one triple together.  ``CommutativeVA`` is a second
+its term-2 sum was restricted to the conjugate letters present, its sums
+were accumulated in place and its recursion stopped at one letter -- for
+``nth`` and ``borcherds_full_check``, and with ``reference_borcherds`` for
+``borcherds_checks``, which checks the identities of one pair with a list
+of third states together.  ``CommutativeVA`` is a second
 vertex algebra for the Borcherds checker.
 """
 
@@ -434,6 +435,36 @@ def test_kernel_matches_reference_on_multi_monomial_states(scalar):
         assert exact_items(got) == exact_items(ref.nth({ma: ca}, -1, {mb: cb}))
 
 
+def two_var_letters():
+    """The letters of the benchmark's Borcherds window: two variables up to
+    weight 3, on the CLI's system."""
+    gens = [("x1", 0, 0), ("xi1", 1, -1), ("x2", 0, 0), ("xi2", 1, -1)]
+    fast = BGSystem(SuperPolyAlgebra(gens))
+    lets = []
+    for name, _par, _deg in gens:
+        for w in range(0, 4):
+            lets.append(fast.coord(name, -w))
+            if w >= 1:
+                lets.append(fast.mom(name, -w))
+    return fast, lets
+
+
+def test_one_letter_products_match_reference():
+    # a one-letter first argument is the kernel's base case; the reference
+    # still peels the letter down to the vacuum
+    fast, lets = two_var_letters()
+    ref = ReferenceBG(fast.base)
+    assert len(lets) == 28
+    bs = lets + [p for p in (fast.mul(x, y) for x, y in
+                             itertools.combinations_with_replacement(lets, 2))
+                 if p]
+    for a in lets:
+        for b in bs:
+            for n in range(-5, 6):
+                assert exact_items(fast.nth(a, n, b)) == exact_items(
+                    ref.nth(a, n, b)), (a, n, b)
+
+
 def test_borcherds_check_matches_reference():
     fast = one_var_system()
     ref = ReferenceBG(fast.base, odd_charge=2)
@@ -466,7 +497,7 @@ def assert_checks_match_reference(fast, ref, cases):
     shared = {}
     for pairs in (None, shared, shared):
         for a, b, c, rsts in cases:
-            reps = borcherds_checks(fast, a, b, c, rsts, pairs)
+            (reps,) = borcherds_checks(fast, a, b, [c], rsts, pairs)
             assert [(rep["r"], rep["s"], rep["t"]) for rep in reps] == rsts
             for rep, (r, s, t) in zip(reps, rsts):
                 want = reference_borcherds(ref, a, b, c, r, s, t)
@@ -508,6 +539,41 @@ def test_borcherds_checks_match_reference_on_multi_monomial_states(scalar):
         a, b, c = (homogeneous_sum(fast, rng, scalar) for _ in range(3))
         cases += [(a, b, c, EXHAUSTIVE_RSTS), (a, b, c, MIXED_RSTS)]
     assert_checks_match_reference(fast, ref, cases)
+
+
+def test_borcherds_checks_over_several_third_states():
+    """One call per pair (a, b) with a list of third states gives, per
+    third state, the reports of the triple checked one identity at a time;
+    an empty list gives none."""
+    fast = one_var_system()
+    ref = ReferenceBG(fast.base, odd_charge=2)
+    lets = letters(fast, 1)
+    rng = random.Random(37)
+    cs = lets + [lets[2], homogeneous_sum(fast, rng, int_scalar),
+                 homogeneous_sum(fast, rng, fraction_scalar)]
+    cs.append(cs[-1])  # a repeated third state
+    abs_ = list(itertools.product(lets, repeat=2))
+    abs_ += [(homogeneous_sum(fast, rng, fraction_scalar), lets[4])]
+    want = {}
+    shared = {}
+    for pairs in (None, shared, shared):
+        for (ai, (a, b)), rsts in itertools.product(
+                enumerate(abs_), (EXHAUSTIVE_RSTS, MIXED_RSTS)):
+            assert borcherds_checks(fast, a, b, [], rsts, pairs) == []
+            got = borcherds_checks(fast, a, b, cs, rsts, pairs)
+            assert len(got) == len(cs)
+            for ci, (c, reps) in enumerate(zip(cs, got)):
+                assert [(rep["r"], rep["s"], rep["t"]) for rep in reps] == rsts
+                for rep, rst in zip(reps, rsts):
+                    key = (ai, ci, rst)
+                    if key not in want:
+                        want[key] = [exact_items(p) for p in
+                                     reference_borcherds(ref, a, b, c, *rst)]
+                    got_items = [exact_items(rep[k])
+                                 for k in ("lhs", "rhs", "difference")]
+                    assert got_items == want[key], (a, b, c, rst)
+                    assert rep["ok"] is not bool(want[key][2])
+    assert shared
 
 
 def test_grades_match_a_direct_computation():

@@ -6,8 +6,10 @@ own argument parser.
 """
 
 import ast
+import importlib.util
 import re
 import shlex
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +103,26 @@ def test_library_code_has_callers():
     elsewhere = "\n".join(p.read_text() for p in
                           [ROOT / "README.md", *ROOT.glob("demos/*.py")])
     assert sorted(unreferenced(modules, elsewhere)) == sorted(TEST_ONLY)
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every span of the benchmark's tracer names a function the package
+    has, so a rename fails here instead of tracing nothing.  The one stale
+    span is ``algebroid.twist_chiral``, whose function is gone; when the
+    tracer drops it, this set shrinks."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    stale = set()
+    for name, modname, attr in tracer.LAYERS:
+        target = importlib.import_module(modname)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            stale.add(name)
+    assert stale == {"algebroid.twist_chiral"}
 
 
 def readme_blocks():
