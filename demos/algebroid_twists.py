@@ -12,7 +12,7 @@ functions is part of the structure and is bitwise unchanged by any twist.
 from chiralis.algebra import FormAlgebra, SuperPolyAlgebra
 from chiralis.algebroid import (
     chiral_infty_twist,
-    graded_form_functor,
+    form_cochain,
     standard_chiral_infty_algebroid,
 )
 
@@ -27,8 +27,8 @@ def main() -> None:
     om = forms.mul(
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
-    rep = graded_form_functor(world, alpha0=om)
-    Q, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
+    Q, chk = chiral_infty_twist(P, {2: form_cochain(world, om, 2)},
+                                check=True)
     print(f"   Jacobi holds: {chk['ok']}, cocycle closed: {chk['closed']}")
 
     print("-- module action survives the twist unchanged")
@@ -48,9 +48,10 @@ def main() -> None:
         forms4.inject(base4.gen("x4")),
         forms4.d_gen("x1"), forms4.d_gen("x2"), forms4.d_gen("x3"),
     )
-    rep4 = graded_form_functor(P4.world, alpha0=bad)
-    print(f"   closed: {rep4['ok']} (the De Rham differential is the witness)")
-    _, chk4 = chiral_infty_twist(P4, {2: rep4["alpha"]}, check=True)
+    closed = not forms4.derham_d(bad)
+    print(f"   closed: {closed} (the De Rham differential is the witness)")
+    _, chk4 = chiral_infty_twist(P4, {2: form_cochain(P4.world, bad, 2)},
+                                 check=True)
     w = chk4["failures"][0]
     print(f"   twisted anyway: Jacobi holds: {chk4['ok']}; "
           f"first witness on {len(w['args'])} fields recorded")

@@ -14,14 +14,17 @@ even base with D = 0, is the strict case: the unary operation is zero,
 only the bracket is twisted (by a 2-cochain), and ``lc_d`` reduces to the
 Chevalley differential.
 
-Differential-form data embeds through the identification of one-forms with
-the first-order jet component: f dg maps to f g' inside the jet algebra.
-A 3-form over the base yields an arity-2 cochain (the value is the form
-contracted with the two arguments), a 2-form yields an arity-1 cochain;
-this functor matches the De Rham differential with the Chevalley one
-(``lc_d`` takes the Chevalley part with the sign (-1)^(1 + p_i |phi|),
-so on parity-even cochains it is minus that image).  ``form_twist`` is
-the one path from a 3-form and a 2-form to a twist cochain.
+``form_cochain`` is the one path from a differential form over an even
+base to a cochain: its value on frames is the form contracted with them,
+embedded into jets by g -> g and dg -> g' (so f dg maps to f g').  A
+3-form yields an arity-2 cochain with one-form values; a 2-form yields
+an arity-2 cochain with function values, or, negated, an arity-1 cochain
+with one-form values.  On forms this matches the De Rham differential
+with the Chevalley one: the Chevalley differential of the arity-1
+cochain of -beta is the arity-2 cochain of d(beta) (``lc_d`` takes the
+Chevalley part with the sign (-1)^(1 + p_i |phi|), so on parity-even
+cochains it is minus that image).  ``form_twist`` is the one path from a
+3-form and a 2-form to a twist cochain.
 
 The generalized Jacobi identities of a twisted structure and the
 equation of a homotopy morphism are evaluated by
@@ -41,6 +44,7 @@ from .chevalley import (
     ChevalleyCochain,
     JetWorld,
     _chevalley_d,
+    frame_cochain,
     tau_name,
 )
 from .exact import antisym_sign, unshuffles
@@ -62,15 +66,6 @@ from .starops import (
 # -- cochain helpers --------------------------------------------------------------
 
 
-def cochain_seeds(phi: ChevalleyCochain) -> Dict[tuple, LambdaPoly]:
-    """The canonical (sorted-tuple) seed table of a cochain."""
-    return {
-        tup: val
-        for tup, val in phi.table.items()
-        if tuple(sorted(tup)) == tup
-    }
-
-
 def cochain_add(
     world: JetWorld, *cochains: Optional[ChevalleyCochain]
 ) -> Optional[ChevalleyCochain]:
@@ -84,18 +79,9 @@ def cochain_add(
         raise ValueError("cochain sum needs equal arities and parities")
     seeds: Dict[tuple, LambdaPoly] = {}
     for c in live:
-        for tup, val in cochain_seeds(c).items():
-            seeds[tup] = lp_add(seeds.get(tup, {}), val)
-    seeds = {t: lp_normal(v) for t, v in seeds.items()}
-    return ChevalleyCochain(
-        world, arity, {t: v for t, v in seeds.items() if v}, par
-    )
-
-
-def cochain_is_zero(phi: Optional[ChevalleyCochain]) -> bool:
-    return phi is None or not any(
-        lp_normal(v) for v in phi.table.values()
-    )
+        for tup, val in c.seeds.items():
+            lp_acc(seeds.setdefault(tup, {}), val)
+    return ChevalleyCochain(world, arity, seeds, par)
 
 
 def twisted_op(base: Optional[StarOp], alpha: ChevalleyCochain) -> StarOp:
@@ -154,115 +140,56 @@ def default_field_samples(
     return samples
 
 
+def sub_samples(samples, k: int) -> List[list]:
+    """The distinct length-k sub-tuples of the sample tuples, in order."""
+    seen = {}
+    for tup in samples:
+        for sub in itertools.combinations(tup, k):
+            key = tuple(tuple(sorted(e.items())) for e in sub)
+            seen.setdefault(key, list(sub))
+    return list(seen.values())
+
+
 # -- differential forms into cochains -----------------------------------------------
 
 
-def form_contract(
-    forms: FormAlgebra, omega: ring.Poly, names: Sequence[str]
-) -> ring.Poly:
-    """Contract a form with coordinate frames (even base), left to right."""
-    out = omega
-    for nm in reversed(list(names)):
-        if not out:
-            return {}
-        out = ring.derive(
-            out,
-            {("d", nm): forms.inject(ring.poly_one())},
-            1,
-            forms.parity,
-        )
-    return out
+def form_cochain(
+    world: JetWorld, form: ring.Poly, arity: int
+) -> ChevalleyCochain:
+    """The arity-``arity`` cochain of a differential form over an even base.
 
-
-def one_form_to_jet(world: JetWorld, omega: ring.Poly) -> ring.Poly:
-    """Embed f dg as f g' in the jet algebra (one-forms only)."""
-    out: ring.Poly = {}
-    for mono, c in omega.items():
-        dletters = [g for (kind, g), e in mono for _ in range(e)
-                    if kind == "d"]
-        if len(dletters) != 1:
-            raise ValueError("expected a one-form")
-        elem = world.jets.gen((dletters[0], 1))
-        for (kind, g), e in mono:
-            if kind == "d":
-                continue
-            for _ in range(e):
-                elem = world.jets.mul(world.coord(g, 0), elem)
-        ring.acc_poly(out, elem, c)
-    return out
-
-
-def function_to_jet(world: JetWorld, f: ring.Poly) -> ring.Poly:
-    """Embed a zero-form (base polynomial written in form letters)."""
-    out: ring.Poly = {}
-    for mono, c in f.items():
-        elem = world.jets.one()
-        for (kind, g), e in mono:
-            if kind == "d":
-                raise ValueError("expected a zero-form")
-            for _ in range(e):
-                elem = world.jets.mul(elem, world.coord(g, 0))
-        ring.acc_poly(out, elem, c)
-    return out
-
-
-def graded_form_functor(
-    world: JetWorld,
-    alpha0: Optional[ring.Poly] = None,
-    beta0: Optional[ring.Poly] = None,
-) -> dict:
-    """Cochains from differential forms over an even base.
-
-    A 3-form yields the arity-2 cochain alpha(xi, eta) =
-    alpha0(xi, eta, .) embedded through one-forms, with its De Rham
-    differential ``derham_d``; ``ok`` says whether that is zero, i.e.
-    whether alpha is a cocycle.  A 2-form yields the arity-1 cochain of
-    the corresponding change of splitting.
+    Its value on frames (xi_1, ..., xi_n) is the form contracted with
+    them, xi_n first, embedded into jets by g -> g and dg -> g'.  Every
+    contraction must be a function or a one-form.
     """
     base = world.base
     if any(base.parity(nm) for nm in base.gen_names):
-        raise ValueError("form functors need an even base")
+        raise ValueError("form cochains need an even base")
     forms = FormAlgebra(base)
-    out: dict = {"ok": True}
-    names = sorted(world.frame_names())
-    if alpha0 is not None:
-        d = forms.derham_d(alpha0)
-        out["ok"] = not d
-        out["derham_d"] = d
-        seeds: Dict[tuple, LambdaPoly] = {}
-        for a, b in itertools.combinations(names, 2):
-            rest = form_contract(forms, alpha0, [a, b])
-            if rest:
-                seeds[(a, b)] = {(): one_form_to_jet(world, rest)}
-        out["alpha"] = ChevalleyCochain(world, 2, seeds, 0)
-    if beta0 is not None:
-        seeds1: Dict[tuple, LambdaPoly] = {}
-        for a in names:
-            rest = form_contract(forms, beta0, [a])
-            if rest:
-                # the sign makes the functor commute with the
-                # differentials and id + beta an isomorphism from the
-                # exact twist to the standard algebroid
-                seeds1[(a,)] = {
-                    (): ring.pscale(one_form_to_jet(world, rest), -1)
-                }
-        out["beta"] = ChevalleyCochain(world, 1, seeds1, 0)
-    return out
+    one = forms.inject(ring.poly_one())
 
+    def seed(tup, _pars, _taus):
+        rest = form
+        for nm in reversed(tup):
+            rest = ring.derive(rest, {("d", nm): one}, 1, forms.parity)
+        degrees = {forms.form_degree_of_mono(m) for m in rest}
+        if len(degrees) > 1 or degrees - {0, 1}:
+            raise ValueError(
+                f"the contraction with {tup} is not all functions or"
+                " all one-forms"
+            )
+        out: ring.Poly = {}
+        for mono, c in rest.items():
+            elem = world.jets.one()
+            for (kind, g), e in mono:
+                for _ in range(e):
+                    elem = world.jets.mul(
+                        elem, world.coord(g, 1 if kind == "d" else 0)
+                    )
+            ring.acc_poly(out, elem, c)
+        return {(): out}
 
-def two_form_cochain(
-    world: JetWorld, beta0: ring.Poly
-) -> ChevalleyCochain:
-    """The function-valued arity-2 cochain of a 2-form (Picard-Lie shape)."""
-    base = world.base
-    forms = FormAlgebra(base)
-    names = sorted(world.frame_names())
-    seeds: Dict[tuple, LambdaPoly] = {}
-    for a, b in itertools.combinations(names, 2):
-        rest = form_contract(forms, beta0, [a, b])
-        if rest:
-            seeds[(a, b)] = {(): function_to_jet(world, rest)}
-    return ChevalleyCochain(world, 2, seeds, 0)
+    return frame_cochain(world, arity, seed, 0)
 
 
 def form_twist(
@@ -273,20 +200,17 @@ def form_twist(
     """The twist cochain of a 3-form and a 2-form together, and whether
     both forms are De Rham closed.
 
-    The 3-form enters through :func:`graded_form_functor`, the 2-form through
-    :func:`two_form_cochain`; the twists add, which is the product-torsor
-    structure at window scale.  None if neither form is given.
+    Each form enters as its arity-2 :func:`form_cochain`; the twists add,
+    which is the product-torsor structure at window scale.  None if
+    neither form is given.
     """
     forms = FormAlgebra(world.base)
     parts = []
     closed = True
-    if three_form is not None:
-        rep = graded_form_functor(world, alpha0=three_form)
-        closed = rep["ok"]
-        parts.append(rep["alpha"])
-    if two_form is not None:
-        closed = closed and not forms.derham_d(two_form)
-        parts.append(two_form_cochain(world, two_form))
+    for form in (three_form, two_form):
+        if form is not None:
+            closed = closed and not forms.derham_d(form)
+            parts.append(form_cochain(world, form, 2))
     return cochain_add(world, *parts), closed
 
 
@@ -342,13 +266,10 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
         # a base without a differential: both parts vanish
         return ChevalleyCochain(world, n, {}, (phi.parity + 1) & 1)
     d1 = jet_differential(world)
-    frame = sorted(world.frame_names())
-    seeds: Dict[tuple, LambdaPoly] = {}
     # graded-commutator sign: hat phi = l1 o phi - (-1)^|phi| phi o l1
     s_extra = -1 if not (phi.parity & 1) else 1
-    for tup in itertools.combinations_with_replacement(frame, n):
-        pars = [world.frame_parity(nm) for nm in tup]
-        args = [world.tau(nm) for nm in tup]
+
+    def seed(tup, pars, args):
         total: LambdaPoly = {}
         lp_acc(total, lp_map_coeffs(phi(*args), world.jets.D))
         for sig in unshuffles(1, n):
@@ -362,10 +283,9 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
             # global sign on the class |phi| != n mod 2, which makes this
             # anticommute with the bracket part of the differential
             total = lp_scale(total, -1)
-        total = lp_normal(total)
-        if total:
-            seeds[tup] = total
-    return ChevalleyCochain(world, n, seeds, (phi.parity + 1) & 1)
+        return total
+
+    return frame_cochain(world, n, seed, (phi.parity + 1) & 1)
 
 
 def lc_d(
@@ -390,7 +310,7 @@ def lc_d(
             parts.append(hat_d(cur))
         if parts:
             out[k] = cochain_add(world, *parts)
-    return {k: v for k, v in out.items() if not cochain_is_zero(v)}
+    return {k: v for k, v in out.items() if v is not None and v.seeds}
 
 
 def validate_lc_component(
@@ -406,7 +326,7 @@ def validate_lc_component(
             f"arity-{n} component must have operation parity {want_par}"
         )
     shift = total_degree - n
-    for tup, val in cochain_seeds(phi).items():
+    for tup, val in phi.seeds.items():
         base = sum(-world.ext.degree(tau_name(nm)) for nm in tup)
         want = shift - base
         for elem in val.values():
@@ -440,7 +360,7 @@ class ChiralInftyAlgebroid:
         self.world = world
         self.alphas: Dict[int, ChevalleyCochain] = {}
         for n, a in (alphas or {}).items():
-            if a is None or cochain_is_zero(a):
+            if a is None or not a.seeds:
                 continue
             if a.arity != n:
                 raise ValueError("component arity mismatch")
@@ -529,22 +449,23 @@ def chiral_infty_twist(
     """Add a cochain family to the operations; twists are additive.
 
     With ``check`` set the generalized Jacobi identities of the twisted
-    structure are evaluated on :func:`default_field_samples` and compared
+    structure are evaluated on the distinct singletons and pairs of
+    :func:`default_field_samples` and then on its triples, and compared
     against the independently computed cocycle condition on the total
     twist.
     """
     world = P.world
-    new: Dict[int, ChevalleyCochain] = {}
-    for n in set(P.alphas) | set(alphas):
-        s = cochain_add(world, P.alphas.get(n), alphas.get(n))
-        if s is not None and not cochain_is_zero(s):
-            new[n] = s
-    out = ChiralInftyAlgebroid(world, new)
+    # the new algebroid drops the components that cancel
+    out = ChiralInftyAlgebroid(world, {
+        n: cochain_add(world, P.alphas.get(n), alphas.get(n))
+        for n in set(P.alphas) | set(alphas)
+    })
     if not check:
         return out, None
-    report = jacobi_report(out.ops(), default_field_samples(world), MAX_ARITY)
-    dal = lc_d(world, dict(new))
-    report["closed"] = not dal
+    samples = default_field_samples(world)
+    window = [s for k in range(1, MAX_ARITY) for s in sub_samples(samples, k)]
+    report = jacobi_report(out.ops(), window + samples, MAX_ARITY)
+    report["closed"] = not lc_d(world, out.alphas)
     report["match"] = report["closed"] == report["ok"]
     return out, report
 

@@ -16,16 +16,17 @@ translation operator).
 
 Chevalley cochains are antisymmetric multilinear star operations on vector
 fields with function values, stored on frame tuples and evaluated through
-sesquilinearity and function-multilinearity slot rules; ``chevalley_d`` is
-the Chevalley differential for the standard structure (abelian frame, so
-only action terms contribute on frame tuples).
+sesquilinearity and function-multilinearity slot rules.  ``frame_cochain``
+is the one way to build a cochain from a value per sorted frame tuple;
+``chevalley_d`` is the Chevalley differential for the standard structure
+(abelian frame, so only action terms contribute on frame tuples).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
 from .algebra import (
@@ -191,9 +192,11 @@ class JetWorld:
 class ChevalleyCochain(StarOp):
     """An antisymmetric function-multilinear cochain on vector fields.
 
-    ``seeds`` maps sorted frame-name tuples to canonical lambda-polynomial
-    values with function coefficients; the full (permuted) frame table is
-    derived through the antisymmetry relation at construction.
+    ``seeds`` maps sorted frame-name tuples to lambda-polynomial values
+    with function coefficients; the full (permuted) frame table is
+    derived through the antisymmetry relation at construction.  The
+    cochain keeps its nonzero seeds, in canonical form, as ``seeds``: no
+    seeds means the zero cochain.
     """
 
     def __init__(
@@ -205,10 +208,11 @@ class ChevalleyCochain(StarOp):
     ):
         self.world = world
         self.table: Dict[tuple, LambdaPoly] = {}
+        self.seeds: Dict[tuple, LambdaPoly] = {}
         for names, val in seeds.items():
             if tuple(sorted(names)) != tuple(names):
                 raise ValueError("seed tuples must be sorted")
-            if not val:
+            if not lp_normal(val):
                 continue
             pars = [world.frame_parity(n) for n in names]
             for perm in itertools.permutations(range(1, arity + 1)):
@@ -222,6 +226,8 @@ class ChevalleyCochain(StarOp):
                     raise ValueError(
                         f"seed on {names} breaks antisymmetry at {tup}"
                     )
+            # the identity permutation comes first: the canonical seed
+            self.seeds[tuple(names)] = self.table[tuple(names)]
         super().__init__(arity, world.module, self._evaluate, op_parity)
 
     def _term_value(self, parts):
@@ -307,6 +313,27 @@ def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,
     return out
 
 
+def frame_cochain(
+    world: JetWorld,
+    arity: int,
+    seed: Callable[[tuple, List[int], List[ring.Poly]], LambdaPoly],
+    parity: int,
+) -> ChevalleyCochain:
+    """The cochain whose value on each sorted frame tuple is
+    ``seed(tup, pars, taus)``, with ``pars`` the parities and ``taus`` the
+    frame fields of the tuple's letters.
+
+    Repeated letters are visited too: a repeated even frame letter can
+    still carry a nonzero value through the lambda dependence.
+    """
+    seeds: Dict[tuple, LambdaPoly] = {}
+    frame = sorted(world.frame_names())
+    for tup in itertools.combinations_with_replacement(frame, arity):
+        seeds[tup] = seed(tup, [world.frame_parity(nm) for nm in tup],
+                          [world.tau(nm) for nm in tup])
+    return ChevalleyCochain(world, arity, seeds, parity)
+
+
 def _chevalley_d(phi: ChevalleyCochain, lc: bool) -> ChevalleyCochain:
     """The body of :func:`chevalley_d`, in either sign convention.
 
@@ -320,28 +347,24 @@ def _chevalley_d(phi: ChevalleyCochain, lc: bool) -> ChevalleyCochain:
     world = phi.world
     n = phi.arity
     mu = world.bracket()
-    seeds: Dict[tuple, LambdaPoly] = {}
-    frame = sorted(world.frame_names())
-    for tup in itertools.combinations_with_replacement(frame, n + 1):
-        pars = [world.frame_parity(nm) for nm in tup]
-        # repeated even frame letters can still carry nonzero values
-        # through the lambda dependence, so no tuple is skipped here
+
+    def seed(tup, pars, taus):
         total: LambdaPoly = {}
         for sig in unshuffles(1, n + 1):
             # a_i acts on phi of the others; the Koszul sign moves a_i
             # left past a_1..a_{i-1} (the action applies to the value
             # from the left, so phi itself is not crossed)
             i = sig[0]
-            v = phi(*[world.tau(tup[s - 1]) for s in sig[1:]])
-            term = apply_to_value(mu, world.tau(tup[i - 1]), v)
+            v = phi(*[taus[s - 1] for s in sig[1:]])
+            term = apply_to_value(mu, taus[i - 1], v)
             sign = antisym_sign(sig, pars)
             if lc and (1 + pars[i - 1] * phi.parity) & 1:
                 sign = -sign
             lp_acc(total, permute_slots(term, sig, world.module, sign))
-        if total:
-            seeds[tup] = total
+        return total
+
     parity = phi.parity if lc else (phi.parity + 1) & 1
-    return ChevalleyCochain(world, n + 1, seeds, parity)
+    return frame_cochain(world, n + 1, seed, parity)
 
 
 def chevalley_d(phi: ChevalleyCochain) -> ChevalleyCochain:

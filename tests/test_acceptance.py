@@ -13,10 +13,9 @@ from fractions import Fraction
 from chiralis import ring
 from chiralis.algebra import FormAlgebra, SuperPolyAlgebra
 from chiralis.algebroid import (
-    cochain_is_zero,
     chiral_infty_twist,
+    form_cochain,
     fs_closed_family,
-    graded_form_functor,
     standard_chiral_infty_algebroid,
 )
 from chiralis.chevalley import ChevalleyCochain, JetWorld, chevalley_d
@@ -186,7 +185,7 @@ def test_06_chevalley_d_squared():
             continue
         phi = ChevalleyCochain(world, arity, seeds, 0)
         dd = chevalley_d(chevalley_d(phi))
-        assert cochain_is_zero(dd)
+        assert not dd.seeds
         done += 1
 
 
@@ -259,9 +258,9 @@ def test_09_graded_classification_by_forms():
     om = forms.mul(
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
-    rep = graded_form_functor(world, alpha0=om)
     P = standard_chiral_infty_algebroid(world.base)
-    _, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
+    _, chk = chiral_infty_twist(P, {2: form_cochain(world, om, 2)},
+                                check=True)
     assert chk["ok"] and chk["closed"] and chk["match"]
 
     world4 = JetWorld(
@@ -272,10 +271,10 @@ def test_09_graded_classification_by_forms():
         forms4.inject(world4.base.gen("x4")),
         forms4.d_gen("x1"), forms4.d_gen("x2"), forms4.d_gen("x3"),
     )
-    rep4 = graded_form_functor(world4, alpha0=bad)
-    assert not rep4["ok"] and rep4["derham_d"]
+    assert forms4.derham_d(bad)
     P4 = standard_chiral_infty_algebroid(world4.base)
-    _, chk4 = chiral_infty_twist(P4, {2: rep4["alpha"]}, check=True)
+    _, chk4 = chiral_infty_twist(P4, {2: form_cochain(world4, bad, 2)},
+                                 check=True)
     assert not chk4["ok"] and chk4["failures"]
     assert not chk4["closed"] and chk4["match"]
 
@@ -310,9 +309,9 @@ def test_11_module_structure_is_rigid():
     om = forms.mul(
         forms.d_gen("x1"), forms.d_gen("x2"), forms.d_gen("x3")
     )
-    rep = graded_form_functor(world, alpha0=om)
     P = standard_chiral_infty_algebroid(world.base)
-    Q, chk = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
+    Q, chk = chiral_infty_twist(P, {2: form_cochain(world, om, 2)},
+                                check=True)
     assert chk["ok"]
     f = world.jets.mul(world.coord("x1"), world.coord("x2", 1))
     states = [

@@ -15,12 +15,18 @@ Oracles used here:
     structure equals the evaluated k-th component of the differential of
     the twist, for non-closed twists too;
   * morphism residuals are compared against the evaluated differential of
-    the defining cochain family.
+    the defining cochain family;
+  * golden digests of the cochain tables of seeded forms and of lc_d
+    families, recorded before every cochain was built by one constructor.
 """
 
 import hashlib
 import itertools
+import json
+import random
 from fractions import Fraction
+
+import pytest
 
 from chiralis import ring
 from chiralis.algebra import FormAlgebra, SuperPolyAlgebra
@@ -28,20 +34,19 @@ from chiralis.algebroid import (
     ChiralInftyAlgebroid,
     chiral_infty_morphism,
     chiral_infty_twist,
-    cochain_is_zero,
-    cochain_seeds,
     default_field_samples,
+    form_cochain,
     form_twist,
     fs_closed_family,
-    graded_form_functor,
     jet_differential,
     lc_d,
     morphism_residual,
     standard_chiral_infty_algebroid,
-    two_form_cochain,
+    sub_samples,
     validate_lc_component,
 )
 from chiralis.chevalley import ChevalleyCochain, JetWorld, chevalley_d
+from chiralis.cli import enc_any
 from chiralis.exact import binomial
 from chiralis.fock import BGSystem
 from chiralis.starops import (
@@ -59,6 +64,14 @@ from test_chevalley import symmetrized_seed
 # sha256 of repr(lc_d families) of the strict cases, recorded while hat_d
 # still evaluated the empty differential current
 LC_D_EVEN = "7f7cf9ec2a92fb1b67e4e3606aaea80b5525d25da20f17c9765d38759cf12cbd"
+# sha256 of the encoded cochain tables of seeded forms and of lc_d
+# families, recorded while each form kind had its own embedding
+# (``graded_form_functor`` and ``two_form_cochain``) and each cochain
+# differential its own loop over frame tuples
+FORM_COCHAINS = (
+    "68279c55abd579f72fa91b78dda369911d404d1e4748dbe715c4bbbf9250b513")
+LC_D_FAMILIES = (
+    "cc5ae5ee9d2167f82307ada3e2369d02767db0c0ea64413f0b530100a9d7df94")
 
 
 def even_world(n=3):
@@ -109,10 +122,10 @@ def test_twist_by_closed_three_form_passes():
     world = even_world()
     forms = FormAlgebra(world.base)
     omega = dform(forms, "x1", "x2", "x3")
-    rep = graded_form_functor(world, alpha0=omega)
-    assert rep["ok"] and rep["derham_d"] == {}
+    assert forms.derham_d(omega) == {}
     P = standard_chiral_infty_algebroid(world.base)
-    _, report = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
+    _, report = chiral_infty_twist(P, {2: form_cochain(world, omega, 2)},
+                                   check=True)
     assert report["ok"] and report["closed"] and report["match"]
 
 
@@ -123,10 +136,10 @@ def test_twist_by_non_closed_three_form_fails_with_witness():
         forms.inject(world.base.gen("x4")),
         dform(forms, "x1", "x2", "x3"),
     )
-    rep = graded_form_functor(world, alpha0=omega)
-    assert not rep["ok"] and rep["derham_d"]
+    assert forms.derham_d(omega)
     P = standard_chiral_infty_algebroid(world.base)
-    _, report = chiral_infty_twist(P, {2: rep["alpha"]}, check=True)
+    _, report = chiral_infty_twist(P, {2: form_cochain(world, omega, 2)},
+                                   check=True)
     assert not report["ok"] and report["failures"]
     assert not report["closed"] and report["match"]
 
@@ -135,10 +148,8 @@ def test_module_action_invariant_under_twist():
     world = even_world()
     forms = FormAlgebra(world.base)
     P = standard_chiral_infty_algebroid(world.base)
-    rep = graded_form_functor(
-        world, alpha0=dform(forms, "x1", "x2", "x3")
-    )
-    Q, _ = chiral_infty_twist(P, {2: rep["alpha"]})
+    alpha = form_cochain(world, dform(forms, "x1", "x2", "x3"), 2)
+    Q, _ = chiral_infty_twist(P, {2: alpha})
     f = world.jets.mul(world.coord("x1"), world.coord("x2", 1))
     states = [
         world.tau("x1"),
@@ -202,15 +213,17 @@ def test_even_base_twist_is_the_strict_case():
     forms = FormAlgebra(world.base)
     P = standard_chiral_infty_algebroid(world.base)
     samples = default_field_samples(world)
+    # the check's window: the singletons and pairs, then the triples
+    window = sub_samples(samples, 1) + sub_samples(samples, 2) + samples
     verdicts = []
     for total in strict_cases(world, forms):
         Q, rep = chiral_infty_twist(P, {2: total}, check=True)
         l1 = Q.ops()[1]
         assert all(lp_normal(l1(v)) == {} for s in samples for v in s)
-        bracket_only = jacobi_report({2: Q.ops()[2]}, samples, 3)
+        bracket_only = jacobi_report({2: Q.ops()[2]}, window, 3)
         assert {k: rep[k] for k in bracket_only} == bracket_only
         ch = chevalley_d(total)
-        assert rep["closed"] == cochain_is_zero(ch) == rep["ok"]
+        assert rep["closed"] == (not ch.seeds) == rep["ok"]
         d = lc_d(world, {2: total})
         assert sorted(d) == ([] if rep["closed"] else [3])
         for s in samples:
@@ -229,7 +242,7 @@ def test_lc_d_on_an_even_base_skips_the_empty_current(monkeypatch):
     nth, firsts = BGSystem.nth, []
     monkeypatch.setattr(BGSystem, "nth", lambda self, a, n, b: (
         firsts.append(a) or nth(self, a, n, b)))
-    got = [{k: cochain_seeds(v) for k, v in lc_d(world, {2: t}).items()}
+    got = [{k: v.seeds for k, v in lc_d(world, {2: t}).items()}
            for t in twists]
     assert firsts and all(firsts)
     assert hashlib.sha256(repr(got).encode()).hexdigest() == LC_D_EVEN
@@ -239,11 +252,79 @@ def test_two_form_cochain_shape():
     world = even_world()
     forms = FormAlgebra(world.base)
     beta = dform(forms, "x1", "x2")
-    phi = two_form_cochain(world, beta)
+    phi = form_cochain(world, beta, 2)
     v = phi(world.tau("x1"), world.tau("x2"))
     # the contraction convention feeds frames from the right
     assert lp_normal(v) == {(): {(): Fraction(-1)}}
     assert phi(world.tau("x1"), world.tau("x3")) == {}
+
+
+def seeded_form(forms, rng, degree, count=3):
+    """A random form over Q[x1..x4] with polynomial coefficients."""
+    names = ("x1", "x2", "x3", "x4")
+    out = {}
+    for _ in range(count):
+        term = forms.inject(ring.poly_one())
+        for _ in range(rng.randint(0, 2)):
+            term = forms.mul(term, forms.gen(rng.choice(names)))
+        for nm in rng.sample(names, degree):
+            term = forms.mul(term, forms.d_gen(nm))
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        ring.acc_poly(out, term, c)
+    return out
+
+
+def encoded_digest(entries):
+    text = json.dumps(enc_any(entries), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def table(phi):
+    return [[list(t), v] for t, v in sorted(phi.table.items())]
+
+
+def test_form_cochains_golden():
+    """Seeded 3-forms at arity 2 and 2-forms at arity 1 (negated, the
+    change of splitting) and 2 keep their cochain tables; so do the
+    lc_d families of the fs family members and of form cochains."""
+    world = even_world(4)
+    forms = FormAlgebra(world.base)
+    entries, open_pair = [], None
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(f"form:{seed}")
+        three, two = seeded_form(forms, rng, 3), seeded_form(forms, rng, 2)
+        alpha = form_cochain(world, three, 2)
+        beta1 = form_cochain(world, ring.pscale(two, -1), 1)
+        entries += [["three", seed, table(alpha)],
+                    ["two-1", seed, table(beta1)],
+                    ["two-2", seed, table(form_cochain(world, two, 2))]]
+        if open_pair is None and forms.derham_d(three) and forms.derham_d(two):
+            open_pair = alpha, beta1
+    assert encoded_digest(entries) == FORM_COCHAINS
+    fsw = fs_world()
+    a2, a3 = fs_closed_family(fsw)
+    alpha, beta1 = open_pair
+    families = [lc_d(fsw, {2: a2}), lc_d(fsw, {3: a3}),
+                lc_d(fsw, {2: a2, 3: a3}), lc_d(world, {2: alpha}),
+                lc_d(world, {1: beta1})]
+    assert [sorted(f) for f in families] == [[3], [3], [], [3], [2]]
+    encoded = [[[k, table(c)] for k, c in sorted(f.items())]
+               for f in families]
+    assert encoded_digest(encoded) == LC_D_FAMILIES
+
+
+def test_form_cochain_rejects_bad_input():
+    odd = JetWorld(SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)]))
+    with pytest.raises(ValueError, match="even base"):
+        form_cochain(odd, FormAlgebra(odd.base).d_gen("x"), 1)
+    world = even_world()
+    forms = FormAlgebra(world.base)
+    mixed = ring.padd(dform(forms, "x1", "x2", "x3"),
+                      dform(forms, "x1", "x2"))
+    with pytest.raises(ValueError, match="all functions or all one-forms"):
+        form_cochain(world, mixed, 2)
+    # each part alone is fine
+    assert form_cochain(world, dform(forms, "x1", "x2"), 2).seeds
 
 
 # -- free-field witnesses -------------------------------------------------------------
@@ -372,16 +453,6 @@ def test_fs_closed_family_twist_passes():
     assert rep["ok"] and rep["closed"] and rep["match"]
 
 
-def _sub_samples(samples, k):
-    """The distinct length-k sub-tuples of the sample tuples, in order."""
-    seen = {}
-    for tup in samples:
-        for sub in itertools.combinations(tup, k):
-            key = tuple(tuple(sorted(e.items())) for e in sub)
-            seen.setdefault(key, list(sub))
-    return list(seen.values())
-
-
 def test_arity_one_and_two_identities_on_default_samples():
     """l1^2 = 0 and the Leibniz rule of l1 over l2 hold on the singletons
     and pairs of the default window (whose samples are all triples), for
@@ -393,7 +464,7 @@ def test_arity_one_and_two_identities_on_default_samples():
     for fam in ({}, {2: a2}, {2: a2, 3: a3}):
         Q, _ = chiral_infty_twist(P, fam)
         for k in (1, 2):
-            rep = jacobi_report(Q.ops(), _sub_samples(samples, k), 3)
+            rep = jacobi_report(Q.ops(), sub_samples(samples, k), 3)
             assert rep["ok"], (sorted(fam), k, rep["failures"][:1])
             assert rep["checked"] > 0
     # fault injection: l1 + id squares to 2 l1 + id, which is not zero
@@ -402,7 +473,7 @@ def test_arity_one_and_two_identities_on_default_samples():
     ops[1] = StarOp(1, l1.module,
                     lambda e: lp_add(l1(e), lp_from_elem(e)), l1.parity)
     for k in (1, 2):
-        rep = jacobi_report(ops, _sub_samples(samples, k), 3)
+        rep = jacobi_report(ops, sub_samples(samples, k), 3)
         assert not rep["ok"] and rep["failures"][0]["arity"] == k
 
 
@@ -424,9 +495,7 @@ def test_sequential_twists_add():
     direct, _ = chiral_infty_twist(P, {2: a2, 3: a3})
     assert rep["ok"] and rep["closed"] and rep["match"]
     for k in (2, 3):
-        s1 = cochain_seeds(Q2.alphas.get(k))
-        s2 = cochain_seeds(direct.alphas.get(k))
-        assert s1 == s2
+        assert Q2.alphas[k].seeds == direct.alphas[k].seeds
 
 
 def test_component_grading_validation():
@@ -504,22 +573,27 @@ def test_form_functor_morphism_identity():
         forms.inject(world.base.gen("x1")), dform(forms, "x2", "x3")
     )
     omega = forms.derham_d(beta)
-    rep = graded_form_functor(world, alpha0=omega, beta0=beta)
-    assert rep["ok"]
+    assert forms.derham_d(omega) == {}
+    alpha = form_cochain(world, omega, 2)
+    # the sign makes the form cochains commute with the differentials and
+    # id + beta an isomorphism from the exact twist to the standard
+    # algebroid
+    beta1 = form_cochain(world, ring.pscale(beta, -1), 1)
     P = ChiralInftyAlgebroid(world)
-    mrep = chiral_infty_morphism(P, {1: rep["beta"]})
+    mrep = chiral_infty_morphism(P, {1: beta1})
     assert mrep["ok"] and mrep["residual_matches_differential"]
-    # the functor matches the differentials: the Chevalley differential
-    # of beta is the alpha of d(beta); lc_d takes it with the LC sign
+    # the form cochains match the differentials: the Chevalley
+    # differential of beta is the alpha of d(beta); lc_d takes it with the
+    # LC sign
     # (-1)^(1 + p_i |phi|), which is -1 on every term for the
     # parity-even beta, so there it is minus that alpha
-    d = lc_d(world, {1: rep["beta"]})
+    d = lc_d(world, {1: beta1})
     assert sorted(d) == [2]
-    ch = chevalley_d(rep["beta"])
+    ch = chevalley_d(beta1)
     nonzero = 0
     for s in default_field_samples(world):
         args = s[:2]
-        want = lp_normal(rep["alpha"](*args))
+        want = lp_normal(alpha(*args))
         assert lp_normal(ch(*args)) == want
         assert lp_normal(d[2](*args)) == lp_normal(lp_scale(want, -1))
         nonzero += bool(want)

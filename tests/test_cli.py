@@ -6,9 +6,11 @@ recorded sha256s of seeded structures and borcherds reports and of an
 exhaustive borcherds report, Borcherds failure witnesses against the
 per-identity oracle of ``test_fock`` (for faults in ``nth`` and in the
 kernel's one-letter base case), the memo and kept inner products of a
-Borcherds window against a fresh recomputation, schema output, the documented
-example invocations, a reader that closes the pipe early, and a Hypothesis
-fuzz of form files and windows that must never crash.
+Borcherds window against a fresh recomputation, faults in the chiral
+algebroid's differential and unary operation that must exit 1, schema
+output, the documented example invocations, a reader that closes the pipe
+early, and a Hypothesis fuzz of form files and windows that must never
+crash.
 """
 
 import contextlib
@@ -28,10 +30,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralis import cli
+from chiralis import algebroid, cli, ring
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
+from chiralis.starops import StarOp
 from test_fock import EXHAUSTIVE_RSTS, exact_items, reference_borcherds
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -368,6 +371,43 @@ def test_chiral_infty_check(tmp_path):
     assert code == 1
     assert not rep["jacobi_ok"] and not rep["closed"] and rep["match"]
     assert rep["failures"]
+
+
+def test_truncated_check_with_a_wrong_differential_exits_1(tmp_path,
+                                                          monkeypatch):
+    # an lc_d that reads every family as closed disagrees with the failing
+    # Jacobi check of the truncated family: ok is false, and so is the exit
+    monkeypatch.setattr(algebroid, "lc_d", lambda world, alphas: {})
+    code, rep = report(tmp_path, "ct.json",
+                       ["chiral-infty-check", "--m", "2", "--truncate"])
+    assert code == 1 and rep["ok"] is False
+    assert rep["closed"] and not rep["jacobi_ok"] and not rep["match"]
+
+
+def test_chiral_infty_check_catches_a_non_derivation(tmp_path, monkeypatch):
+    """l1 conjugated by the map that doubles the function part of an
+    element still squares to zero, and the closed family still passes
+    every triple of the window; but l1 is no longer a derivation of l2,
+    which only the arity-2 identities see."""
+    l1_of = algebroid.jet_differential
+
+    def conjugated(world):
+        l1 = l1_of(world)
+
+        def g(v, c):
+            funcs = {m: e for m, e in v.items()
+                     if world.tangent_degree(m) == 0}
+            return ring.padd(v, ring.pscale(funcs, c))
+
+        return StarOp(1, l1.module, lambda v: {
+            z: g(e, 1) for z, e in l1(g(v, Fraction(-1, 2))).items()
+        }, l1.parity)
+
+    monkeypatch.setattr(algebroid, "jet_differential", conjugated)
+    code, rep = report(tmp_path, "ci.json", ["chiral-infty-check", "--m", "2"])
+    assert code == 1 and not rep["ok"] and not rep["jacobi_ok"]
+    assert rep["closed"] and not rep["match"] and rep["additivity_ok"]
+    assert rep["failures"] and {f["arity"] for f in rep["failures"]} == {2}
 
 
 def test_derham_closed(tmp_path):
