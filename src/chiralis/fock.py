@@ -33,18 +33,31 @@ rule (T a)_(n) = -n a_(n-1),
 
 one mode applied to the second argument.
 
+Products of monomials obey a pole-order bound (Wick's theorem; Kac,
+*Vertex Algebras for Beginners*, 3.3): a_(n) b = 0 for n >= P(a, b), where
+P(a, b) is the weight, with multiplicity, of the letters of a whose
+conjugate family (the same generator, the other kind) occurs in b, plus
+that of the letters of b whose conjugate family occurs in a.  The OPE of
+two normally ordered monomials of free fields is a sum over sets of
+contractions between their letters; only conjugate letters contract, a
+contraction of letters of weights w and w' has pole order w + w', and the
+uncontracted letters are regular.
+
 There is one product loop, :meth:`BGSystem.nth`: it expands both states
 into monomials and sums the memoized monomial products of ``_nth_mono``,
-which evaluates the two inner products of the iterate formula on the
-shorter first argument.  Term 1 runs over every j up to the weight bound;
-its modes are creation modes, each a multiplication by one letter.
-In term 2 the annihilation mode g_(j) with j >= 0 can only contract a
-letter of b conjugate to g, so the sum runs over just the conjugate letters
-present in b (j = -1 - their operator index, in increasing j).  Every term
-is accumulated in place.  The weight and parity of each monomial are
-computed once and kept per system, so the weight bounds and parity checks
-of ``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
-lookup.
+which returns the products that the bound makes zero at once, with no
+recursion and no memo entry, and evaluates the others by the two inner
+products of the iterate formula on the shorter first argument.  Term 1
+runs over the j below the bound of (rest, b); its modes are creation
+modes, each a multiplication by one letter.  In term 2 the annihilation
+mode g_(j) with j >= 0 can only contract a letter of b conjugate to g, so
+the sum runs over just the conjugate letters present in b (j = -1 - their
+operator index, in increasing j).  Every term is accumulated in place.
+The weight, parity and per-family weights of each monomial are computed
+once and kept per system, so the bounds and parity checks of
+``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
+lookup.  The memo lives as long as its system: a caller that reuses few
+products (a seeded Borcherds draw) checks on a fresh system.
 
 :func:`borcherds_checks` checks the Borcherds identities of the triples
 (a, b, c) for one pair (a, b) and a list of third states c
@@ -65,6 +78,8 @@ from .exact import binomial
 
 State = ring.Poly
 
+_CONJ = {"c": "m", "m": "c"}  # the conjugate family's kind
+
 
 class BGSystem:
     """Free-field vertex algebra over a polynomial super algebra base."""
@@ -76,7 +91,9 @@ class BGSystem:
         self.base = base
         self.odd_charge = odd_charge
         self._memo: Dict = {}
-        self._grades: Dict = {}  # monomial -> (weight, parity)
+        # monomial -> (weight, parity, {(kind, name): weight of its letters
+        # of that mode family})
+        self._grades: Dict = {}
 
     # -- letters -------------------------------------------------------------
     def parity(self, key) -> int:
@@ -119,13 +136,32 @@ class BGSystem:
     def mono_degree(self, mono) -> int:
         return ring.mono_degree(mono, self.degree)
 
-    def grade(self, mono) -> Tuple[int, int]:
-        """(weight, parity) of a monomial, computed once per system."""
+    def grade(self, mono) -> Tuple[int, int, Dict]:
+        """(weight, parity, family weights) of a monomial, computed once per
+        system; the family weights map each mode family (kind, name) of its
+        letters to their total weight, with multiplicity."""
         hit = self._grades.get(mono)
         if hit is None:
-            hit = (self.mono_weight(mono), ring.mono_parity(mono, self.parity))
+            fams: Dict = {}
+            for g, e in mono:
+                fams[g[:2]] = fams.get(g[:2], 0) + self.weight(g) * e
+            hit = (self.mono_weight(mono), ring.mono_parity(mono, self.parity),
+                   fams)
             self._grades[mono] = hit
         return hit
+
+    def pole_bound(self, ma, mb) -> int:
+        """P(a, b): the weight of the letters of a whose conjugate family
+        occurs in b, plus that of the letters of b whose conjugate family
+        occurs in a.  a_(n) b = 0 for every n >= P(a, b) (Wick)."""
+        grades = self._grades
+        fb = (grades.get(mb) or self.grade(mb))[2]
+        p = 0
+        for (kind, name), w in (grades.get(ma) or self.grade(ma))[2].items():
+            wb = fb.get((_CONJ[kind], name))
+            if wb is not None:
+                p += w + wb
+        return p
 
     def max_weight(self, p: State) -> int:
         grades = self._grades
@@ -177,8 +213,7 @@ class BGSystem:
             letter = ring.poly_gen(self._letter_from_voa(kind, name, j))
             return ring.pmul(letter, p, self.parity)
         # annihilation: contract against the conjugate letter of index -1-j
-        conj_kind = "m" if kind == "c" else "c"
-        target = self._letter_from_voa(conj_kind, name, -1 - j)
+        target = self._letter_from_voa(_CONJ[kind], name, -1 - j)
         odd = bool(self.base.parity(name))
         gp = self.base.parity(name)
         coeff0 = self._pair_coeff(kind, odd)
@@ -223,6 +258,14 @@ class BGSystem:
     def _nth_mono(self, ma, n: int, mb) -> State:
         """The n-th product of two monomials, memoized per system.
 
+        A product with n >= P(a, b) (:meth:`pole_bound`) is zero and is
+        returned at once, with no recursion and no memo entry: by Wick's
+        theorem the OPE a(z) b(w) is a sum over sets of contractions, each
+        between a letter of a and a letter of b of the conjugate family;
+        a contraction of letters of weights w and w' has pole order
+        w + w', and the uncontracted letters are regular, so the pole
+        order is at most P(a, b).
+
         A one-letter first argument is the base case: its products are one
         mode of its field, (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l)
         with l = -1 - (operator index of the letter), applied to b.  A
@@ -234,6 +277,8 @@ class BGSystem:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        if n >= 0 and n >= self.pole_bound(ma, mb):
+            return {}
         if not ma:
             res = {mb: 1} if n == -1 else {}
             memo[key] = res
@@ -252,12 +297,12 @@ class BGSystem:
             return res
         parity = self.parity
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
-        w_rest, pa_rest = self.grade(ma_rest)
-        w_b = self.grade(mb)[0]
+        pa_rest = self.grade(ma_rest)[1]
         out: State = {}
         # term 1: sum_j (-1)^j C(m,j) g_(m-j) (rest_(n+j) b); m - j <= -1,
-        # so g_(m-j) multiplies by a letter
-        for j in range(0, max(w_rest + w_b - n - 1, -1) + 1):
+        # so g_(m-j) multiplies by a letter; rest_(n+j) b = 0 once
+        # n + j >= P(rest, b) >= 0
+        for j in range(0, max(self.pole_bound(ma_rest, mb) - n, 0)):
             inner = memo.get((ma_rest, n + j, mb))
             if inner is None:
                 inner = self._nth_mono(ma_rest, n + j, mb)
@@ -276,7 +321,7 @@ class BGSystem:
         # g_(j) b is nonzero only when b holds the conjugate letter of
         # operator index -1-j; those j are visited in increasing order, as
         # the full j loop would, so the result keeps its item order.
-        conj = "m" if kind == "c" else "c"
+        conj = _CONJ[kind]
         js = sorted(-1 - self._voa_index(h) for h, _e in mb
                     if h[0] == conj and h[1] == name)
         sign2 = -1 if (m + parity(g) * pa_rest) & 1 else 1

@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from chiralis.algebra import SuperPolyAlgebra
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
 from chiralis.starops import StarOp
-from test_fock import EXHAUSTIVE_RSTS, exact_items, reference_borcherds
+from test_fock import (EXHAUSTIVE_RSTS, exact_items, reference_borcherds,
+                       wick_bound)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -243,6 +245,52 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
         want = [(k, exact_items(p)) for k in range(lo, hi + 1)
                 if (p := fresh.nth(dict(x), k, dict(y)))]
         assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
+
+
+def test_borcherds_memo_scope(tmp_path, monkeypatch):
+    # seeded draws share almost no products, so each is checked on a fresh
+    # system that dies with its draw; the exhaustive window keeps one
+    # system, and its memo holds no product that the Wick bound P(a, b)
+    # says is zero
+    systems = []  # a weak reference to every system made
+    init = BGSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        systems.append(weakref.ref(self))
+
+    live = []
+
+    def checks(va, a, b, cs, rsts, pairs=None):
+        live.append((len(va._memo), sum(ref() is not None for ref in systems)))
+        return borcherds_checks(va, a, b, cs, rsts, pairs)
+
+    monkeypatch.setattr(BGSystem, "__init__", spy)
+    monkeypatch.setattr(cli, "borcherds_checks", checks)
+    code, rep = report(tmp_path, "seeded.json",
+                       ["borcherds-check", "--samples", "300", "--seed", "1"])
+    assert code == 0 and rep["checked"] == 284
+    # one system draws the states, and one per draw checks them, starting
+    # from an empty memo while the systems of earlier draws are gone
+    assert len(systems) == 285 and live == [(0, 2)] * 284
+    assert all(ref() is None for ref in systems)
+
+    held = []
+
+    def holding(va, a, b, cs, rsts, pairs=None):
+        held.append(va)
+        return borcherds_checks(va, a, b, cs, rsts, pairs)
+
+    monkeypatch.setattr(cli, "borcherds_checks", holding)
+    code, rep = report(tmp_path, "window.json",
+                       ["borcherds-check", "--vars", "1", "--max-weight", "2",
+                        "--samples", "0"])
+    assert code == 0 and rep["checked"] == 5000
+    fk = held[0]
+    assert all(va is fk for va in held)
+    assert len(fk._memo) == 630
+    for ma, n, mb in fk._memo:
+        assert n < 0 or n < wick_bound(fk, ma, mb), (ma, n, mb)
 
 
 def test_liestar_and_linfty(tmp_path):

@@ -449,6 +449,56 @@ def two_var_letters():
     return fast, lets
 
 
+def wick_bound(sys, ma, mb):
+    """P(a, b) from the letters: the weight, with multiplicity, of the
+    letters of each monomial whose conjugate family occurs in the other."""
+    def conj(g):
+        return ("m" if g[0] == "c" else "c", g[1])
+
+    fa, fb = {g[:2] for g, _e in ma}, {g[:2] for g, _e in mb}
+    return (sum(sys.weight(g) * e for g, e in ma if conj(g) in fb)
+            + sum(sys.weight(g) * e for g, e in mb if conj(g) in fa))
+
+
+def test_pole_bound_matches_reference_on_two_letter_monomials():
+    # every pair of monomials of up to two letters of the benchmark's
+    # window, at every n from -2 to wt a + wt b: the kernel, which returns
+    # the products with n >= P(a, b) as zero at once, equals the reference,
+    # which knows nothing of the bound, and each of those is zero there
+    fk, lets = two_var_letters()
+    monos = [m for p in lets + [fk.mul(x, y) for x, y in
+                                itertools.combinations_with_replacement(
+                                    lets, 2)] for m in p]
+    assert len(monos) == 420
+    # both kernels peel the first letter of a, so the first monomials with
+    # one rest share one pair of systems; each first monomial's own
+    # products are dropped after it, which keeps the memos small
+    by_rest = {}
+    for ma in monos:
+        (g, e), tail = ma[0], ma[1:]
+        by_rest.setdefault(((g, e - 1),) + tail if e > 1 else tail,
+                           []).append(ma)
+    bounded = 0
+    for group in by_rest.values():
+        fast, ref = BGSystem(fk.base), ReferenceBG(fk.base)
+        for ma in group:
+            a, wa = {ma: 1}, fast.mono_weight(ma)
+            for mb in monos:
+                b, bound = {mb: 1}, wick_bound(fast, ma, mb)
+                assert fast.pole_bound(ma, mb) == bound, (ma, mb)
+                for n in range(-2, wa + fast.mono_weight(mb) + 1):
+                    want = ref.nth(a, n, b)
+                    assert exact_items(fast.nth(a, n, b)) == exact_items(
+                        want), (ma, n, mb)
+                    if n >= bound:
+                        bounded += 1
+                        assert want == {}, (ma, n, mb)
+            for memo in (fast._memo, ref._memo):
+                for key in [key for key in memo if key[0] == ma]:
+                    del memo[key]
+    assert bounded == 1080336
+
+
 def test_one_letter_products_match_reference():
     # a one-letter first argument is the kernel's base case; the reference
     # still peels the letter down to the vacuum
@@ -594,5 +644,8 @@ def test_grades_match_a_direct_computation():
             assert fk.max_weight(p) == ref.max_weight(p)
             assert fk.state_parity(p) == ref.state_parity(p)
         for mono in p:
+            fams = {fam: mono_degree(tuple((g, e) for g, e in mono
+                                           if g[:2] == fam), fk.weight)
+                    for fam in {g[:2] for g, _e in mono}}
             assert fk.grade(mono) == (
-                fk.mono_weight(mono), mono_parity(mono, fk.parity))
+                fk.mono_weight(mono), mono_parity(mono, fk.parity), fams)
