@@ -15,14 +15,17 @@ A :class:`FormAlgebra` adjoins a differential ``dg`` for every generator
 differential ``derham_d``, the Lie derivative ``lie_D`` along the ambient
 differential, and their sum ``total_d``; all three square to zero and the
 first two anticommute.  Forms are the twisting data of the algebroid
-layers: ``linfty.DerAlgebroid`` contracts them against derivations, and
-``algebroid.form_twist`` turns a 3-form and a 2-form into one twist of
-the standard chiral algebroid.
+layers, and :meth:`FormAlgebra.iota` is their one contraction by a
+vector field: ``linfty.DerAlgebroid`` contracts forms against
+derivations with it, and ``algebroid.form_cochain`` against frames.
 
-The carriers of vector fields (``chevalley.JetWorld`` and
-``linfty.DerAlgebroid``) add one tangent letter tau_g = d/dg per base
-generator g; :func:`tau_name`, :func:`is_tau`, :func:`tau_base` and
-:func:`split_tangent` are their one naming and splitting convention.
+:func:`tangent_algebra` is the one carrier of vector fields, shared by
+the finite layer (``linfty.DerAlgebroid.carrier``) and the chiral one
+(``chevalley.JetWorld.ext``, whose jets it has): the base plus one
+tangent letter tau_g = d/dg per base generator g, with D(tau_g) =
+[D, d/dg].  :func:`tau_name`, :func:`is_tau`, :func:`tau_base`,
+:func:`tangent_part` and :func:`split_tangent` are the one naming and
+splitting convention of its letters, plain or as jet keys (name, k).
 """
 
 from __future__ import annotations
@@ -275,6 +278,13 @@ class FormAlgebra:
     def total_d(self, p: Poly) -> Poly:
         return ring.padd(self.derham_d(p), self.lie_D(p))
 
+    def iota(self, form: Poly, components: Dict, parity: int) -> Poly:
+        """Contraction of a form by the vector field sum_g components[g]
+        d/dg (ambient components) of parity ``parity``: the derivation
+        dg -> components[g], g -> 0, of parity ``parity + 1``."""
+        images = {("d", g): self.inject(c) for g, c in components.items()}
+        return ring.derive(form, images, (parity + 1) & 1, self.parity)
+
 
 # -- tangent letters -----------------------------------------------------------
 
@@ -287,6 +297,9 @@ def tau_name(name: str) -> str:
 
 
 def is_tau(letter) -> bool:
+    """Whether a letter, or the jet key (letter, k), is a tangent letter."""
+    if isinstance(letter, tuple):
+        letter = letter[0]
     return str(letter).startswith(TAU_PREFIX)
 
 
@@ -295,11 +308,47 @@ def tau_base(letter) -> str:
     return str(letter)[len(TAU_PREFIX):]
 
 
-def split_tangent(mono, is_tau, parity):
+def tangent_part(p: Poly, k: int) -> Poly:
+    """The terms of p with exactly k tangent letters (k = 0: the function
+    part, k = 1: the vector-field part of a carrier element)."""
+    return {m: c for m, c in p.items()
+            if sum(e for g, e in m if is_tau(g)) == k}
+
+
+def tangent_algebra(base: SuperPolyAlgebra) -> SuperPolyAlgebra:
+    """The carrier of vector fields on ``base``: the base generators plus
+    one tangent letter tau_g = d/dg per generator g, of the same parity
+    and negated degree.  D extends the base differential by D(tau_g) =
+    [D, d/dg], so on a vector field X it is the commutator [D, X]."""
+    for name in base.gen_names:
+        if is_tau(name):
+            raise ValueError(f"reserved generator name {name!r}")
+    gens = [(n, base.parity(n), base.degree(n)) for n in base.gen_names]
+    gens += [(tau_name(n), base.parity(n), -base.degree(n))
+             for n in base.gen_names]
+
+    def parity(g):
+        return base.parity(tau_base(g) if is_tau(g) else g)
+
+    D = {k: dict(v) for k, v in base.D_images.items()}
+    for g in base.gen_names:
+        # [D, d/dg] = -(-1)^|g| sum_h (d D(h) / dg) d/dh
+        img: Poly = {}
+        for h, dh in base.D_images.items():
+            part = ring.derive(dh, {g: poly_one()}, base.parity(g),
+                               base.parity)
+            ring.acc_poly(img, ring.pmul(part, ring.poly_gen(tau_name(h)),
+                                         parity), -(-1) ** base.parity(g))
+        if img:
+            D[tau_name(g)] = img
+    return SuperPolyAlgebra(gens, D=D)
+
+
+def split_tangent(mono, parity):
     """Write a monomial as sign * (f-part) * (its one tangent letter).
 
-    Returns ``(f_mono, tau_key, sign)``, or None when ``mono`` has no letter
-    for which ``is_tau`` holds; raises ``ValueError`` when it has more.
+    Returns ``(f_mono, tau_key, sign)``, or None when ``mono`` has no
+    tangent letter; raises ``ValueError`` when it has more.
     """
     taus = [(g, e) for g, e in mono if is_tau(g)]
     if not taus:

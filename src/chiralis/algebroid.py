@@ -14,12 +14,17 @@ even base with D = 0, is the strict case: the unary operation is zero,
 only the bracket is twisted (by a 2-cochain), and ``lc_d`` reduces to the
 Chevalley differential.
 
+A twist component is added to an operation by ``starops.plus_op`` and
+a morphism family is ``starops.identity_plus`` of its cochains, the same
+code the jet-free algebroid of ``linfty`` uses; a cochain evaluates each
+argument through its vector-field part.
+
 ``form_cochain`` is the one path from a differential form over an even
-base to a cochain: its value on frames is the form contracted with them,
-embedded into jets by g -> g and dg -> g' (so f dg maps to f g').  A
-3-form yields an arity-2 cochain with one-form values; a 2-form yields
-an arity-2 cochain with function values, or, negated, an arity-1 cochain
-with one-form values.  On forms this matches the De Rham differential
+base to a cochain: its value on frames is the form contracted with them
+(``algebra.FormAlgebra.iota``), embedded into jets by g -> g and
+dg -> g' (so f dg maps to f g').  A 3-form yields an arity-2 cochain
+with one-form values; a 2-form yields an arity-2 cochain with function
+values, or, negated, an arity-1 cochain with one-form values.  On forms this matches the De Rham differential
 with the Chevalley one: the Chevalley differential of the arity-1
 cochain of -beta is the arity-2 cochain of d(beta) (``lc_d`` takes the
 Chevalley part with the sign (-1)^(1 + p_i |phi|), so on parity-even
@@ -49,8 +54,10 @@ from .chevalley import (
 )
 from .exact import antisym_sign, unshuffles
 from .starops import (
+    MAX_ARITY,
     LambdaPoly,
     StarOp,
+    identity_plus,
     jacobi_report,
     lp_acc,
     lp_add,
@@ -60,6 +67,7 @@ from .starops import (
     lp_scale,
     morphism_defect,
     permute_slots,
+    plus_op,
 )
 
 
@@ -82,25 +90,6 @@ def cochain_add(
         for tup, val in c.seeds.items():
             lp_acc(seeds.setdefault(tup, {}), val)
     return ChevalleyCochain(world, arity, seeds, par)
-
-
-def twisted_op(base: Optional[StarOp], alpha: ChevalleyCochain) -> StarOp:
-    """``base`` (None for zero) plus ``alpha`` on the vector-field parts.
-
-    The cochain contributes only when every argument has a nonzero
-    vector-field projection.
-    """
-    world = alpha.world
-
-    def fn(*args):
-        val = base(*args) if base is not None else {}
-        fields = [world.sigma(a) for a in args]
-        if all(fields):
-            val = lp_add(val, alpha(*fields))
-        return lp_normal(val)
-
-    parity = alpha.parity if base is None else base.parity
-    return StarOp(alpha.arity, world.module, fn, parity)
 
 
 # -- the sample window ---------------------------------------------------------------
@@ -166,12 +155,12 @@ def form_cochain(
     if any(base.parity(nm) for nm in base.gen_names):
         raise ValueError("form cochains need an even base")
     forms = FormAlgebra(base)
-    one = forms.inject(ring.poly_one())
 
     def seed(tup, _pars, _taus):
         rest = form
         for nm in reversed(tup):
-            rest = ring.derive(rest, {("d", nm): one}, 1, forms.parity)
+            # the frame d/d(nm) is even over an even base
+            rest = forms.iota(rest, {nm: ring.poly_one()}, 0)
         degrees = {forms.form_degree_of_mono(m) for m in rest}
         if len(degrees) > 1 or degrees - {0, 1}:
             raise ValueError(
@@ -338,10 +327,6 @@ def validate_lc_component(
                 )
 
 
-# the highest arity of an operation and of a checked Jacobi identity
-MAX_ARITY = 3
-
-
 class ChiralInftyAlgebroid:
     """The standard homotopy chiral algebroid of a base, twisted.
 
@@ -376,7 +361,7 @@ class ChiralInftyAlgebroid:
         for n in range(1, MAX_ARITY + 1):
             an = self.alphas.get(n)
             if an is not None:
-                out[n] = twisted_op(base.get(n), an)
+                out[n] = plus_op(base.get(n), an)
         self._ops = out
         return out
 
@@ -484,10 +469,8 @@ def morphism_residual(
     up to arity three.
     """
     module = P.world.module
-    ident = StarOp(1, module, lp_from_elem, 0)
-    fs = {k: twisted_op(ident if k == 1 else None, b)
-          for k, b in betas.items() if b is not None}
-    fs.setdefault(1, ident)
+    fs = identity_plus(module, {k: b for k, b in betas.items()
+                                if b is not None})
     return morphism_defect(P.ops(), Q.ops(), fs, args, module)
 
 

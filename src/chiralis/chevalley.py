@@ -1,10 +1,12 @@
 """Jet tangent carriers, their Lie* bracket, and Chevalley cochains.
 
-The carrier of a polynomial base algebra A is the jet algebra of A extended
-by tangent frame generators tau_g = d/dg (one per base generator, with
-flipped cohomological degree); elements of tangent degree <= 1 represent
-the direct sum of the jet algebra of A and the jet module of vector
-fields.  The standard Lie* bracket on the carrier is computed through the
+The carrier of a polynomial base algebra A is the jet algebra of
+``algebra.tangent_algebra(A)``, the algebra the finite layer
+``linfty.DerAlgebroid`` uses as well: A extended by tangent frame
+generators tau_g = d/dg (one per base generator, with flipped
+cohomological degree); elements of tangent degree <= 1 represent the
+direct sum of the jet algebra of A and the jet module of vector fields.
+The standard Lie* bracket on the carrier is computed through the
 free-field dictionary: jets embed into the beta-gamma--bc state space by
 
     g^(k)    ->  (-1)^k k! (coordinate mode of g at -k)
@@ -16,8 +18,10 @@ translation operator).
 
 Chevalley cochains are antisymmetric multilinear star operations on vector
 fields with function values, stored on frame tuples and evaluated through
-sesquilinearity and function-multilinearity slot rules.  ``frame_cochain``
-is the one way to build a cochain from a value per sorted frame tuple;
+sesquilinearity and function-multilinearity slot rules; a cochain reads a
+carrier element through its vector-field part, so function terms
+contribute zero.  ``frame_cochain`` is the one way to build a cochain
+from a value per sorted frame tuple;
 ``chevalley_d`` is the Chevalley differential for the standard structure
 (abelian frame, so only action terms contribute on frame tuples).
 """
@@ -34,6 +38,8 @@ from .algebra import (
     SuperPolyAlgebra,
     is_tau,
     split_tangent,
+    tangent_algebra,
+    tangent_part,
     tau_base,
     tau_name,
 )
@@ -61,44 +67,8 @@ class JetWorld:
     """Jets of A together with the tangent frame and the Fock dictionary."""
 
     def __init__(self, base: SuperPolyAlgebra):
-        for name in base.gen_names:
-            if is_tau(name):
-                raise ValueError(f"reserved generator name {name!r}")
         self.base = base
-        gens = [
-            (name, base.parity(name), base.degree(name))
-            for name in base.gen_names
-        ]
-        gens += [
-            (tau_name(name), base.parity(name), -base.degree(name))
-            for name in base.gen_names
-        ]
-        D = {k: dict(v) for k, v in base.D_images.items()}
-        for name in base.gen_names:
-            img: ring.Poly = {}
-            s = -1 if not (base.parity(name) & 1) else 1
-            # the induced differential on frames: the commutator of the
-            # base differential with the coordinate vector field
-            for other in base.gen_names:
-                dother = base.D_images.get(other)
-                if not dother:
-                    continue
-                part = ring.derive(
-                    dother, {name: ring.poly_one()}, base.parity(name),
-                    base.parity,
-                )
-                if part:
-                    term = ring.pmul(
-                        part,
-                        ring.poly_gen(tau_name(other)),
-                        lambda g: base.parity(
-                            tau_base(g) if is_tau(g) else g
-                        ),
-                    )
-                    ring.acc_poly(img, term, s)
-            if img:
-                D[tau_name(name)] = img
-        self.ext = SuperPolyAlgebra(gens, D=D)
+        self.ext = tangent_algebra(base)
         self.jets = JetAlgebra(self.ext)
         self.module = StarModule(
             parity=self.jets.poly_parity, translate=self.jets.translate
@@ -122,15 +92,9 @@ class JetWorld:
     def frame_parity(self, name: str) -> int:
         return self.base.parity(name)
 
-    def is_tau_key(self, key) -> bool:
-        return is_tau(key[0])
-
-    def tangent_degree(self, mono) -> int:
-        return sum(e for g, e in mono if self.is_tau_key(g))
-
     def sigma(self, p: ring.Poly) -> ring.Poly:
         """Projection onto the vector-field (tangent-degree 1) part."""
-        return {m: c for m, c in p.items() if self.tangent_degree(m) == 1}
+        return tangent_part(p, 1)
 
     # -- Fock dictionary ---------------------------------------------------------
     def _letter_to_fock(self, key) -> Tuple[tuple, int]:
@@ -268,15 +232,10 @@ class ChevalleyCochain(StarOp):
         for a in args:
             terms = []
             for mono, c in a.items():
-                split = split_tangent(
-                    mono, world.is_tau_key, world.jets.parity
-                )
-                if split is None:
-                    raise ValueError(
-                        "cochain arguments must be vector fields"
-                    )
-                fmono, tkey, s = split
-                terms.append((fmono, tkey, c * s))
+                split = split_tangent(mono, world.jets.parity)
+                if split is not None:
+                    fmono, tkey, s = split
+                    terms.append((fmono, tkey, c * s))
             split_args.append(terms)
         for combo in itertools.product(*split_args):
             coeff = 1

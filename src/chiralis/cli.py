@@ -36,6 +36,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -157,11 +158,20 @@ TWIST_SCHEMA = {
 }
 
 
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_scalar(raw, field: str) -> Fraction:
+    """A coefficient as FORM_SCHEMA documents it: a JSON integer, or a
+    string 'p' or 'p/q' of decimal integers (no float, no exponent)."""
     try:
-        return Fraction(str(raw))
+        if isinstance(raw, int) and not isinstance(raw, bool):
+            return Fraction(raw)
+        if isinstance(raw, str) and RATIONAL.fullmatch(raw):
+            return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational in field {field!r}: {raw!r}") from exc
+    raise UsageError(f"bad rational in field {field!r}: {raw!r}")
 
 
 class UsageError(Exception):

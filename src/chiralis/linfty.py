@@ -25,10 +25,13 @@ functions, twists of the operations by parity-even differential forms,
 and order-by-order conjugation by the morphisms of parity-odd forms.
 Both kinds of form act through one signed contraction against the
 vector-field projections of the arguments (the form's parity picks the
-sign).  This is the jet-free case of the chiral layer in ``algebroid``:
-the twisted structures and morphisms are star operations with the zero
-translation, checked by the same ``starops.jacobi_report`` and
-``starops.morphism_defect``.
+sign), built on ``algebra.FormAlgebra.iota``.  This is the jet-free case
+of the chiral layer in ``algebroid``, and it shares that layer's code:
+the carrier is ``algebra.tangent_algebra`` of the base and l_1 is its
+D; a twist is added to an operation by ``starops.plus_op`` and the
+morphism family is ``starops.identity_plus``; the twisted structures
+and morphisms are star operations with the zero translation, checked by
+the same ``starops.jacobi_report`` and ``starops.morphism_defect``.
 """
 
 from __future__ import annotations
@@ -41,17 +44,21 @@ from . import ring
 from .algebra import (
     FormAlgebra,
     SuperPolyAlgebra,
-    is_tau,
     split_tangent,
+    tangent_algebra,
+    tangent_part,
     tau_base,
     tau_name,
 )
 from .starops import (
+    MAX_ARITY,
     StarModule,
     StarOp,
+    identity_plus,
     jacobi_report,
     lp_from_elem,
     morphism_defect,
+    plus_op,
     zero_translate,
 )
 
@@ -339,23 +346,18 @@ def contraction_sign(pars: Sequence[int], form_parity: int) -> int:
 class DerAlgebroid:
     """Functions plus derivations of a differential super-polynomial algebra.
 
-    Carrier elements are polynomials in the base generators and tangent
-    letters of tangent degree at most one: the tangent-free part is a
-    function, and f * tau_g stands for the derivation f d/dg.  Higher
-    operations can be twisted by differential forms, contracted against
-    the derivation parts of the arguments.
+    The carrier is :func:`algebra.tangent_algebra` of the base: its
+    elements of tangent degree at most one are a function (the
+    tangent-free part) plus a derivation, f * tau_g standing for f d/dg.
+    l_1 is the carrier's D.  Higher operations can be twisted by
+    differential forms, contracted against the derivation parts of the
+    arguments.
     """
 
     def __init__(self, base: SuperPolyAlgebra):
         self.base = base
         self.forms = FormAlgebra(base)
-        gens = [
-            (n, base.parity(n), base.degree(n)) for n in base.gen_names
-        ] + [
-            (tau_name(n), base.parity(n), -base.degree(n))
-            for n in base.gen_names
-        ]
-        self.carrier = SuperPolyAlgebra(gens)
+        self.carrier = tangent_algebra(base)
         self.module = StarModule(
             parity=self.carrier.poly_parity, translate=zero_translate
         )
@@ -363,19 +365,16 @@ class DerAlgebroid:
     def tau(self, name: str) -> ring.Poly:
         return self.carrier.gen(tau_name(name))
 
-    def _tdeg(self, mono) -> int:
-        return sum(e for g, e in mono if is_tau(g))
-
     def sigma(self, e: ring.Poly) -> ring.Poly:
-        return {m: c for m, c in e.items() if self._tdeg(m) == 1}
+        return tangent_part(e, 1)
 
     def fun_part(self, e: ring.Poly) -> ring.Poly:
-        return {m: c for m, c in e.items() if self._tdeg(m) == 0}
+        return tangent_part(e, 0)
 
     def _split_terms(self, u: ring.Poly):
         """Write a derivation as (coefficient, base generator) terms."""
         for mono, c in u.items():
-            split = split_tangent(mono, is_tau, self.carrier.parity)
+            split = split_tangent(mono, self.carrier.parity)
             if split is not None:
                 fmono, tkey, s = split
                 yield {fmono: c * s}, tau_base(tkey)
@@ -422,31 +421,6 @@ class DerAlgebroid:
                 )
         return out
 
-    def diff(self, e: ring.Poly) -> ring.Poly:
-        """l_1 before twisting: D on functions, [D, -] on derivations."""
-        out = self.base.D(self.fun_part(e))
-        X = self.sigma(e)
-        if X:
-            px = self.carrier.poly_parity(X)
-            for name in self.base.gen_names:
-                g = self.base.gen(name)
-                w = ring.psub(
-                    self.base.D(self.field_apply(X, g)),
-                    ring.pscale(
-                        self.field_apply(X, self.base.D(g)), (-1) ** px
-                    ),
-                )
-                if w:
-                    out = ring.padd(
-                        out,
-                        ring.pmul(
-                            w,
-                            ring.poly_gen(tau_name(name)),
-                            self.carrier.parity,
-                        ),
-                    )
-        return out
-
     def iota(self, u: ring.Poly, omega: ring.Poly) -> ring.Poly:
         """Contraction of a form against a derivation (an odd operation)."""
         u = self.sigma(u)
@@ -455,14 +429,12 @@ class DerAlgebroid:
         pu = self.carrier.poly_parity(u)
         if pu is None:
             raise ValueError("the derivation must be parity-homogeneous")
-        images = {}
+        components = {}
         for name in self.base.gen_names:
             w = self.field_apply(u, self.base.gen(name))
             if w:
-                images[("d", name)] = self.forms.inject(w)
-        return ring.derive(
-            omega, images, (pu + 1) & 1, self.forms.parity
-        )
+                components[name] = w
+        return self.forms.iota(omega, components, pu)
 
     def contract(self, alpha: ring.Poly, fields) -> ring.Poly:
         """<alpha, X_1 ^ ... ^ X_n> as a function (zero-form part)."""
@@ -490,23 +462,16 @@ class DerAlgebroid:
                              self.forms.poly_parity(omega))
         return ring.pscale(t, -1) if s else t
 
-    def plus_contraction(self, base: Optional[StarOp], omega: ring.Poly,
-                         arity: int) -> StarOp:
-        """``base`` (None for zero) plus the signed contraction of
-        ``omega`` against the derivation parts of the arguments."""
+    def contraction(self, omega: ring.Poly, arity: int) -> StarOp:
+        """The signed contraction of ``omega`` against the derivation
+        parts of ``arity`` arguments, an operation of parity arity plus
+        the form's parity."""
+        return StarOp(
+            arity, self.module,
+            lambda *args: lp_from_elem(self.contract_signed(omega, args)),
+            (arity + self.forms.poly_parity(omega)) & 1)
 
-        def fn(*args):
-            v = base(*args).get((), {}) if base is not None else {}
-            return lp_from_elem(ring.padd(v, self.contract_signed(omega,
-                                                                  args)))
-
-        parity = (base.parity if base is not None
-                  else (arity + self.forms.poly_parity(omega)) & 1)
-        return StarOp(arity, self.module, fn, parity)
-
-    def ops(
-        self, alphas: Dict[int, ring.Poly], max_arity: int = 3
-    ) -> Dict[int, StarOp]:
+    def ops(self, alphas: Dict[int, ring.Poly]) -> Dict[int, StarOp]:
         """The twisted operations l_n as star operations (zero translation)."""
         for n, a in alphas.items():
             if a and self.forms.poly_parity(a) != 0:
@@ -530,13 +495,13 @@ class DerAlgebroid:
             return lp_from_elem(v)
 
         base = {1: StarOp(1, self.module,
-                          lambda e: lp_from_elem(self.diff(e)), 1),
+                          lambda e: lp_from_elem(self.carrier.D(e)), 1),
                 2: StarOp(2, self.module, l2, 0)}
         out: Dict[int, StarOp] = dict(base)
-        for n in range(1, max(max_arity, 2) + 1):
+        for n in range(1, MAX_ARITY + 1):
             an = alphas.get(n)
             if an:
-                out[n] = self.plus_contraction(base.get(n), an, n)
+                out[n] = plus_op(base.get(n), self.contraction(an, n))
         return out
 
     def morphism_ops(self, betas: Dict[int, ring.Poly]) -> Dict[int, StarOp]:
@@ -547,21 +512,17 @@ class DerAlgebroid:
                 raise ValueError(
                     f"morphism component {n} must be parity-odd as a form"
                 )
-        ident = StarOp(1, self.module, lp_from_elem, 0)
-        fs = {n: self.plus_contraction(ident if n == 1 else None, b, n)
-              for n, b in betas.items() if b}
-        fs.setdefault(1, ident)
-        return fs
+        return identity_plus(self.module, {
+            n: self.contraction(b, n) for n, b in betas.items() if b})
 
 
 def twist_jacobi_report(
     alg: DerAlgebroid,
     alphas: Dict[int, ring.Poly],
     samples: Sequence[Sequence[ring.Poly]],
-    max_k: int = 3,
 ) -> dict:
     """Generalized Jacobi defects of the twisted structure on sample tuples."""
-    report = jacobi_report(alg.ops(alphas, max_arity=max_k), samples, max_k)
+    report = jacobi_report(alg.ops(alphas), samples, MAX_ARITY)
     alpha_total = {}
     for a in alphas.values():
         alpha_total = ring.padd(alpha_total, a)

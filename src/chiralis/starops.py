@@ -36,6 +36,9 @@ LamMono = Tuple[Tuple[int, int], ...]
 # LambdaPoly: dict mapping LamMono -> module element (itself a dict)
 LambdaPoly = Dict[LamMono, dict]
 
+# the highest arity of an operation, a Jacobi identity and a morphism
+MAX_ARITY = 3
+
 
 class StarModule:
     """A module handle: element parity and translation."""
@@ -223,6 +226,30 @@ class StarOp:
         return self.fn(*args)
 
 
+def plus_op(base: Optional[StarOp], extra: StarOp) -> StarOp:
+    """``base`` (None for zero) plus ``extra``, keeping the parity of
+    ``base``: the one way an operation gets a twist or a morphism
+    component (a cochain, or the contraction of a form) added to it."""
+    if base is None:
+        return extra
+
+    def fn(*args):
+        return lp_normal(lp_add(base(*args), extra(*args)))
+
+    return StarOp(extra.arity, extra.module, fn, base.parity)
+
+
+def identity_plus(module: StarModule,
+                  extras: Dict[int, StarOp]) -> Dict[int, StarOp]:
+    """The morphism family f_1 = id + extras[1] and f_n = extras[n] for
+    n >= 2; f_1 is the identity when ``extras`` has no arity-1 member."""
+    ident = StarOp(1, module, lp_from_elem, 0)
+    fs = {n: plus_op(ident if n == 1 else None, e)
+          for n, e in extras.items()}
+    fs.setdefault(1, ident)
+    return fs
+
+
 def permute_slots(val: LambdaPoly, sigma: Sequence[int],
                   module: StarModule, sign: int) -> LambdaPoly:
     """The slot-permutation action on a value.
@@ -243,7 +270,7 @@ def _parities(module: StarModule, args) -> List[int]:
     return x
 
 
-def sigma_act(sigma: Sequence[int], phi: StarOp, parities=None) -> StarOp:
+def sigma_act(sigma: Sequence[int], phi: StarOp) -> StarOp:
     """The symmetric-group action on star operations.
 
     ``sigma`` is 1-indexed (a tuple of images).  The result evaluates phi
@@ -353,7 +380,7 @@ def morphism_defect(
     ls: Dict[int, StarOp], lps: Dict[int, StarOp], fs: Dict[int, StarOp],
     args, module: StarModule,
 ) -> LambdaPoly:
-    """Defect of the homotopy morphism equation at arity n = len(args) <= 3.
+    """Defect of the homotopy morphism equation at arity n = len(args).
 
     ``fs`` maps the structure ``ls`` to ``lps``; ``fs[1]`` must be present.
     The left side is the unshuffle sum of ``ls`` into ``fs``, the right
@@ -361,7 +388,7 @@ def morphism_defect(
     the terms lps_2(f_1 x, f_2(y, z)) over the (1, 2)-unshuffles.
     """
     n = len(args)
-    if n > 3:
+    if n > MAX_ARITY:
         raise ValueError("the morphism equation is supported up to arity three")
     x = _parities(module, args)
     lhs = unshuffle_sum(ls, fs, n, args, module)
@@ -385,17 +412,18 @@ def morphism_defect(
     return lp_normal(lp_add(lhs, lp_scale(rhs, -1)))
 
 
-def va_bracket(system, translate_sign: int = -1) -> StarOp:
+def va_bracket(system) -> StarOp:
     """The Lie* bracket of a vertex algebra engine.
 
     mu(a, b) = sum_{n>=0} (a_(n) b) z_1^n / n!; the module translation
-    handed to the star calculus is ``translate_sign`` times the vertex
-    translation operator (the conventions used here require the opposite
-    sign, the default).
+    handed to the star calculus is minus the vertex translation T: the
+    calculus turns a translate in slot i into +z_i, while a vertex
+    algebra has (Ta)_(n) = -n a_(n-1), i.e. [Ta_lambda b] = -lambda
+    [a_lambda b].
     """
     module = StarModule(
         parity=system.state_parity,
-        translate=lambda p: ring.pscale(system.T(p), translate_sign),
+        translate=lambda p: ring.pscale(system.T(p), -1),
     )
 
     def fn(a, b):

@@ -233,11 +233,11 @@ def test_08_picard_lie_infty_torsor():
     rng = random.Random(13)
     samples = _samples(alg, rng)
     for fam in (fam_a, fam_b):
-        rep = twist_jacobi_report(alg, fam, samples, max_k=3)
+        rep = twist_jacobi_report(alg, fam, samples)
         assert rep["ok"] and rep["closed"] and rep["match"]
         for k in fam:
             sub = {j: v for j, v in fam.items() if j != k}
-            bad = twist_jacobi_report(alg, sub, samples, max_k=3)
+            bad = twist_jacobi_report(alg, sub, samples)
             assert not bad["ok"] and not bad["closed"] and bad["match"]
     betas = {
         1: _form(alg, ("d", "x"), ("g", "x"), ("g", "x")),

@@ -223,6 +223,27 @@ def test_cochain_antisymmetry_and_multilinearity():
             assert not res, res
 
 
+def test_cochain_is_zero_on_function_arguments():
+    """A cochain evaluates a carrier element through its vector-field
+    part: function terms contribute nothing, so a function argument gives
+    zero and adding one to a field changes nothing."""
+    rng = random.Random(5)
+    w = even_world(2)
+    phi = ChevalleyCochain(w, 2, {("x1", "x2"): {
+        (): {((("x1", 0), 1),): Fraction(2)},
+        ((1, 1),): {((("x2", 1), 1),): Fraction(1)},
+    }})
+    t1, t2 = w.tau("x1"), w.tau("x2")
+    assert phi(t1, t2)
+    for _ in range(6):
+        f = rand_jet(rng, w)
+        if not f:
+            continue
+        assert phi(f, t2) == {} and phi(t1, f) == {}
+        assert phi(ring.padd(t1, f), t2) == phi(t1, t2)
+        assert phi(t1, ring.padd(f, t2)) == phi(t1, t2)
+
+
 def test_even_repeat_seed_rejected():
     w = even_world(2)
     try:

@@ -23,6 +23,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralis import algebroid, cli, ring
-from chiralis.algebra import SuperPolyAlgebra
+from chiralis.algebra import SuperPolyAlgebra, tangent_part
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
 from chiralis.starops import StarOp
@@ -443,9 +444,7 @@ def test_chiral_infty_check_catches_a_non_derivation(tmp_path, monkeypatch):
         l1 = l1_of(world)
 
         def g(v, c):
-            funcs = {m: e for m, e in v.items()
-                     if world.tangent_degree(m) == 0}
-            return ring.padd(v, ring.pscale(funcs, c))
+            return ring.padd(v, ring.pscale(tangent_part(v, 0), c))
 
         return StarOp(1, l1.module, lambda v: {
             z: g(e, 1) for z, e in l1(g(v, Fraction(-1, 2))).items()
@@ -546,6 +545,26 @@ def test_malformed_json_input(tmp_path):
         "terms": [{"coeff": "1", "d": ["nope"]}],
     }))
     assert run(["derham-closed", "--form", str(g)]) == 2
+
+
+def test_coefficients_are_parsed_as_the_schema_says(tmp_path):
+    """A coefficient is a JSON integer or a string 'p' or 'p/q' of decimal
+    integers.  Anything else exits 2, and an exponent does so before any
+    arithmetic: Fraction('1e-100000000') would expand it in full."""
+    def derham(coeff):
+        f = tmp_path / "form.json"
+        f.write_text(json.dumps(
+            {"vars": 1, "terms": [{"coeff": coeff, "d": ["x1"]}]}))
+        return run_quiet(["derham-closed", "--form", str(f)])[0]
+
+    t0 = time.perf_counter()
+    assert derham("1e-100000000") == 2
+    assert time.perf_counter() - t0 < 1
+    for bad in ("1.5", 1.5, True, None, " 1", "1_0", "1/0", "1e3", "0x10",
+                "nan", "1/-2", ""):
+        assert derham(bad) == 2, bad
+    for good in (2, -3, "7", "-2/3", "+4", "10/4"):
+        assert derham(good) == 0, good
 
 
 def test_encoder_writes_int_and_fraction_alike():

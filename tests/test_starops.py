@@ -19,6 +19,7 @@ from chiralis.starops import (
     lp_mul_var,
     StarModule,
     StarOp,
+    identity_plus,
     jacobi_defect,
     lie_star_check,
     lp_acc,
@@ -28,6 +29,7 @@ from chiralis.starops import (
     lp_mul_mono,
     lp_normal,
     lp_scale,
+    plus_op,
     sigma_act,
     unshuffle_sum,
     va_bracket,
@@ -106,6 +108,38 @@ def test_translation_covariance_of_free_op():
         ((1, 2),): {("l", 0): Fraction(2)},
     }
     assert lp_normal(got) == expect
+
+
+def test_plus_op_is_the_sum_with_the_parity_of_its_base():
+    mod, mu = vec_bracket()
+    # an odd extra operation, with values that cancel part of mu
+    extra = StarOp(2, mod, op_on_free_basis(2, mod, {("l", "l"): {
+        ((1, 1),): {("l", 0): Fraction(-2)},
+        ((1, 2),): {("l", 1): Fraction(3)},
+    }}).fn, 1)
+    assert plus_op(None, extra) is extra
+    total = plus_op(mu, extra)
+    assert total.parity == mu.parity == 0
+    assert (total.arity, total.module) == (2, mod)
+    pool = [{("l", k): Fraction(1)} for k in range(3)]
+    for a, b in itertools.product(pool, repeat=2):
+        want = lp_normal(lp_add(mu(a, b), extra(a, b)))
+        assert total(a, b) == want
+    l = pool[0]
+    # the z_1 terms cancel: 2 l z_1 - 2 l z_1
+    assert total(l, l) == {(): {("l", 1): Fraction(-1)},
+                           ((1, 2),): {("l", 1): Fraction(3)}}
+
+
+def test_identity_plus_adds_the_identity_at_arity_one():
+    mod, mu = vec_bracket()
+    shift = StarOp(1, mod, lambda e: {(): mod.translate(e)}, 0)
+    l = {("l", 0): Fraction(1)}
+    fs = identity_plus(mod, {1: shift, 2: mu})
+    assert fs[2] is mu
+    assert fs[1](l) == {(): {("l", 0): Fraction(1), ("l", 1): Fraction(1)}}
+    bare = identity_plus(mod, {2: mu})
+    assert sorted(bare) == [1, 2] and bare[1](l) == {(): l}
 
 
 def test_sigma_act_identity_and_composition_law():
