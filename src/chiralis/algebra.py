@@ -115,38 +115,17 @@ class JetAlgebra(SuperPolyAlgebra):
 
     Generator keys are ``(name, k)`` with k >= 0; ``(name, 0)`` is the base
     generator.  Gradings: parity and cohomological degree are inherited from
-    the base generator, ``weight((name, k)) = k``.  Jet variables are
-    materialized lazily up to the largest order touched so far.
+    the base generator, ``weight((name, k)) = k``.
     """
 
     def __init__(self, base: SuperPolyAlgebra):
         self.base = base
-        self._parity = {}
-        self._degree = {}
-        self.gen_names = []
-        self._max_order = -1
         self._D_cache: Dict = {}
-        # translation images x^(k) -> x^(k+1) for every k < _max_order
-        self._translate_images: Dict = {}
-        self.D_images = self  # sentinel; D() is overridden below
-        self._extend(0)
-
-    def _extend(self, order: int) -> None:
-        for k in range(self._max_order + 1, order + 1):
-            for name in self.base.gen_names:
-                key = (name, k)
-                self._parity[key] = self.base.parity(name)
-                self._degree[key] = self.base.degree(name)
-                self.gen_names.append(key)
-                if k:
-                    self._translate_images[(name, k - 1)] = ring.poly_gen(key)
-        self._max_order = max(self._max_order, order)
 
     def gen(self, key) -> Poly:
         name, k = key
         if name not in self.base._parity or k < 0:
             raise KeyError(key)
-        self._extend(k)
         return ring.poly_gen(key)
 
     def parity(self, key) -> int:
@@ -166,10 +145,11 @@ class JetAlgebra(SuperPolyAlgebra):
 
     def translate(self, p: Poly) -> Poly:
         """The jet translation, x^(k) -> x^(k+1); an even derivation."""
-        orders = [k for m in p for (_, k), _ in m]
-        if orders:
-            self._extend(max(orders) + 1)
-        return ring.derive(p, self._translate_images, 0, self.parity)
+        images = {}
+        for mono in p:
+            for (name, k), _e in mono:
+                images[(name, k)] = ring.poly_gen((name, k + 1))
+        return ring.derive(p, images, 0, self.parity)
 
     def _D_image(self, key) -> Poly:
         if key not in self._D_cache:

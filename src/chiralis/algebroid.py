@@ -171,10 +171,10 @@ def form_cochain(
         for mono, c in rest.items():
             elem = world.jets.one()
             for (kind, g), e in mono:
-                for _ in range(e):
-                    elem = world.jets.mul(
-                        elem, world.coord(g, 1 if kind == "d" else 0)
-                    )
+                k = 1 if kind == "d" else 0
+                world.coord(g, k)  # validates the letter
+                # the jets of an even base are even: g^e is one monomial
+                elem = world.jets.mul(elem, {(((g, k), e),): 1})
             ring.acc_poly(out, elem, c)
         return {(): out}
 

@@ -111,9 +111,8 @@ class JetWorld:
             coeff = c
             for g, e in mono:
                 letter, fact = self._letter_to_fock(g)
-                for _ in range(e):
-                    state = self.fock.mul(state, ring.poly_gen(letter))
-                    coeff *= fact
+                state = self.fock.mul(state, {((letter, e),): 1})
+                coeff *= fact ** e
             ring.acc_poly(out, state, coeff)
         return out
 
@@ -132,9 +131,9 @@ class JetWorld:
             den = 1
             for g, e in mono:
                 letter, fact = self._letter_from_fock(g)
-                for _ in range(e):
-                    elem = self.jets.mul(elem, self.jets.gen(letter))
-                    den *= fact
+                self.jets.gen(letter)  # validates the letter
+                elem = self.jets.mul(elem, {((letter, e),): 1})
+                den *= fact ** e
             coeff = ring.div(c, den)
             ring.acc_poly(out, elem, coeff)
         return out

@@ -215,13 +215,14 @@ def parse_form(data: dict, forms: FormAlgebra, field: str,
         part = forms.inject(ring.poly_one())
         for name, e in fpart:
             try:
-                g = forms.gen(name)
+                forms.gen(name)
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(
                     f"unknown variable {name!r} in {where}.f"
                 ) from exc
-            for _ in range(e):
-                part = forms.mul(part, g)
+            if e:
+                # the variables are even: name^e is one monomial
+                part = forms.mul(part, {((("g", name), e),): 1})
         for name in dpart:
             try:
                 part = forms.mul(part, forms.d_gen(name))
@@ -265,14 +266,13 @@ def cmd_fs_cohomology(args) -> dict:
     if args.min_charge > args.max_charge:
         raise UsageError("--min-charge must not exceed --max-charge")
     K = ChiralKoszul(args.m)
-    cells = K.cohomology(
-        args.max_weight, args.max_charge, args.min_charge
-    )["cells"]
+    result = K.cohomology(args.max_weight, args.max_charge, args.min_charge)
+    cells = result["cells"]
     if not cells:
         raise UsageError("the (weight, charge) window contains no cells")
     _lines, euler_ok = euler_lines(cells)
     weight0 = sum(c["dim"] for c in cells if c["weight"] == 0)
-    return {
+    report = {
         "m": args.m,
         "cells": cells,
         "weight0_dimension": weight0,
@@ -282,8 +282,11 @@ def cmd_fs_cohomology(args) -> dict:
             "max_charge": args.max_charge,
             "min_charge": args.min_charge,
         },
-        "ok": euler_ok,
+        "ok": euler_ok and result["witness"] is None,
     }
+    if result["witness"] is not None:
+        report["witness"] = result["witness"]
+    return report
 
 
 def cmd_borcherds_check(args) -> dict:
@@ -529,8 +532,17 @@ SCHEMAS = {
                  "dim": "int", "cochain_dim": "int",
                  "representatives": "list of encoded states"}
             ],
-            "weight0_dimension": "int", "euler_ok": "bool",
-            "window": "object", "ok": "bool",
+            "weight0_dimension": "int",
+            "euler_ok": "bool; an identity: each line's alternating sum of"
+                        " dims telescopes to its cochain Euler"
+                        " characteristic whatever the ranks",
+            "window": "object",
+            "ok": "bool; false when d^2 != 0 or a dim < 0 in some cell",
+            "witness": "only when ok is false: the first failing cell,"
+                       " {weight, charge, degree, dim, d_squared}, where"
+                       " d_squared is null or {monomial, image}, the first"
+                       " encoded basis monomial whose d^2 is not zero and"
+                       " that d^2",
         },
         "state_encoding": "[[coeff 'p/q', [[kind, gen, k, exp], ...]], ...]",
     },

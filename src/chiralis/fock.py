@@ -44,17 +44,19 @@ contraction of letters of weights w and w' has pole order w + w', and the
 uncontracted letters are regular.
 
 There is one product loop, :meth:`BGSystem.nth`: it expands both states
-into monomials and sums the memoized monomial products of ``_nth_mono``,
-which returns the products that the bound makes zero at once, with no
-recursion and no memo entry, and evaluates the others by the two inner
-products of the iterate formula on the shorter first argument.  Term 1
-runs over the j below the bound of (rest, b); its modes are creation
-modes, each a multiplication by one letter.  In term 2 the annihilation
-mode g_(j) with j >= 0 can only contract a letter of b conjugate to g, so
-the sum runs over just the conjugate letters present in b (j = -1 - their
-operator index, in increasing j).  Every term is accumulated in place.
-The weight, parity and per-family weights of each monomial are computed
-once and kept per system, so the bounds and parity checks of
+into monomials and sums the memoized monomial products of ``_nth_mono``
+into a new state, so a product belongs to its caller and no memo entry is
+handed out.  ``_nth_mono`` reads the memo first and returns the products
+that the bound makes zero at once, with no recursion and no memo entry,
+and evaluates the others by the two inner products of the iterate formula
+on the shorter first argument.  Term 1 runs over the j below the bound of
+(rest, b); its modes are creation modes, each a multiplication by one
+letter.  In term 2 the annihilation mode g_(j) with j >= 0 can only
+contract a letter of b conjugate to g, so the sum runs over just the
+conjugate letters present in b (j = -1 - their operator index, in
+increasing j).  Every term is accumulated in place.  The weight, parity
+and per-family weights of each monomial are computed once and kept per
+system (:meth:`BGSystem.grade`), so the bounds and parity checks of
 ``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
 lookup.  The memo lives as long as its system: a caller that reuses few
 products (a seeded Borcherds draw) checks on a fresh system.
@@ -154,27 +156,24 @@ class BGSystem:
         """P(a, b): the weight of the letters of a whose conjugate family
         occurs in b, plus that of the letters of b whose conjugate family
         occurs in a.  a_(n) b = 0 for every n >= P(a, b) (Wick)."""
-        grades = self._grades
-        fb = (grades.get(mb) or self.grade(mb))[2]
+        fb = self.grade(mb)[2]
         p = 0
-        for (kind, name), w in (grades.get(ma) or self.grade(ma))[2].items():
+        for (kind, name), w in self.grade(ma)[2].items():
             wb = fb.get((_CONJ[kind], name))
             if wb is not None:
                 p += w + wb
         return p
 
     def max_weight(self, p: State) -> int:
-        grades = self._grades
         w = 0  # every monomial has weight >= 0
         for m in p:
-            mw = (grades.get(m) or self.grade(m))[0]
+            mw = self.grade(m)[0]
             if mw > w:
                 w = mw
         return w
 
     def state_parity(self, p: State) -> Optional[int]:
-        grades = self._grades
-        pars = {(grades.get(m) or self.grade(m))[1] for m in p}
+        pars = {self.grade(m)[1] for m in p}
         return pars.pop() if len(pars) == 1 else None
 
     # -- translation -------------------------------------------------------------
@@ -236,19 +235,8 @@ class BGSystem:
 
     # -- products ---------------------------------------------------------------
     def nth(self, a: State, n: int, b: State) -> State:
-        """The n-th product a_(n) b, bilinear in both states."""
-        if len(a) == 1 and len(b) == 1:
-            # one memo lookup and one scale; a Fraction coefficient keeps
-            # the result's coefficients Fraction, as in the general loop
-            ((ma, ca),) = a.items()
-            ((mb, cb),) = b.items()
-            c0 = ca * cb
-            res = self._memo.get((ma, n, mb))
-            if res is None:
-                res = self._nth_mono(ma, n, mb)
-            if type(c0) is int and c0 == 1:
-                return dict(res)
-            return {mono: c0 * c for mono, c in res.items()}
+        """The n-th product a_(n) b, bilinear in both states: the memoized
+        monomial products summed into a new state, which the caller owns."""
         out: State = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
@@ -303,9 +291,7 @@ class BGSystem:
         # so g_(m-j) multiplies by a letter; rest_(n+j) b = 0 once
         # n + j >= P(rest, b) >= 0
         for j in range(0, max(self.pole_bound(ma_rest, mb) - n, 0)):
-            inner = memo.get((ma_rest, n + j, mb))
-            if inner is None:
-                inner = self._nth_mono(ma_rest, n + j, mb)
+            inner = self._nth_mono(ma_rest, n + j, mb)
             if not inner:
                 continue
             coeff = binomial(m, j)
@@ -331,10 +317,8 @@ class BGSystem:
             if j & 1:
                 coeff = -coeff
             for gm, gc in self.apply_mode(kind, name, j, b_state).items():
-                inner = memo.get((ma_rest, m + n - j, gm))
-                if inner is None:
-                    inner = self._nth_mono(ma_rest, m + n - j, gm)
-                ring.acc_poly(out, inner, -sign2 * coeff * gc)
+                ring.acc_poly(out, self._nth_mono(ma_rest, m + n - j, gm),
+                              -sign2 * coeff * gc)
         memo[key] = out
         return out
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from . import ring
 from .algebra import SuperPolyAlgebra
 from .exact import echelon, rank_kernel, reduce_against
 from .fock import BGSystem, State
@@ -32,11 +33,9 @@ class ChiralKoszul:
         self.m = m
         base = SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)])
         self.fock = BGSystem(base, odd_charge=m)
-        fk = self.fock
-        current = fk.mom("xi", -1)
-        for _ in range(m):
-            current = fk.mul(fk.coord("x", 0), current)
-        self.current = current
+        # x_0^m is one monomial
+        self.current = self.fock.mul({((("c", "x", 0), m),): 1},
+                                     self.fock.mom("xi", -1))
 
     def d(self, v: State) -> State:
         """The differential: zero mode of the defining odd current."""
@@ -144,8 +143,12 @@ class ChiralKoszul:
         """Cohomology of one (weight, charge) cell, per degree.
 
         Returns a list of entries {"degree", "dim", "cochain_dim",
-        "representatives"}; representatives are kernel vectors reduced
-        against the image in the deterministic pivot order.
+        "representatives", "d_squared"}; representatives are kernel
+        vectors reduced against the image in the deterministic pivot
+        order.  ``d_squared`` is None when d_(d+1) maps every column of d_d
+        to zero, and otherwise {"monomial", "image"}: the first basis
+        monomial of the degree whose image under d^2 is nonzero, with that
+        image.
         """
         cells = self.cell_by_degree(weight, charge)
         if not cells:
@@ -164,9 +167,20 @@ class ChiralKoszul:
             # image rows live in the target space
             image_rows = [c for c in cols if c]
             red, pivots = echelon(image_rows, len(tgt))
-            info[d] = (rank, kernel, dom, red, pivots)
+            info[d] = (rank, kernel, dom, red, pivots, cols, tgt)
         for d in degrees:
-            rank, kernel, dom, _red, _piv = info[d]
+            rank, kernel, dom, _red, _piv, cols, _tgt = info[d]
+            square = None
+            if d + 1 in info:
+                cols_next, tgt_next = info[d + 1][5], info[d + 1][6]
+                for mono, col in zip(dom, cols):
+                    img: dict = {}
+                    for i, c in col.items():
+                        ring.acc_poly(img, cols_next[i], c)
+                    if img:
+                        square = {"monomial": {mono: 1}, "image": {
+                            tgt_next[k]: v for k, v in sorted(img.items())}}
+                        break
             prev = info.get(d - 1)
             prev_rank = prev[0] if prev else 0
             dim = len(kernel) - prev_rank
@@ -191,6 +205,7 @@ class ChiralKoszul:
                     "dim": dim,
                     "cochain_dim": len(dom),
                     "representatives": reps,
+                    "d_squared": square,
                 }
             )
         return entries
@@ -198,11 +213,23 @@ class ChiralKoszul:
     def cohomology(
         self, max_weight: int, max_charge: int, min_charge: int = 0
     ) -> dict:
-        """Full report over the (weight, charge) window."""
+        """Full report over the (weight, charge) window.
+
+        ``witness`` is None when every cell has d^2 = 0 and no negative
+        dimension; otherwise it names the first cell that fails, with its
+        dimension and, when d^2 is not zero there, its ``d_squared``.
+        """
         cells = []
+        witness = None
         for w in range(0, max_weight + 1):
             for q in range(min_charge, max_charge + 1):
                 for entry in self.cell_cohomology(w, q):
+                    if witness is None and (entry["d_squared"]
+                                            or entry["dim"] < 0):
+                        witness = {"weight": w, "charge": q,
+                                   "degree": entry["degree"],
+                                   "dim": entry["dim"],
+                                   "d_squared": entry["d_squared"]}
                     cells.append(
                         {
                             "weight": w,
@@ -221,6 +248,7 @@ class ChiralKoszul:
                 "max_charge": max_charge,
                 "min_charge": min_charge,
             },
+            "witness": witness,
         }
 
     def character_table(

@@ -14,9 +14,11 @@ a basis tuple (``_canon``), the basis-word lists (``basis_words``) and
 each map's lookup of its stored values.  Work that depends on words and
 parities alone is cached for the process: ``_canon``, the word lists and
 the (chosen, rest, Koszul sign) extraction splits of a word
-(``_extractions``).  Each ``BasisMultiMap`` canonicalizes a name tuple
-once, and the coderivation square computes the image of each basis word
-once per structure, forming delta^2(w) from those images.
+(``_extractions``).  Sorts and splits take their signs from
+:mod:`chiralis.exact`, the one permutation-sign routine.  Each
+``BasisMultiMap`` canonicalizes a name tuple once, and the coderivation
+square computes the image of each basis word once per structure, forming
+delta^2(w) from those images.
 
 The second half of the module implements the two-term algebroid
 A (+) Der(A) of a differential super-commutative algebra: the
@@ -40,7 +42,7 @@ import functools
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import ring
+from . import exact, ring
 from .algebra import (
     FormAlgebra,
     SuperPolyAlgebra,
@@ -93,25 +95,22 @@ class GradedSpace:
 def _canon(names: tuple, parities: tuple, antisym: bool):
     """Sort a basis tuple, tracking the (anti)symmetry sign; None if zero.
 
-    A pure function of its three tuples, cached for the process: the
-    words of a space and their re-sorts recur across structures.
+    The sign is that of the stable sorting permutation
+    (:func:`exact.antisym_sign` or :func:`exact.koszul_sign`).  A pure
+    function of its three tuples, cached for the process: the words of a
+    space and their re-sorts recur across structures.
     """
-    arr = list(zip(names, parities))
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j][0] > arr[j + 1][0]:
-                if antisym:
-                    sign = -sign
-                if arr[j][1] and arr[j + 1][1]:
-                    sign = -sign
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    for j in range(len(arr) - 1):
-        if arr[j][0] == arr[j + 1][0]:
+    sigma = tuple(sorted(range(1, len(names) + 1),
+                         key=lambda k: names[k - 1]))
+    sign = (exact.antisym_sign if antisym else exact.koszul_sign)(
+        sigma, parities)
+    key = tuple(names[k - 1] for k in sigma)
+    for j in range(len(key) - 1):
+        if key[j] == key[j + 1]:
             # repeats survive exactly when a swap fixes the term
-            if antisym != bool(arr[j][1]):
+            if antisym != bool(parities[sigma[j] - 1]):
                 return None, 0
-    return tuple(n for n, _ in arr), sign
+    return key, sign
 
 
 class BasisMultiMap:
@@ -245,26 +244,16 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
 @functools.lru_cache(maxsize=None)
 def _extractions(word: tuple, parities: tuple, n: int) -> tuple:
     """Each way to pull n letters of a word to the front, as (chosen
-    letters, remaining letters, their parities, Koszul sign), in the
-    lexicographic order of the chosen positions.  It depends on the word
-    and its letters' parities only, so it is computed once per process."""
-    N = len(word)
+    letters, remaining letters, their parities, Koszul sign): one per
+    (n, len(word) - n)-unshuffle, in the order of
+    :func:`exact.unshuffles`.  It depends on the word and its letters'
+    parities only, so it is computed once per process."""
     out = []
-    for pos in itertools.combinations(range(N), n):
-        rest = [p for p in range(N) if p not in pos]
-        # Koszul sign extracting the chosen letters to the front
-        s = 1
-        taken = set()
-        for p in pos:
-            skipped = sum(
-                parities[q] for q in range(p) if q not in taken
-            )
-            if parities[p] and (skipped & 1):
-                s = -s
-            taken.add(p)
-        out.append((tuple(word[p] for p in pos),
-                    tuple(word[p] for p in rest),
-                    tuple(parities[p] for p in rest), s))
+    for sigma in exact.unshuffles(n, len(word)):
+        letters = tuple(word[p - 1] for p in sigma)
+        out.append((letters[:n], letters[n:],
+                    tuple(parities[p - 1] for p in sigma[n:]),
+                    exact.koszul_sign(sigma, parities)))
     return tuple(out)
 
 

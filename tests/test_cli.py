@@ -7,8 +7,10 @@ exhaustive borcherds report, Borcherds failure witnesses against the
 per-identity oracle of ``test_fock`` (for faults in ``nth`` and in the
 kernel's one-letter base case), the memo and kept inner products of a
 Borcherds window against a fresh recomputation, faults in the chiral
-algebroid's differential and unary operation that must exit 1, schema
-output, the documented example invocations, a reader that closes the pipe
+algebroid's differential and unary operation that must exit 1, an
+fs-cohomology window whose d^2 is not zero (a dropped odd sign in
+``apply_mode``) that must exit 1 with its first bad monomial, powers with
+a huge exponent that must finish within seconds, schema output, the documented example invocations, a reader that closes the pipe
 early, and a Hypothesis fuzz of form files and windows that must never
 crash.
 """
@@ -36,6 +38,7 @@ from chiralis import algebroid, cli, ring
 from chiralis.algebra import SuperPolyAlgebra, tangent_part
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
+from chiralis.koszul import ChiralKoszul
 from chiralis.starops import StarOp
 from test_fock import (EXHAUSTIVE_RSTS, exact_items, reference_borcherds,
                        wick_bound)
@@ -61,6 +64,79 @@ def test_fs_cohomology_example(tmp_path):
     assert rep["euler_ok"] and rep["ok"]
     assert rep["window"]["max_weight"] == 1
     assert rep["version"]
+
+
+apply_mode = BGSystem.apply_mode
+
+
+def signless_apply_mode(self, kind, name, j, p):
+    """``BGSystem.apply_mode`` without the sign an odd annihilation mode
+    picks up passing the odd letters before its target."""
+    out = {}
+    for mono, c in p.items():
+        img = apply_mode(self, kind, name, j, {mono: c})
+        if j >= 0 and self.base.parity(name):
+            target = self._letter_from_voa("m" if kind == "c" else "c",
+                                           name, -1 - j)
+            before = tuple((g, e) for g, e in mono if g < target)
+            if ring.mono_parity(before, self.parity):
+                img = ring.pscale(img, -1)
+        ring.acc_poly(out, img)
+    return out
+
+
+def test_fs_cohomology_exits_1_when_d_squared_is_not_zero(tmp_path,
+                                                          monkeypatch):
+    # without the odd sign of apply_mode, d^2 != 0 on 65 of the window's
+    # 580 monomials; the witness is the first of them, cell by cell in
+    # report order, with its d^2 image
+    monkeypatch.setattr(BGSystem, "apply_mode", signless_apply_mode)
+    argv = ["fs-cohomology", "--m", "2", "--max-weight", "3",
+            "--min-charge", "-2", "--max-charge", "6"]
+    code, rep = report(tmp_path, "fs.json", argv)
+    assert code == 1 and rep["ok"] is False and rep["euler_ok"]
+    K = ChiralKoszul(2)
+    bad = []
+    for w in range(4):
+        for q in range(-2, 7):
+            cells = K.cell_by_degree(w, q)
+            for d in sorted(cells):
+                for mono in cells[d]:
+                    img = K.d(K.d({mono: 1}))
+                    if img:
+                        bad.append((w, q, d, mono, img))
+    assert len(bad) == 65
+    w, q, d, mono, img = bad[0]
+    dims = {(c["weight"], c["charge"], c["degree"]): c["dim"]
+            for c in rep["cells"]}
+    want = {"weight": w, "charge": q, "degree": d, "dim": dims[w, q, d],
+            "d_squared": {"monomial": {mono: 1}, "image": dict(
+                sorted(img.items()))}}
+    assert rep["witness"] == json.loads(json.dumps(cli.enc_any(want)))
+    # the fault also drives a dimension below zero, which the sound
+    # engine never reports
+    assert min(dims.values()) < 0
+    monkeypatch.undo()
+    code, rep = report(tmp_path, "fs2.json", argv)
+    assert code == 0 and rep["ok"] and "witness" not in rep
+
+
+def test_large_exponents_are_one_monomial(tmp_path):
+    """A power x^e is one monomial, not e products: with one product per
+    unit of the exponent, both inputs were still running when a 10 s
+    timeout killed them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"vars": 1, "terms": [
+        {"coeff": "1", "f": [["x1", 100000000]], "d": ["x1"]}]}))
+    for argv in (["derham-closed", "--form", str(form)],
+                 ["fs-cohomology", "--m", "100000000", "--max-weight", "0",
+                  "--max-charge", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "chiralis.cli", *argv],
+                              capture_output=True, env=env, timeout=5)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["ok"]
 
 
 def test_borcherds_exhaustive_and_seeded(tmp_path):

@@ -435,6 +435,31 @@ def test_kernel_matches_reference_on_multi_monomial_states(scalar):
         assert exact_items(got) == exact_items(ref.nth({ma: ca}, -1, {mb: cb}))
 
 
+def test_products_belong_to_the_caller():
+    """A product nth returns is the caller's: changing it changes neither
+    a second call nor the memo, on one-monomial and on longer states."""
+    sys = one_var_system()
+    rng = random.Random(23)
+    changed = 0
+    for trial in range(40):
+        if trial % 2:
+            a, b = random_sum(sys, rng, int_scalar), random_sum(
+                sys, rng, int_scalar)
+        else:
+            a, b = random_state(sys, rng), random_state(sys, rng)
+        for n in range(-2, 3):
+            got = sys.nth(a, n, b)
+            want = exact_items(got)
+            memo = {k: exact_items(v) for k, v in sys._memo.items()}
+            for mono in got:
+                got[mono] = 1000
+            got[()] = 1000
+            changed += len(got) > 1
+            assert exact_items(sys.nth(a, n, b)) == want, (a, n, b)
+            assert {k: exact_items(v) for k, v in sys._memo.items()} == memo
+    assert changed
+
+
 def two_var_letters():
     """The letters of the benchmark's Borcherds window: two variables up to
     weight 3, on the CLI's system."""

@@ -6,7 +6,9 @@ space produce matching verdicts from the direct Jacobi sums and from the
 square of the induced coderivation (the two paths share no code beyond
 basis bookkeeping); the coderivation square, which computes each word's
 image once from cached extraction splits, matches the word-by-word
-reference below failure by failure.
+reference below failure by failure; and the canonical sorts and
+extraction splits, whose signs come from ``exact``, match the
+letter-by-letter references on every word of up to four letters.
 """
 
 import itertools
@@ -17,6 +19,8 @@ from chiralis import ring
 from chiralis.linfty import (
     BasisMultiMap,
     GradedSpace,
+    _canon,
+    _extractions,
     basis_words,
     coderivation_square_report,
     decalage,
@@ -54,30 +58,39 @@ def reference_on_basis(hat, names):
     return {n: s * c for n, c in hat.values.get(key, {}).items()}
 
 
+def reference_extractions(word, parities, n):
+    """Each way to pull n letters of a word to the front, as (chosen,
+    rest, parities of rest, Koszul sign), the sign counted letter by
+    letter over the unchosen letters each chosen one passes."""
+    N = len(word)
+    out = []
+    for pos in itertools.combinations(range(N), n):
+        rest = [p for p in range(N) if p not in pos]
+        s = 1
+        taken = set()
+        for p in pos:
+            skipped = sum(parities[q] for q in range(p) if q not in taken)
+            if parities[p] and (skipped & 1):
+                s = -s
+            taken.add(p)
+        out.append((tuple(word[p] for p in pos), tuple(word[p] for p in rest),
+                    tuple(parities[p] for p in rest), s))
+    return out
+
+
 def reference_coderivation_apply(hat_ls, space, vec):
     shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
     out = {}
     for word, coeff in vec.items():
-        N = len(word)
+        pars = [shifted[x] for x in word]
         for n, hat in hat_ls.items():
-            if n > N:
+            if n > len(word):
                 continue
-            for pos in itertools.combinations(range(N), n):
-                chosen = [word[p] for p in pos]
-                rest = [word[p] for p in range(N) if p not in pos]
-                s = 1
-                taken = set()
-                for p in pos:
-                    skipped = sum(
-                        shifted[word[q]] for q in range(p)
-                        if q not in taken
-                    )
-                    if shifted[word[p]] and (skipped & 1):
-                        s = -s
-                    taken.add(p)
+            for chosen, rest, _pars, s in reference_extractions(word, pars, n):
                 for nm, c in reference_on_basis(hat, chosen).items():
                     key, s2 = reference_canon(
-                        [nm] + rest, [shifted[x] for x in [nm] + rest], False
+                        (nm,) + rest, [shifted[x] for x in (nm,) + rest],
+                        False
                     )
                     if key is None:
                         continue
@@ -131,6 +144,39 @@ def _dg():
     l1 = BasisMultiMap(sp, 1, {("a",): {"b": Fraction(1)}})
     l2 = BasisMultiMap(sp, 2, {("a", "a"): {"b": Fraction(1)}})
     return {1: l1, 2: l2}, sp
+
+
+# -- the sign bookkeeping against the letter-by-letter references ------------
+
+
+FOUR = ("a", "b", "c", "d")
+
+
+def all_words(max_len=4):
+    return [w for k in range(max_len + 1)
+            for w in itertools.product(FOUR, repeat=k)]
+
+
+def test_canon_matches_reference():
+    # every word of length <= 4 over four letters, both symmetries, with
+    # the plain parities of the space and the shifted ones
+    plain = {"a": 0, "b": 1, "c": 0, "d": 1}
+    for parity in (plain, {x: p ^ 1 for x, p in plain.items()}):
+        for word in all_words():
+            pars = tuple(parity[x] for x in word)
+            for antisym in (False, True):
+                assert _canon(word, pars, antisym) == reference_canon(
+                    word, pars, antisym), (word, pars, antisym)
+
+
+def test_extractions_match_reference():
+    plain = {"a": 0, "b": 1, "c": 0, "d": 1}
+    for parity in (plain, {x: p ^ 1 for x, p in plain.items()}):
+        for word in all_words():
+            pars = tuple(parity[x] for x in word)
+            for n in range(len(word) + 1):
+                assert list(_extractions(word, pars, n)) == (
+                    reference_extractions(word, pars, n)), (word, pars, n)
 
 
 def test_sl2_is_lie():
