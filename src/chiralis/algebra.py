@@ -12,16 +12,13 @@ extends so that it commutes with translation.
 
 A :class:`FormAlgebra` adjoins a differential ``dg`` for every generator
 ``g`` of the ambient algebra, with parity flipped, and provides the exterior
-differential ``derham_d``, the Lie derivative ``lie_D`` along the ambient
-differential, and their sum ``total_d``; all three square to zero and the
-first two anticommute.  Forms are the twisting data of the algebroid
-layers, and :meth:`FormAlgebra.iota` is their one contraction by a
-vector field: ``linfty.DerAlgebroid`` contracts forms against
-derivations with it, and ``algebroid.form_cochain`` against frames.
+differential ``derham_d``, which squares to zero.  Forms are the twisting
+data of the chiral algebroid layer, and :meth:`FormAlgebra.iota` is their
+one contraction by a vector field: ``algebroid.form_cochain`` contracts
+forms against frames with it.
 
-:func:`tangent_algebra` is the one carrier of vector fields, shared by
-the finite layer (``linfty.DerAlgebroid.carrier``) and the chiral one
-(``chevalley.JetWorld.ext``, whose jets it has): the base plus one
+:func:`tangent_algebra` is the one carrier of vector fields, the
+algebra whose jets ``chevalley.JetWorld.ext`` has: the base plus one
 tangent letter tau_g = d/dg per base generator g, with D(tau_g) =
 [D, d/dg].  :func:`tau_name`, :func:`is_tau`, :func:`tau_base`,
 :func:`tangent_part` and :func:`split_tangent` are the one naming and
@@ -179,8 +176,8 @@ class FormAlgebra:
     Form variables are keyed ``('g', key)`` for the ambient generator and
     ``('d', key)`` for its differential, with ``parity(dg) = parity(g) + 1``
     and the same cohomological degree.  Arbitrary mixed-degree elements are
-    allowed; :meth:`split` separates them by form degree (number of ``d``
-    letters).
+    allowed; :meth:`form_degree_of_mono` reads the form degree (number of
+    ``d`` letters) of a monomial.
     """
 
     def __init__(self, ambient: SuperPolyAlgebra):
@@ -192,19 +189,9 @@ class FormAlgebra:
         p = self.ambient.parity(g)
         return p ^ 1 if kind == "d" else p
 
-    def poly_parity(self, p: Poly):
-        pars = {ring.mono_parity(m, self.parity) for m in p}
-        return pars.pop() if len(pars) == 1 else None
-
     @staticmethod
     def form_degree_of_mono(mono) -> int:
         return sum(e for (kind, _g), e in mono if kind == "d")
-
-    def split(self, p: Poly) -> Dict[int, Poly]:
-        out: Dict[int, Poly] = {}
-        for mono, c in p.items():
-            out.setdefault(self.form_degree_of_mono(mono), {})[mono] = c
-        return out
 
     # -- constructors -------------------------------------------------------
     def inject(self, p: Poly) -> Poly:
@@ -232,31 +219,6 @@ class FormAlgebra:
                 if kind == "g":
                     images[("g", g)] = ring.poly_gen(("d", g))
         return ring.derive(p, images, 1, self.parity)
-
-    def lie_D(self, p: Poly) -> Poly:
-        """Lie derivative along the ambient differential D.
-
-        Odd derivation with g -> -D(g) and dg -> d(D(g)).  The relative
-        sign between the two defining rules is forced: it is what makes
-        lie_D anticommute with derham_d and square to zero, so that
-        total_d = derham_d + lie_D satisfies total_d^2 = 0.
-        """
-        images = {}
-        for mono in p:
-            for (kind, g), _e in mono:
-                key = (kind, g)
-                if key in images:
-                    continue
-                img = self.inject(self.ambient.D(self.ambient.gen(g)))
-                images[key] = (
-                    self.derham_d(img)
-                    if kind == "d"
-                    else ring.pscale(img, -1)
-                )
-        return ring.derive(p, images, 1, self.parity)
-
-    def total_d(self, p: Poly) -> Poly:
-        return ring.padd(self.derham_d(p), self.lie_D(p))
 
     def iota(self, form: Poly, components: Dict, parity: int) -> Poly:
         """Contraction of a form by the vector field sum_g components[g]

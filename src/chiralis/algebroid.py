@@ -15,9 +15,8 @@ only the bracket is twisted (by a 2-cochain), and ``lc_d`` reduces to the
 Chevalley differential.
 
 A twist component is added to an operation by ``starops.plus_op`` and
-a morphism family is ``starops.identity_plus`` of its cochains, the same
-code the jet-free algebroid of ``linfty`` uses; a cochain evaluates each
-argument through its vector-field part.
+a morphism family is ``starops.identity_plus`` of its cochains; a cochain
+evaluates each argument through its vector-field part.
 
 ``form_cochain`` is the one path from a differential form over an even
 base to a cochain: its value on frames is the form contracted with them
@@ -33,8 +32,7 @@ cochains it is minus that image).  ``form_twist`` is the one path from a
 
 The generalized Jacobi identities of a twisted structure and the
 equation of a homotopy morphism are evaluated by
-``starops.jacobi_report`` and ``starops.morphism_defect``, the same code
-that checks the jet-free algebroids of ``linfty``.
+``starops.jacobi_report`` and ``starops.morphism_defect``.
 """
 
 from __future__ import annotations
@@ -100,8 +98,9 @@ def default_field_samples(
 ) -> List[List[ring.Poly]]:
     """Vector-field triples on the standard window.
 
-    Frame fields multiplied by coordinate jets of order up to
-    ``jet_order`` and polynomial degree up to ``degree``.
+    ``degree`` <= 0 gives the frame fields only; any ``degree`` >= 1 adds
+    each frame field multiplied by one coordinate jet of order up to
+    ``jet_order``.
     """
     fields: List[ring.Poly] = []
     names = world.frame_names()

@@ -1,11 +1,10 @@
 """Jet tangent carriers, their Lie* bracket, and Chevalley cochains.
 
 The carrier of a polynomial base algebra A is the jet algebra of
-``algebra.tangent_algebra(A)``, the algebra the finite layer
-``linfty.DerAlgebroid`` uses as well: A extended by tangent frame
-generators tau_g = d/dg (one per base generator, with flipped
-cohomological degree); elements of tangent degree <= 1 represent the
-direct sum of the jet algebra of A and the jet module of vector fields.
+``algebra.tangent_algebra(A)``: A extended by tangent frame generators
+tau_g = d/dg (one per base generator, with flipped cohomological
+degree); elements of tangent degree <= 1 represent the direct sum of the
+jet algebra of A and the jet module of vector fields.
 The standard Lie* bracket on the carrier is computed through the
 free-field dictionary: jets embed into the beta-gamma--bc state space by
 

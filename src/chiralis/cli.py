@@ -20,8 +20,9 @@ Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
 false identity (the report carries a witness); 2 = usage or input error,
 including a window that checks nothing (an empty fs-cohomology window,
 borcherds-check --max-weight < 0 or --samples < 0, linfty-check
---samples < 1, liestar-check --vars 0); 3 = internal error (a bug: one
-"internal error: ..." line on stderr).
+--samples < 1, liestar-check --vars 0) and fs-cohomology --m past its
+maximum when --max-weight >= 1; 3 = internal error (a bug: one "internal
+error: ..." line on stderr).
 Reports are JSON on stdout (or --out).  borcherds-check and linfty-check
 draw random samples and take --seed; a fixed seed makes a run byte
 identical.  A reader that closes stdout early (``| head``) is not an
@@ -258,11 +259,19 @@ def even_base(nvars: int) -> SuperPolyAlgebra:
 # -- subcommands ---------------------------------------------------------------------
 
 
+# above weight 0 the differential on x_0^m recurses once per copy of x_0,
+# so --m stays well inside Python's recursion limit there
+MAX_M = 512
+
+
 def cmd_fs_cohomology(args) -> dict:
     if args.m is None or args.m < 1:
         raise UsageError("--m must be a positive integer")
     if args.max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
+    if args.max_weight >= 1 and args.m > MAX_M:
+        raise UsageError(f"--m must be at most {MAX_M} when --max-weight"
+                         " >= 1")
     if args.min_charge > args.max_charge:
         raise UsageError("--min-charge must not exceed --max-charge")
     K = ChiralKoszul(args.m)
@@ -277,11 +286,7 @@ def cmd_fs_cohomology(args) -> dict:
         "cells": cells,
         "weight0_dimension": weight0,
         "euler_ok": euler_ok,
-        "window": {
-            "max_weight": args.max_weight,
-            "max_charge": args.max_charge,
-            "min_charge": args.min_charge,
-        },
+        "window": result["window"],
         "ok": euler_ok and result["witness"] is None,
     }
     if result["witness"] is not None:
@@ -453,21 +458,19 @@ def cmd_algebroid_twist(args) -> dict:
         raise UsageError("cocycle file needs 'three_form' or 'two_form'")
     P = standard_chiral_infty_algebroid(base)
     total, closed = form_twist(P.world, **given)
-    _, check = chiral_infty_twist(P, {2: total}, check=args.check)
-    report = {
+    # the check always runs: a run that checks nothing is never a pass
+    _, check = chiral_infty_twist(P, {2: total}, check=True)
+    return {
         "vars": nvars,
         "closed_input": closed,
         "window": {"jet_order": 1, "degree": 1, "arity": 3},
-        "ok": True,
+        "jacobi_ok": check["ok"],
+        "closed": check["closed"],
+        "match": check["match"],
+        "failures": [{"args": f["args"], "defect": f["defect"]}
+                     for f in check["failures"][:5]],
+        "ok": check["ok"],
     }
-    if check is not None:
-        report["jacobi_ok"] = check["ok"]
-        report["closed"] = check["closed"]
-        report["match"] = check["match"]
-        report["failures"] = [{"args": f["args"], "defect": f["defect"]}
-                              for f in check["failures"][:5]]
-        report["ok"] = check["ok"]
-    return report
 
 
 def cmd_chiral_infty_check(args) -> dict:
@@ -545,6 +548,7 @@ SCHEMAS = {
                        " that d^2",
         },
         "state_encoding": "[[coeff 'p/q', [[kind, gen, k, exp], ...]], ...]",
+        "limits": {"m": f"at most {MAX_M} when max_weight >= 1"},
     },
     "borcherds-check": {
         "report": {"checked": "int", "failures": "list", "seed": "int",
@@ -591,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fs-cohomology",
                         help="chiralized Koszul cohomology of x^m")
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--m", type=int, help="the exponent, >= 1; at most"
+                    f" {MAX_M} when --max-weight >= 1")
     sp.add_argument("--max-weight", type=int, default=1)
     sp.add_argument("--max-charge", type=int, default=4)
     sp.add_argument("--min-charge", type=int, default=0)
@@ -612,7 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Lie* axioms of the jet tangent bracket")
     sp.add_argument("--vars", type=int, default=2)
     sp.add_argument("--jet-order", type=int, default=2)
-    sp.add_argument("--degree", type=int, default=2)
+    sp.add_argument("--degree", type=int, default=2,
+                    help="<= 0: frame fields only; >= 1: also the frames times"
+                    " one coordinate jet (every value >= 1 is the same)")
     common(sp)
     sp.set_defaults(fn=cmd_liestar_check)
 
@@ -627,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="twist the standard chiral algebroid")
     sp.add_argument("--cocycle", required=False,
                     help="JSON file with the twisting forms")
-    sp.add_argument("--check", action="store_true")
+    sp.add_argument("--check", action="store_true",
+                    help="kept for compatibility; the check always runs")
     common(sp)
     sp.set_defaults(fn=cmd_algebroid_twist)
 

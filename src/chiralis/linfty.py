@@ -1,4 +1,4 @@
-"""Homotopy Lie structures: finite-dimensional checks and jet-free algebroids.
+"""Homotopy Lie structures: finite-dimensional checks.
 
 Two independent verification paths for finite-dimensional homotopy Lie
 structures are provided and compared:
@@ -19,21 +19,6 @@ the (chosen, rest, Koszul sign) extraction splits of a word
 ``BasisMultiMap`` canonicalizes a name tuple once, and the coderivation
 square computes the image of each basis word once per structure, forming
 delta^2(w) from those images.
-
-The second half of the module implements the two-term algebroid
-A (+) Der(A) of a differential super-commutative algebra: the
-differential, the Lie bracket of vector fields and their action on
-functions, twists of the operations by parity-even differential forms,
-and order-by-order conjugation by the morphisms of parity-odd forms.
-Both kinds of form act through one signed contraction against the
-vector-field projections of the arguments (the form's parity picks the
-sign), built on ``algebra.FormAlgebra.iota``.  This is the jet-free case
-of the chiral layer in ``algebroid``, and it shares that layer's code:
-the carrier is ``algebra.tangent_algebra`` of the base and l_1 is its
-D; a twist is added to an operation by ``starops.plus_op`` and the
-morphism family is ``starops.identity_plus``; the twisted structures
-and morphisms are star operations with the zero translation, checked by
-the same ``starops.jacobi_report`` and ``starops.morphism_defect``.
 """
 
 from __future__ import annotations
@@ -43,24 +28,11 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import exact, ring
-from .algebra import (
-    FormAlgebra,
-    SuperPolyAlgebra,
-    split_tangent,
-    tangent_algebra,
-    tangent_part,
-    tau_base,
-    tau_name,
-)
 from .starops import (
-    MAX_ARITY,
     StarModule,
     StarOp,
-    identity_plus,
     jacobi_report,
     lp_from_elem,
-    morphism_defect,
-    plus_op,
     zero_translate,
 )
 
@@ -312,238 +284,3 @@ def coderivation_square_report(
             if sq:
                 failures.append({"word": word, "square": sq})
     return {"ok": not failures, "failures": failures}
-
-
-# -- the two-term algebroid of a differential algebra ----------------------------
-
-
-def contraction_sign(pars: Sequence[int], form_parity: int) -> int:
-    """Sign exponent attached to an n-fold contraction of a form of the
-    given parity with arguments of the given parities.
-
-    On parity-even forms (twist components) it makes the contraction
-    graded-antisymmetric and compatible with the differential on forms;
-    a parity-odd form (a morphism component) carries the further
-    n + sum(pars).
-    """
-    n = len(pars)
-    q = form_parity & 1
-    return ((n - 1 + q * n)
-            + sum((n - i + q) * p for i, p in enumerate(pars))) & 1
-
-
-class DerAlgebroid:
-    """Functions plus derivations of a differential super-polynomial algebra.
-
-    The carrier is :func:`algebra.tangent_algebra` of the base: its
-    elements of tangent degree at most one are a function (the
-    tangent-free part) plus a derivation, f * tau_g standing for f d/dg.
-    l_1 is the carrier's D.  Higher operations can be twisted by
-    differential forms, contracted against the derivation parts of the
-    arguments.
-    """
-
-    def __init__(self, base: SuperPolyAlgebra):
-        self.base = base
-        self.forms = FormAlgebra(base)
-        self.carrier = tangent_algebra(base)
-        self.module = StarModule(
-            parity=self.carrier.poly_parity, translate=zero_translate
-        )
-
-    def tau(self, name: str) -> ring.Poly:
-        return self.carrier.gen(tau_name(name))
-
-    def sigma(self, e: ring.Poly) -> ring.Poly:
-        return tangent_part(e, 1)
-
-    def fun_part(self, e: ring.Poly) -> ring.Poly:
-        return tangent_part(e, 0)
-
-    def _split_terms(self, u: ring.Poly):
-        """Write a derivation as (coefficient, base generator) terms."""
-        for mono, c in u.items():
-            split = split_tangent(mono, self.carrier.parity)
-            if split is not None:
-                fmono, tkey, s = split
-                yield {fmono: c * s}, tau_base(tkey)
-
-    def field_apply(self, u: ring.Poly, h: ring.Poly) -> ring.Poly:
-        """Apply the derivation part of u to a function."""
-        out: ring.Poly = {}
-        for f, name in self._split_terms(u):
-            dh = ring.derive(
-                h,
-                {name: ring.poly_one()},
-                self.base.parity(name),
-                self.base.parity,
-            )
-            out = ring.padd(
-                out, ring.pmul(f, dh, self.carrier.parity)
-            )
-        return out
-
-    def field_bracket(self, u: ring.Poly, v: ring.Poly) -> ring.Poly:
-        u, v = self.sigma(u), self.sigma(v)
-        if not u or not v:
-            return {}
-        pu = self.carrier.poly_parity(u)
-        pv = self.carrier.poly_parity(v)
-        if pu is None or pv is None:
-            raise ValueError("arguments must be parity-homogeneous")
-        out: ring.Poly = {}
-        for name in self.base.gen_names:
-            g = self.base.gen(name)
-            w = ring.psub(
-                self.field_apply(u, self.field_apply(v, g)),
-                ring.pscale(
-                    self.field_apply(v, self.field_apply(u, g)),
-                    (-1) ** (pu * pv),
-                ),
-            )
-            if w:
-                out = ring.padd(
-                    out,
-                    ring.pmul(
-                        w, ring.poly_gen(tau_name(name)), self.carrier.parity
-                    ),
-                )
-        return out
-
-    def iota(self, u: ring.Poly, omega: ring.Poly) -> ring.Poly:
-        """Contraction of a form against a derivation (an odd operation)."""
-        u = self.sigma(u)
-        if not u:
-            return {}
-        pu = self.carrier.poly_parity(u)
-        if pu is None:
-            raise ValueError("the derivation must be parity-homogeneous")
-        components = {}
-        for name in self.base.gen_names:
-            w = self.field_apply(u, self.base.gen(name))
-            if w:
-                components[name] = w
-        return self.forms.iota(omega, components, pu)
-
-    def contract(self, alpha: ring.Poly, fields) -> ring.Poly:
-        """<alpha, X_1 ^ ... ^ X_n> as a function (zero-form part)."""
-        omega = alpha
-        for u in reversed(list(fields)):
-            if not omega:
-                return {}
-            omega = self.iota(u, omega)
-        out: ring.Poly = {}
-        for mono, c in omega.items():
-            if any(kind == "d" for (kind, _), _ in mono):
-                continue
-            key = tuple((name, e) for (_, name), e in mono)
-            ring.acc(out, key, c)
-        return out
-
-    def contract_signed(self, omega: ring.Poly, elems) -> ring.Poly:
-        """Contraction with the sign of :func:`contraction_sign`; the
-        form's own parity selects the twist or the morphism convention."""
-        elems = list(elems)
-        t = self.contract(omega, elems)
-        if not t:
-            return {}
-        s = contraction_sign([self.carrier.poly_parity(e) for e in elems],
-                             self.forms.poly_parity(omega))
-        return ring.pscale(t, -1) if s else t
-
-    def contraction(self, omega: ring.Poly, arity: int) -> StarOp:
-        """The signed contraction of ``omega`` against the derivation
-        parts of ``arity`` arguments, an operation of parity arity plus
-        the form's parity."""
-        return StarOp(
-            arity, self.module,
-            lambda *args: lp_from_elem(self.contract_signed(omega, args)),
-            (arity + self.forms.poly_parity(omega)) & 1)
-
-    def ops(self, alphas: Dict[int, ring.Poly]) -> Dict[int, StarOp]:
-        """The twisted operations l_n as star operations (zero translation)."""
-        for n, a in alphas.items():
-            if a and self.forms.poly_parity(a) != 0:
-                raise ValueError(
-                    f"twist component {n} must be parity-even as a form"
-                )
-
-        def l2(e1, e2):
-            X1, X2 = self.sigma(e1), self.sigma(e2)
-            p1 = self.carrier.poly_parity(e1)
-            p2 = self.carrier.poly_parity(e2)
-            v = self.field_bracket(X1, X2)
-            v = ring.padd(v, self.field_apply(X1, self.fun_part(e2)))
-            v = ring.psub(
-                v,
-                ring.pscale(
-                    self.field_apply(X2, self.fun_part(e1)),
-                    (-1) ** (p1 * p2),
-                ),
-            )
-            return lp_from_elem(v)
-
-        base = {1: StarOp(1, self.module,
-                          lambda e: lp_from_elem(self.carrier.D(e)), 1),
-                2: StarOp(2, self.module, l2, 0)}
-        out: Dict[int, StarOp] = dict(base)
-        for n in range(1, MAX_ARITY + 1):
-            an = alphas.get(n)
-            if an:
-                out[n] = plus_op(base.get(n), self.contraction(an, n))
-        return out
-
-    def morphism_ops(self, betas: Dict[int, ring.Poly]) -> Dict[int, StarOp]:
-        """The morphism f_1 = id + <beta_1, sigma(-)> and
-        f_n = <beta_n, sigma(-) ^ ... ^ sigma(-)> for n >= 2."""
-        for n, b in betas.items():
-            if b and self.forms.poly_parity(b) != 1:
-                raise ValueError(
-                    f"morphism component {n} must be parity-odd as a form"
-                )
-        return identity_plus(self.module, {
-            n: self.contraction(b, n) for n, b in betas.items() if b})
-
-
-def twist_jacobi_report(
-    alg: DerAlgebroid,
-    alphas: Dict[int, ring.Poly],
-    samples: Sequence[Sequence[ring.Poly]],
-) -> dict:
-    """Generalized Jacobi defects of the twisted structure on sample tuples."""
-    report = jacobi_report(alg.ops(alphas), samples, MAX_ARITY)
-    alpha_total = {}
-    for a in alphas.values():
-        alpha_total = ring.padd(alpha_total, a)
-    report["closed"] = not alg.forms.total_d(alpha_total)
-    report["match"] = report["closed"] == report["ok"]
-    return report
-
-
-def conjugation_report(
-    alg: DerAlgebroid,
-    alphas: Dict[int, ring.Poly],
-    betas: Dict[int, ring.Poly],
-    samples: Sequence[Sequence[ring.Poly]],
-) -> dict:
-    """Check that twisting by the total differential of the morphism forms
-    is exactly conjugation: id + beta-contraction is a morphism from the
-    alpha-twist to the (alpha + total_d beta)-twist."""
-    fs = alg.morphism_ops(betas)
-    beta_total: ring.Poly = {}
-    for b in betas.values():
-        beta_total = ring.padd(beta_total, b)
-    dbeta = alg.forms.split(alg.forms.total_d(beta_total))
-    new_alphas = {m: dict(a) for m, a in alphas.items()}
-    for m in range(1, 5):
-        if dbeta.get(m):
-            new_alphas[m] = ring.padd(new_alphas.get(m, {}), dbeta[m])
-    l_ops = alg.ops(alphas)
-    lp_ops = alg.ops(new_alphas)
-    failures = []
-    for args in samples:
-        d = morphism_defect(l_ops, lp_ops, fs, args, alg.module)
-        if d:
-            failures.append({"args": args, "defect": d.get((), {})})
-    return {"ok": not failures, "failures": failures,
-            "twist": new_alphas}

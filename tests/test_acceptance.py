@@ -26,12 +26,11 @@ from chiralis.linfty import (
     GradedSpace,
     basis_words,
     coderivation_square_report,
-    conjugation_report,
     direct_jacobi_report,
-    twist_jacobi_report,
 )
 from chiralis.starops import jacobi_defect, lie_star_check
 
+from finite_algebroid import conjugation_report, twist_jacobi_report
 from test_linfty import (  # noqa: F401  (shared fixtures)
     _closed_families,
     _form,

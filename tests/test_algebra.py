@@ -8,6 +8,8 @@ import pytest
 from chiralis.algebra import FormAlgebra, JetAlgebra, SuperPolyAlgebra
 from chiralis.ring import mono_degree, padd, poly_one, pscale
 
+from finite_algebroid import DGForms
+
 
 def kx_xi(m=2):
     """Q[x, xi] with x even of degree 0, xi odd of degree -1, D(xi) = x^m."""
@@ -113,19 +115,19 @@ def test_d_xi_differential_is_even():
 
 def test_lie_D_on_exact_generator():
     # Lie_D(d xi) = d(x^2) = 2x dx
-    F = FormAlgebra(kx_xi(2))
+    F = DGForms(kx_xi(2))
     assert F.lie_D(F.d_gen("xi")) == pscale(
         F.mul(F.gen("x"), F.d_gen("x")), 2
     )
     # the companion rule on 0-forms carries the forced opposite sign
     assert F.lie_D(F.gen("xi")) == pscale(F.mul(F.gen("x"), F.gen("x")), -1)
     # constant-coefficient forms over a D = 0 algebra are annihilated
-    F0 = FormAlgebra(poly_ring(2))
+    F0 = DGForms(poly_ring(2))
     assert F0.lie_D(F0.mul(F0.d_gen("x1"), F0.d_gen("x2"))) == {}
 
 
 def test_differential_identities_random_suite():
-    F = FormAlgebra(kx_xi(2))
+    F = DGForms(kx_xi(2))
     rng = random.Random(29)
     for _ in range(100):
         w = random_form(F, ["x", "xi"], rng)
@@ -138,7 +140,7 @@ def test_differential_identities_random_suite():
 
 
 def test_total_d_reduces_to_derham_when_D_zero():
-    F = FormAlgebra(poly_ring(3))
+    F = DGForms(poly_ring(3))
     rng = random.Random(31)
     for _ in range(30):
         w = random_form(F, ["x1", "x2", "x3"], rng)
@@ -146,11 +148,11 @@ def test_total_d_reduces_to_derham_when_D_zero():
 
 
 def test_is_closed_examples():
-    F = FormAlgebra(poly_ring(3))
+    F = DGForms(poly_ring(3))
     top = F.mul(F.d_gen("x1"), F.d_gen("x2"), F.d_gen("x3"))
     assert not F.total_d(top)
 
-    F4 = FormAlgebra(poly_ring(4))
+    F4 = DGForms(poly_ring(4))
     w = F4.mul(
         F4.gen("x4"), F4.d_gen("x1"), F4.d_gen("x2"), F4.d_gen("x3")
     )
@@ -159,7 +161,7 @@ def test_is_closed_examples():
 
 
 def test_split_by_form_degree():
-    F = FormAlgebra(poly_ring(2))
+    F = DGForms(poly_ring(2))
     w = padd(F.gen("x1"), F.mul(F.d_gen("x1"), F.d_gen("x2")))
     parts = F.split(w)
     assert set(parts) == {0, 2}
@@ -169,7 +171,7 @@ def test_split_by_form_degree():
 def test_jet_forms():
     # forms over a jet algebra: d and translate-compatible Lie_D still work
     J = JetAlgebra(kx_xi(2))
-    F = FormAlgebra(J)
+    F = DGForms(J)
     w = F.mul(F.gen(("x", 1)), F.d_gen(("xi", 0)))
     assert F.derham_d(F.derham_d(w)) == {}
     assert F.total_d(F.total_d(w)) == {}

@@ -7,12 +7,13 @@ exhaustive borcherds report, Borcherds failure witnesses against the
 per-identity oracle of ``test_fock`` (for faults in ``nth`` and in the
 kernel's one-letter base case), the memo and kept inner products of a
 Borcherds window against a fresh recomputation, faults in the chiral
-algebroid's differential and unary operation that must exit 1, an
-fs-cohomology window whose d^2 is not zero (a dropped odd sign in
-``apply_mode``) that must exit 1 with its first bad monomial, powers with
-a huge exponent that must finish within seconds, schema output, the documented example invocations, a reader that closes the pipe
-early, and a Hypothesis fuzz of form files and windows that must never
-crash.
+algebroid's differential and unary operation and in the Lie* bracket
+that must exit 1, an fs-cohomology window whose d^2 is not zero (a
+dropped odd sign in ``apply_mode``) that must exit 1 with its first bad
+monomial, powers with a huge exponent that must finish within seconds,
+an --m past its maximum that must exit 2, schema output, the documented
+example invocations, a reader that closes the pipe early, and a
+Hypothesis fuzz of form files and windows that must never crash.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralis import algebroid, cli, ring
+from chiralis import algebroid, chevalley, cli, ring
 from chiralis.algebra import SuperPolyAlgebra, tangent_part
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
@@ -121,22 +122,38 @@ def test_fs_cohomology_exits_1_when_d_squared_is_not_zero(tmp_path,
     assert code == 0 and rep["ok"] and "witness" not in rep
 
 
+def child(argv):
+    """``python -m chiralis.cli argv`` on these sources, in a subprocess."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "chiralis.cli", *argv],
+                          capture_output=True, timeout=5,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_large_exponents_are_one_monomial(tmp_path):
     """A power x^e is one monomial, not e products: with one product per
     unit of the exponent, both inputs were still running when a 10 s
     timeout killed them."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     form = tmp_path / "form.json"
     form.write_text(json.dumps({"vars": 1, "terms": [
         {"coeff": "1", "f": [["x1", 100000000]], "d": ["x1"]}]}))
     for argv in (["derham-closed", "--form", str(form)],
                  ["fs-cohomology", "--m", "100000000", "--max-weight", "0",
                   "--max-charge", "1"]):
-        proc = subprocess.run([sys.executable, "-m", "chiralis.cli", *argv],
-                              capture_output=True, env=env, timeout=5)
+        proc = child(argv)
         assert proc.returncode == 0, (argv, proc.stderr)
         assert json.loads(proc.stdout)["ok"]
+
+
+def test_fs_cohomology_limits_m_above_weight_0():
+    """Above weight 0 the differential recurses once per copy of x_0, and
+    --m 1000 died with a RecursionError (exit 3): past ``cli.MAX_M`` it
+    is an input error."""
+    for m, code in ((cli.MAX_M, 0), (1000, 2)):
+        proc = child(["fs-cohomology", "--m", str(m), "--max-weight", "1",
+                      "--max-charge", "1"])
+        assert proc.returncode == code, (m, proc.stderr)
+    assert f"at most {cli.MAX_M}" in proc.stderr.decode()
 
 
 def test_borcherds_exhaustive_and_seeded(tmp_path):
@@ -370,6 +387,39 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
         assert n < 0 or n < wick_bound(fk, ma, mb), (ma, n, mb)
 
 
+def test_liestar_degree_adds_one_jet_or_nothing(tmp_path):
+    """--degree 0 checks the frame fields only; every degree >= 1 adds
+    the frames times one coordinate jet, the same window."""
+    checked = [report(tmp_path, f"d{d}.json", [
+        "liestar-check", "--vars", "2", "--jet-order", "2", "--degree",
+        str(d)])[1]["checked"] for d in (0, 1, 5)]
+    assert checked == [16, 96, 96]
+
+
+def test_liestar_check_catches_a_faulty_bracket(tmp_path, monkeypatch):
+    # the bracket with its z^1 coefficient doubled is neither
+    # antisymmetric nor Jacobi: the report names each failing pair or
+    # triple with its nonzero defect
+    bracket_of = chevalley.JetWorld.bracket
+
+    def doubled(world):
+        mu = bracket_of(world)
+        return StarOp(2, mu.module, lambda a, b: {
+            z: ring.pscale(e, 2) if z == ((1, 1),) else e
+            for z, e in mu(a, b).items()}, mu.parity)
+
+    monkeypatch.setattr(chevalley.JetWorld, "bracket", doubled)
+    code, rep = report(tmp_path, "ls.json", [
+        "liestar-check", "--vars", "2", "--jet-order", "1", "--degree", "1"])
+    assert code == 1 and not rep["ok"] and rep["failures"]
+    for f in rep["failures"]:
+        if "pair" in f:
+            assert f["report"]["failures"], f
+            assert all(g["defect"] for g in f["report"]["failures"]), f
+        else:
+            assert f["jacobi_defect"], f
+
+
 def test_liestar_and_linfty(tmp_path):
     code, rep = report(
         tmp_path, "ls.json",
@@ -420,6 +470,19 @@ def test_algebroid_twist_nonclosed_fails(tmp_path):
         ["algebroid-twist", "--cocycle", str(good), "--check"],
     )
     assert code == 0 and rep["jacobi_ok"] and rep["closed"]
+
+
+def test_algebroid_twist_checks_without_the_flag(tmp_path):
+    """A run that checks nothing is never a pass: without --check the
+    twist is checked all the same, and the report is the same bytes."""
+    code, rep = report(tmp_path, "n.json", [
+        "algebroid-twist", "--cocycle", str(DATA / "twist_nonclosed.json")])
+    assert code == 1 and not rep["ok"] and rep["failures"]
+    argv = ["algebroid-twist", "--cocycle",
+            str(DATA / "twist_two_form_closed.json"), "--out"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(argv + [str(a)]) == 0 == run(argv + [str(b), "--check"])
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -320,12 +320,10 @@ def test_random_structures_verdicts_agree():
 
 
 from chiralis.algebra import SuperPolyAlgebra
-from chiralis.linfty import (
-    DerAlgebroid,
-    conjugation_report,
-    twist_jacobi_report,
-)
 from chiralis.starops import jacobi_defect
+
+from finite_algebroid import (DerAlgebroid, conjugation_report,
+                              twist_jacobi_report)
 
 
 def defect_sign(pars):
@@ -345,12 +343,7 @@ def _super_algebroid():
 
 def _form(alg, *letters):
     """Product of form generators, multiplied in the order given."""
-    out = {(): Fraction(1)}
-    for kind, name in letters:
-        out = ring.pmul(
-            out, {(((kind, name), 1),): Fraction(1)}, alg.forms.parity
-        )
-    return out
+    return alg.forms.mul(*map(ring.poly_gen, letters))
 
 
 def _sample_fields(alg):

@@ -2,8 +2,9 @@
 
 Oracles:
   * a golden digest of the nonzero residuals of ``starops.morphism_defect``
-    on fixed samples of the finite carrier (``linfty.DerAlgebroid``) and
-    of the chiral one (``algebroid.morphism_residual``), against the right
+    on fixed samples of the finite carrier
+    (``finite_algebroid.DerAlgebroid``) and of the chiral one
+    (``algebroid.morphism_residual``), against the right
     target and against the source itself; it was recorded before the two
     carriers shared one implementation of the equation, so it pins the
     residuals of the two separate implementations;
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis import ring
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.algebroid import (
     ChiralInftyAlgebroid,
@@ -30,41 +30,23 @@ from chiralis.algebroid import (
 )
 from chiralis.chevalley import ChevalleyCochain, JetWorld
 from chiralis.cli import enc_any
-from chiralis.linfty import DerAlgebroid, conjugation_report
 from chiralis.starops import morphism_defect
 
+from finite_algebroid import conjugation_report
 from test_chevalley import symmetrized_seed
+from test_linfty import (_closed_families, _form, _sample_fields,
+                         _super_algebroid)
 
 GOLDEN = "680888f1385eed4031334e60c72ce2eb6fdb85228c0921c1f2e53c852ffcb30b"
-
-
-def _form(alg, *letters):
-    out = {(): Fraction(1)}
-    for kind, name in letters:
-        out = ring.pmul(
-            out, {(((kind, name), 1),): Fraction(1)}, alg.forms.parity
-        )
-    return out
 
 
 def finite_setup():
     """A twist family, a morphism family and its target over Q[x, xi],
     D(xi) = x^2, with samples from four fields."""
-    base = SuperPolyAlgebra(
-        [("x", 0, 0), ("xi", 1, -1)],
-        D={"xi": {(("x", 2),): Fraction(1)}},
-    )
-    alg = DerAlgebroid(base)
-    x, xi = base.gen("x"), base.gen("xi")
-    m = alg.carrier.mul
-    fields = [alg.tau("x"), alg.tau("xi"), m(x, alg.tau("x")),
-              m(xi, alg.tau("x"))]
+    alg = _super_algebroid()
+    fields = _sample_fields(alg)[:4]
+    alphas = _closed_families(alg)[0]
     dx, dxi, gx, gxi = ("d", "x"), ("d", "xi"), ("g", "x"), ("g", "xi")
-    alphas = {
-        1: ring.padd(ring.pscale(_form(alg, dx, gx, gxi), 2),
-                     ring.pscale(_form(alg, dxi, gx, gx), -1)),
-        2: _form(alg, dxi, dxi),
-    }
     betas = {
         1: _form(alg, dx, gx, gx),
         2: _form(alg, dx, dxi, gx, gx),

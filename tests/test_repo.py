@@ -44,8 +44,8 @@ def test_unused_import_finder():
     assert unused_imports(src) == [(1, "os"), (3, "a")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + [
+    ROOT / "tests" / "finite_algebroid.py"], ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -56,8 +56,6 @@ TEST_ONLY = {
     "koszul.ChiralKoszul.differential_matrix": "a benchmark tracer span",
     "fock.borcherds_full_check": "a benchmark tracer span",
     "chevalley.chevalley_d": "the Chevalley differential, d^2 = 0",
-    "linfty.twist_jacobi_report": "the finite torsor law",
-    "linfty.conjugation_report": "the finite torsor law",
 }
 
 
