@@ -14,8 +14,12 @@ even base with D = 0, is the strict case: the unary operation is zero,
 only the bracket is twisted (by a 2-cochain), and ``lc_d`` reduces to the
 Chevalley differential.
 
-A twist component is added to an operation by ``starops.plus_op`` and
-a morphism family is ``starops.identity_plus`` of its cochains; a cochain
+A cochain family maps each arity n <= ``starops.MAX_ARITY`` to an
+arity-n cochain, and it has one zero: a member that vanishes is absent
+from the dict, never None and never a cochain without seeds (``lc_d``
+and ``ChiralInftyAlgebroid`` drop the ones that cancel).  A twist
+component is added to an operation by ``starops.plus_op`` and a
+morphism family is ``starops.identity_plus`` of its cochains; a cochain
 evaluates each argument through its vector-field part.
 
 ``form_cochain`` is the one path from a differential form over an even
@@ -58,10 +62,8 @@ from .starops import (
     identity_plus,
     jacobi_report,
     lp_acc,
-    lp_add,
     lp_from_elem,
     lp_map_coeffs,
-    lp_normal,
     lp_scale,
     morphism_defect,
     permute_slots,
@@ -73,18 +75,15 @@ from .starops import (
 
 
 def cochain_add(
-    world: JetWorld, *cochains: Optional[ChevalleyCochain]
-) -> Optional[ChevalleyCochain]:
-    """Sum of cochains of one arity (None counts as zero)."""
-    live = [c for c in cochains if c is not None]
-    if not live:
-        return None
-    arity = live[0].arity
-    par = live[0].parity
-    if any(c.arity != arity or c.parity != par for c in live):
+    world: JetWorld, *cochains: ChevalleyCochain
+) -> ChevalleyCochain:
+    """Sum of one or more cochains of one arity."""
+    arity = cochains[0].arity
+    par = cochains[0].parity
+    if any(c.arity != arity or c.parity != par for c in cochains):
         raise ValueError("cochain sum needs equal arities and parities")
     seeds: Dict[tuple, LambdaPoly] = {}
-    for c in live:
+    for c in cochains:
         for tup, val in c.seeds.items():
             lp_acc(seeds.setdefault(tup, {}), val)
     return ChevalleyCochain(world, arity, seeds, par)
@@ -175,7 +174,7 @@ def form_cochain(
                 # the jets of an even base are even: g^e is one monomial
                 elem = world.jets.mul(elem, {(((g, k), e),): 1})
             ring.acc_poly(out, elem, c)
-        return {(): out}
+        return lp_from_elem(out)
 
     return frame_cochain(world, arity, seed, 0)
 
@@ -199,7 +198,7 @@ def form_twist(
         if form is not None:
             closed = closed and not forms.derham_d(form)
             parts.append(form_cochain(world, form, 2))
-    return cochain_add(world, *parts), closed
+    return (cochain_add(world, *parts) if parts else None), closed
 
 
 # -- homotopy chiral algebroids over a differential base -----------------------------
@@ -234,8 +233,8 @@ def jet_differential(world: JetWorld) -> StarOp:
     fa = world.to_fock(differential_current(world))
 
     def fn(v):
-        out = world.from_fock(world.fock.nth(fa, 0, world.to_fock(v)))
-        return lp_from_elem(out) if out else {}
+        return lp_from_elem(
+            world.from_fock(world.fock.nth(fa, 0, world.to_fock(v))))
 
     return StarOp(1, world.module, fn, 1)
 
@@ -277,28 +276,26 @@ def hat_d(phi: ChevalleyCochain) -> ChevalleyCochain:
 
 
 def lc_d(
-    world: JetWorld, alphas: Dict[int, Optional[ChevalleyCochain]]
-) -> Dict[int, Optional[ChevalleyCochain]]:
+    world: JetWorld, alphas: Dict[int, ChevalleyCochain]
+) -> Dict[int, ChevalleyCochain]:
     """The truncated Chevalley--De Rham differential of a cochain family.
 
     Component k of the image combines the Chevalley differential of the
     arity-(k-1) member with the differential-induced part of the arity-k
-    member.
+    member; a component that vanishes is left out.
     """
-    arities = [n for n, a in alphas.items() if a is not None]
-    out: Dict[int, Optional[ChevalleyCochain]] = {}
-    top = max(arities, default=0) + 1
-    for k in range(1, top + 1):
+    out: Dict[int, ChevalleyCochain] = {}
+    for k in range(1, max(alphas, default=0) + 2):
         parts = []
-        prev = alphas.get(k - 1)
-        if prev is not None:
-            parts.append(_chevalley_d(prev, True))
-        cur = alphas.get(k)
-        if cur is not None:
-            parts.append(hat_d(cur))
+        if k - 1 in alphas:
+            parts.append(_chevalley_d(alphas[k - 1], True))
+        if k in alphas:
+            parts.append(hat_d(alphas[k]))
         if parts:
-            out[k] = cochain_add(world, *parts)
-    return {k: v for k, v in out.items() if v is not None and v.seeds}
+            d = cochain_add(world, *parts)
+            if d.seeds:
+                out[k] = d
+    return out
 
 
 def validate_lc_component(
@@ -306,8 +303,13 @@ def validate_lc_component(
     phi: ChevalleyCochain,
     total_degree: int = 2,
 ) -> None:
-    """Degree/parity bookkeeping of one twist component (errors on abuse)."""
+    """Arity, degree and parity bookkeeping of one twist component
+    (errors on abuse)."""
     n = phi.arity
+    if n > MAX_ARITY:
+        raise ValueError(
+            f"arity-{n} component is above the highest arity {MAX_ARITY}"
+        )
     want_par = (total_degree + n) & 1
     if phi.parity != want_par:
         raise ValueError(
@@ -319,7 +321,7 @@ def validate_lc_component(
         want = shift - base
         for elem in val.values():
             d = world.jets.poly_degree(elem)
-            if d is not None and elem and d != want:
+            if d is not None and d != want:
                 raise ValueError(
                     f"arity-{n} component has degree {d} != {want} "
                     f"on {tup}"
@@ -332,8 +334,10 @@ class ChiralInftyAlgebroid:
     Operations: the induced differential at arity 1 plus an optional
     twist component, the standard bracket at arity 2 plus a twist, and
     pure twist components at arity 3.  Each twist component has total
-    degree 2.  The chiral module action of jets of functions is part of
-    the structure and is never touched by a twist.
+    degree 2; a component of arity above ``MAX_ARITY`` is an error, and
+    one with no seeds is left out of ``alphas``.  The chiral module
+    action of jets of functions is part of the structure and is never
+    touched by a twist.
     """
 
     def __init__(
@@ -344,25 +348,20 @@ class ChiralInftyAlgebroid:
         self.world = world
         self.alphas: Dict[int, ChevalleyCochain] = {}
         for n, a in (alphas or {}).items():
-            if a is None or not a.seeds:
-                continue
             if a.arity != n:
                 raise ValueError("component arity mismatch")
             validate_lc_component(world, a, total_degree=2)
-            self.alphas[n] = a
+            if a.seeds:
+                self.alphas[n] = a
         self._ops: Optional[Dict[int, StarOp]] = None
 
     def ops(self) -> Dict[int, StarOp]:
-        if self._ops is not None:
-            return self._ops
-        base = {1: jet_differential(self.world), 2: self.world.bracket()}
-        out: Dict[int, StarOp] = dict(base)
-        for n in range(1, MAX_ARITY + 1):
-            an = self.alphas.get(n)
-            if an is not None:
-                out[n] = plus_op(base.get(n), an)
-        self._ops = out
-        return out
+        if self._ops is None:
+            out = {1: jet_differential(self.world), 2: self.world.bracket()}
+            for n, a in self.alphas.items():
+                out[n] = plus_op(out.get(n), a)
+            self._ops = out
+        return self._ops
 
     def bracket(self, a: ring.Poly, b: ring.Poly) -> LambdaPoly:
         return self.ops()[2](a, b)
@@ -441,7 +440,7 @@ def chiral_infty_twist(
     world = P.world
     # the new algebroid drops the components that cancel
     out = ChiralInftyAlgebroid(world, {
-        n: cochain_add(world, P.alphas.get(n), alphas.get(n))
+        n: cochain_add(world, *(f[n] for f in (P.alphas, alphas) if n in f))
         for n in set(P.alphas) | set(alphas)
     })
     if not check:
@@ -468,9 +467,8 @@ def morphism_residual(
     up to arity three.
     """
     module = P.world.module
-    fs = identity_plus(module, {k: b for k, b in betas.items()
-                                if b is not None})
-    return morphism_defect(P.ops(), Q.ops(), fs, args, module)
+    return morphism_defect(P.ops(), Q.ops(), identity_plus(module, betas),
+                           args, module)
 
 
 def chiral_infty_morphism(
@@ -487,14 +485,11 @@ def chiral_infty_morphism(
     """
     world = P.world
     for nn, b in betas.items():
-        if b is None:
-            continue
         if b.arity != nn:
             raise ValueError("component arity mismatch")
         validate_lc_component(world, b, total_degree=1)
-    betas = {nn: b for nn, b in betas.items() if b is not None}
     samples = default_field_samples(world)
-    dbeta = lc_d(world, dict(betas))
+    dbeta = lc_d(world, betas)
     target, _ = chiral_infty_twist(P, dbeta)
     report = {
         "ok": True,
@@ -512,8 +507,7 @@ def chiral_infty_morphism(
                     {"k": k, "args": args, "residual": res}
                 )
             res_self = morphism_residual(P, P, betas, args)
-            want = dbeta.get(k)
-            wv = lp_normal(want(*args)) if want is not None else {}
-            if lp_normal(lp_add(res_self, lp_scale(wv, -1))):
+            want = dbeta[k](*args) if k in dbeta else {}
+            if res_self != want:
                 report["residual_matches_differential"] = False
     return report

@@ -50,12 +50,10 @@ from .starops import (
     StarOp,
     apply_to_value,
     lp_acc,
-    lp_add,
     lp_apply_translate_minus_vars,
     lp_deriv_var,
     lp_map_coeffs,
     lp_mul_var,
-    lp_normal,
     lp_scale,
     permute_slots,
     va_bracket,
@@ -154,11 +152,11 @@ class JetWorld:
 class ChevalleyCochain(StarOp):
     """An antisymmetric function-multilinear cochain on vector fields.
 
-    ``seeds`` maps sorted frame-name tuples to lambda-polynomial values
-    with function coefficients; the full (permuted) frame table is
+    ``seeds`` maps sorted frame-name tuples to canonical lambda-polynomial
+    values with function coefficients; the full (permuted) frame table is
     derived through the antisymmetry relation at construction.  The
-    cochain keeps its nonzero seeds, in canonical form, as ``seeds``: no
-    seeds means the zero cochain.
+    cochain keeps its nonzero seeds, with the last slot eliminated, as
+    ``seeds``: no seeds means the zero cochain.
     """
 
     def __init__(
@@ -174,7 +172,7 @@ class ChevalleyCochain(StarOp):
         for names, val in seeds.items():
             if tuple(sorted(names)) != tuple(names):
                 raise ValueError("seed tuples must be sorted")
-            if not lp_normal(val):
+            if not val:
                 continue
             pars = [world.frame_parity(n) for n in names]
             for perm in itertools.permutations(range(1, arity + 1)):
@@ -184,7 +182,7 @@ class ChevalleyCochain(StarOp):
                 prev = self.table.get(tup)
                 if prev is None:
                     self.table[tup] = v
-                elif lp_normal(lp_add(prev, lp_scale(v, -1))):
+                elif prev != v:
                     raise ValueError(
                         f"seed on {names} breaks antisymmetry at {tup}"
                     )
@@ -241,10 +239,8 @@ class ChevalleyCochain(StarOp):
             for fmono, g, c in combo:
                 coeff *= c
                 parts.append((fmono, g))
-            v = self._term_value(parts)
-            if v:
-                lp_acc(out, v, coeff)
-        return lp_normal(out)
+            lp_acc(out, self._term_value(parts), coeff)
+        return out
 
 
 def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,

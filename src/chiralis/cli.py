@@ -20,8 +20,8 @@ Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
 false identity (the report carries a witness); 2 = usage or input error,
 including a window that checks nothing (an empty fs-cohomology window,
 borcherds-check --max-weight < 0 or --samples < 0, linfty-check
---samples < 1, liestar-check --vars 0) and fs-cohomology --m past its
-maximum when --max-weight >= 1; 3 = internal error (a bug: one "internal
+--samples < 1, liestar-check --vars 0) and a size past the maximum that
+--schema lists under 'limits'; 3 = internal error (a bug: one "internal
 error: ..." line on stderr).
 Reports are JSON on stdout (or --out).  borcherds-check and linfty-check
 draw random samples and take --seed; a fixed seed makes a run byte
@@ -183,12 +183,26 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
+def _at_most(value: int, maximum: int, what: str) -> None:
+    """A usage error when a size taken from outside is past its maximum."""
+    if value > maximum:
+        raise UsageError(f"{what} must be at most {maximum}: {value!r}")
+
+
+# outside sizes, bounded so that a run ends in seconds: the coordinates
+# size every algebra, the jet order every sample window, and above weight
+# 0 the differential on x_0^m recurses once per copy of x_0 (so --m stays
+# well inside Python's recursion limit)
+MAX_VARS, MAX_JET_ORDER, MAX_M = 32, 8, 512
+
+
 def parse_vars(data) -> int:
     if not isinstance(data, dict):
         raise UsageError("the input file must hold a JSON object")
     nvars = data.get("vars", 3)
     if not _is_count(nvars) or nvars < 1:
         raise UsageError(f"field 'vars' must be an integer >= 1: {nvars!r}")
+    _at_most(nvars, MAX_VARS, "field 'vars'")
     return nvars
 
 
@@ -259,19 +273,13 @@ def even_base(nvars: int) -> SuperPolyAlgebra:
 # -- subcommands ---------------------------------------------------------------------
 
 
-# above weight 0 the differential on x_0^m recurses once per copy of x_0,
-# so --m stays well inside Python's recursion limit there
-MAX_M = 512
-
-
 def cmd_fs_cohomology(args) -> dict:
     if args.m is None or args.m < 1:
         raise UsageError("--m must be a positive integer")
     if args.max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
-    if args.max_weight >= 1 and args.m > MAX_M:
-        raise UsageError(f"--m must be at most {MAX_M} when --max-weight"
-                         " >= 1")
+    if args.max_weight >= 1:
+        _at_most(args.m, MAX_M, "--m with --max-weight >= 1")
     if args.min_charge > args.max_charge:
         raise UsageError("--min-charge must not exceed --max-charge")
     K = ChiralKoszul(args.m)
@@ -363,6 +371,8 @@ def cmd_borcherds_check(args) -> dict:
 
 
 def cmd_liestar_check(args) -> dict:
+    _at_most(args.vars, MAX_VARS, "--vars")
+    _at_most(args.jet_order, MAX_JET_ORDER, "--jet-order")
     world = JetWorld(even_base(args.vars))
     mu = world.bracket()
     samples = default_field_samples(
@@ -557,6 +567,8 @@ SCHEMAS = {
     "liestar-check": {
         "report": {"checked": "int", "failures": "list",
                    "window": "object", "ok": "bool"},
+        "limits": {"vars": f"at most {MAX_VARS}",
+                   "jet_order": f"at most {MAX_JET_ORDER}"},
     },
     "linfty-check": {
         "report": {"trials": "int", "structures_passing": "int",
@@ -566,6 +578,7 @@ SCHEMAS = {
         "input": TWIST_SCHEMA,
         "report": {"closed_input": "bool", "jacobi_ok": "bool",
                    "closed": "bool", "match": "bool", "ok": "bool"},
+        "limits": {"vars": f"at most {MAX_VARS}"},
     },
     "chiral-infty-check": {
         "report": {"m": "int", "truncated": "bool", "jacobi_ok": "bool",
@@ -576,6 +589,7 @@ SCHEMAS = {
         "input": FORM_SCHEMA,
         "report": {"closed": "bool", "witness": "encoded form",
                    "ok": "bool"},
+        "limits": {"vars": f"at most {MAX_VARS}"},
     },
 }
 
@@ -615,8 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("liestar-check",
                         help="Lie* axioms of the jet tangent bracket")
-    sp.add_argument("--vars", type=int, default=2)
-    sp.add_argument("--jet-order", type=int, default=2)
+    sp.add_argument("--vars", type=int, default=2, help=f"at most {MAX_VARS}")
+    sp.add_argument("--jet-order", type=int, default=2,
+                    help=f"at most {MAX_JET_ORDER}")
     sp.add_argument("--degree", type=int, default=2,
                     help="<= 0: frame fields only; >= 1: also the frames times"
                     " one coordinate jet (every value >= 1 is the same)")
@@ -633,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("algebroid-twist",
                         help="twist the standard chiral algebroid")
     sp.add_argument("--cocycle", required=False,
-                    help="JSON file with the twisting forms")
+                    help="JSON file with the twisting forms; its 'vars' is"
+                    f" at most {MAX_VARS}")
     sp.add_argument("--check", action="store_true",
                     help="kept for compatibility; the check always runs")
     common(sp)
@@ -650,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("derham-closed",
                         help="closedness of a differential form")
     sp.add_argument("--form", required=False,
-                    help="JSON file with the form")
+                    help="JSON file with the form; its 'vars' is at most"
+                    f" {MAX_VARS}")
     common(sp)
     sp.set_defaults(fn=cmd_derham_closed)
     return p

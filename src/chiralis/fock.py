@@ -86,12 +86,11 @@ _CONJ = {"c": "m", "m": "c"}  # the conjugate family's kind
 class BGSystem:
     """Free-field vertex algebra over a polynomial super algebra base."""
 
-    def __init__(self, base: SuperPolyAlgebra, odd_charge: int = 1):
+    def __init__(self, base: SuperPolyAlgebra):
         if base.D_images:
             raise ValueError("base differential is installed via operators,"
                              " not on the state space")
         self.base = base
-        self.odd_charge = odd_charge
         self._memo: Dict = {}
         # monomial -> (weight, parity, {(kind, name): weight of its letters
         # of that mode family})
@@ -107,10 +106,6 @@ class BGSystem:
     def degree(self, key) -> int:
         d = self.base.degree(key[1])
         return -d if key[0] == "m" else d
-
-    def charge(self, key) -> int:
-        mag = self.odd_charge if self.parity(key) else 1
-        return mag if key[0] == "c" else -mag
 
     def mode(self, kind: str, name: str, k: int) -> State:
         if kind not in ("c", "m") or name not in self.base._parity:

@@ -32,10 +32,15 @@ class ChiralKoszul:
             raise ValueError("the exponent must be a positive integer")
         self.m = m
         base = SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)])
-        self.fock = BGSystem(base, odd_charge=m)
+        self.fock = BGSystem(base)
         # x_0^m is one monomial
         self.current = self.fock.mul({((("c", "x", 0), m),): 1},
                                      self.fock.mom("xi", -1))
+
+    def charge(self, key) -> int:
+        """A letter's charge: 1 for x, m for xi, negated for momenta."""
+        mag = self.m if self.fock.parity(key) else 1
+        return mag if key[0] == "c" else -mag
 
     def d(self, v: State) -> State:
         """The differential: zero mode of the defining odd current."""
@@ -69,7 +74,7 @@ class ChiralKoszul:
         ix0 = letters.index(("c", "x", 0))
         ixi0 = letters.index(("c", "xi", 0))
         steps = [
-            (i, -lt[2], fk.parity(lt), fk.charge(lt))
+            (i, -lt[2], fk.parity(lt), self.charge(lt))
             for i, lt in enumerate(letters) if lt[2]
         ]
         exps = [0] * len(letters)

@@ -94,18 +94,16 @@ class BasisMultiMap:
         arity: int,
         values: Dict[tuple, Elem],
         antisym: bool = True,
-        shift: Dict[str, int] = None,
     ):
         self.space = space
         self.arity = arity
         self.antisym = antisym
-        self.shift = shift
         self.values: Dict[tuple, Elem] = {}
         for tup, val in values.items():
             if tuple(sorted(tup)) != tuple(tup):
                 raise ValueError("value tuples must be sorted")
             key, s = _canon(
-                tuple(tup), tuple(self._parity(n) for n in tup), antisym
+                tuple(tup), tuple(space.parity(n) for n in tup), antisym
             )
             if key is None:
                 if any(val.values()):
@@ -117,11 +115,6 @@ class BasisMultiMap:
         # name tuple -> (value or None, sign), filled by _lookup
         self._seen: Dict[tuple, Tuple[Optional[Elem], int]] = {}
 
-    def _parity(self, name: str) -> int:
-        if self.shift is not None:
-            return self.shift[name]
-        return self.space.parity(name)
-
     def _lookup(self, names: tuple) -> Tuple[Optional[Elem], int]:
         """The stored value of the canonical form of ``names`` (None when
         it is zero) and the sign of the re-sort; each tuple is
@@ -129,7 +122,8 @@ class BasisMultiMap:
         hit = self._seen.get(names)
         if hit is None:
             key, s = _canon(
-                names, tuple(self._parity(n) for n in names), self.antisym
+                names, tuple(self.space.parity(n) for n in names),
+                self.antisym
             )
             hit = self._seen[names] = (
                 self.values.get(key) if key is not None else None, s)
@@ -193,10 +187,15 @@ def direct_jacobi_report(
 
 
 def decalage(l: BasisMultiMap) -> BasisMultiMap:
-    """Transport an antisymmetric map to the symmetric parity-shifted side."""
+    """Transport an antisymmetric map to the symmetric parity-shifted side.
+
+    The image lives on the space with every degree raised by one, whose
+    parities are the shifted ones.
+    """
     n = l.arity
     space = l.space
-    shifted = {nm: space.parity(nm) ^ 1 for nm in space.names}
+    shifted = GradedSpace([(nm, space.degrees[nm] + 1)
+                           for nm in space.names])
     values: Dict[tuple, Elem] = {}
     base_sign = -1 if (n * (n - 1) // 2) & 1 else 1
     for tup, val in l.values.items():
@@ -205,12 +204,12 @@ def decalage(l: BasisMultiMap) -> BasisMultiMap:
             if ((n - 1 - i) * space.parity(nm)) & 1:
                 s = -s
         # re-sort for the shifted parities (same letters, sign may differ)
-        key, s2 = _canon(tup, tuple(shifted[nm] for nm in tup), False)
+        key, s2 = _canon(tup, tuple(shifted.parity(nm) for nm in tup), False)
         if key is None:
             continue
         entry = values.setdefault(key, {})
         ring.acc_poly(entry, val, s * s2)
-    return BasisMultiMap(l.space, n, values, antisym=False, shift=shifted)
+    return BasisMultiMap(shifted, n, values, antisym=False)
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,9 +18,11 @@ the sum of the consumed slots.
 
 Modules are anything with a parity function and a translation operator on
 elements; elements themselves are dicts with exact rational coefficients.
-Sums of lambda polynomials accumulate in place through :func:`lp_acc`,
-which copies an element the first time it enters a sum, so a sum never
-shares (and never changes) an element of its summands.
+A lambda polynomial is canonical where it is made: it never holds an
+empty module element, so zero is ``{}`` and equal values are ``==``.
+Sums accumulate in place through :func:`lp_acc`, which drops an element
+that cancels and copies an element the first time it enters a sum, so
+a sum never shares (and never changes) an element of its summands.
 Ordinary (non-star) multilinear algebra is the special case where the
 translation is zero and no z-symbols ever appear.
 """
@@ -106,10 +108,6 @@ def lp_from_elem(e: dict) -> LambdaPoly:
     return {(): dict(e)} if e else {}
 
 
-def lp_normal(p: LambdaPoly) -> LambdaPoly:
-    return {m: e for m, e in p.items() if e}
-
-
 def _mono_mul(a: LamMono, b: LamMono) -> LamMono:
     d = dict(a)
     for s, e in b:
@@ -117,9 +115,8 @@ def _mono_mul(a: LamMono, b: LamMono) -> LamMono:
     return tuple(sorted(d.items()))
 
 
-def lp_mul_mono(p: LambdaPoly, mono: LamMono, c: ring.Scalar = 1
-                ) -> LambdaPoly:
-    return {_mono_mul(m, mono): ring.pscale(e, c) for m, e in p.items() if e}
+def lp_mul_mono(p: LambdaPoly, mono: LamMono) -> LambdaPoly:
+    return {_mono_mul(m, mono): dict(e) for m, e in p.items()}
 
 
 def lp_mul_var(p: LambdaPoly, slot: int, power: int = 1) -> LambdaPoly:
@@ -127,12 +124,7 @@ def lp_mul_var(p: LambdaPoly, slot: int, power: int = 1) -> LambdaPoly:
 
 
 def lp_map_coeffs(p: LambdaPoly, f: Callable[[dict], dict]) -> LambdaPoly:
-    out = {}
-    for m, e in p.items():
-        fe = f(e)
-        if fe:
-            out[m] = fe
-    return out
+    return {m: fe for m, e in p.items() if (fe := f(e))}
 
 
 def lp_relabel(p: LambdaPoly, mapping: Dict[int, int]) -> LambdaPoly:
@@ -184,7 +176,7 @@ def lp_eliminate(p: LambdaPoly, slot: int, module: StarModule,
         if power:
             term = lp_apply_translate_minus_vars(term, module, kept, power)
         lp_acc(out, term)
-    return lp_normal(out)
+    return out
 
 
 def lp_deriv_var(p: LambdaPoly, slot: int) -> LambdaPoly:
@@ -234,7 +226,7 @@ def plus_op(base: Optional[StarOp], extra: StarOp) -> StarOp:
         return extra
 
     def fn(*args):
-        return lp_normal(lp_add(base(*args), extra(*args)))
+        return lp_add(base(*args), extra(*args))
 
     return StarOp(extra.arity, extra.module, fn, base.parity)
 
@@ -348,7 +340,7 @@ def unshuffle_sum(
             sign = antisym_sign(sig, x) * (-1) ** (i * (j - 1))
             val = comp(*[args[s - 1] for s in sig])
             lp_acc(total, permute_slots(val, sig, module, sign))
-    return lp_normal(total)
+    return total
 
 
 def jacobi_defect(
@@ -397,7 +389,7 @@ def morphism_defect(
         rhs = compose_front(lps[1], fs[n])(*args)
     firsts = [fs[1](a).get((), {}) for a in args]
     if n in lps:
-        rhs = lp_add(rhs, lps[n](*firsts))
+        lp_acc(rhs, lps[n](*firsts))
     if n == 3 and 2 in lps and 2 in fs:
         for sig in unshuffles(1, 3):
             pair = fs[2](args[sig[1] - 1], args[sig[2] - 1])
@@ -408,8 +400,9 @@ def morphism_defect(
             # the odd binary component crosses the leading argument
             if x[sig[0] - 1]:
                 sign = -sign
-            rhs = lp_add(rhs, permute_slots(val, sig, module, sign))
-    return lp_normal(lp_add(lhs, lp_scale(rhs, -1)))
+            lp_acc(rhs, permute_slots(val, sig, module, sign))
+    lp_acc(lhs, rhs, -1)
+    return lhs
 
 
 def va_bracket(system) -> StarOp:
@@ -436,7 +429,7 @@ def va_bracket(system) -> StarOp:
             v = system.nth(a, nn, b)
             if v:
                 out[((1, nn),) if nn else ()] = ring.pdiv(v, fact)
-        return lp_normal(out)
+        return out
 
     return StarOp(2, module, fn, 0)
 
@@ -459,8 +452,8 @@ class LieStarDefects:
         return hit
 
     def antisymmetry(self, a, b) -> LambdaPoly:
-        return self._once("antisymmetry", (a, b), lambda: lp_normal(
-            lp_add(self.bracket(a, b), self._flip(a, b))))
+        return self._once("antisymmetry", (a, b), lambda: lp_add(
+            self.bracket(a, b), self._flip(a, b)))
 
     def jacobi(self, a, b, c) -> LambdaPoly:
         return self._once("jacobi", (a, b, c), lambda: jacobi_defect(

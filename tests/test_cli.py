@@ -156,6 +156,35 @@ def test_fs_cohomology_limits_m_above_weight_0():
     assert f"at most {cli.MAX_M}" in proc.stderr.decode()
 
 
+@pytest.mark.parametrize("field, maximum", [
+    ("--vars", cli.MAX_VARS), ("--jet-order", cli.MAX_JET_ORDER),
+    ("vars", cli.MAX_VARS)])
+def test_outside_sizes_past_their_maximum_exit_2_at_once(tmp_path, field,
+                                                         maximum):
+    """liestar-check --vars 100 was still running after 30 s and
+    --jet-order 16 after 60 s; so was a form or cocycle file's 'vars'
+    past its maximum, which sizes the algebra the same way.  Past the
+    maximum each exits 2 within a second."""
+    for value in (maximum + 1, 10 ** 8):
+        if field.startswith("--"):
+            argvs = [["liestar-check", "--jet-order", "1", "--degree", "1",
+                      field, str(value)]]
+        else:
+            form = tmp_path / "form.json"
+            form.write_text(json.dumps({"vars": value, "terms": []}))
+            cocycle = tmp_path / "cocycle.json"
+            cocycle.write_text(json.dumps(
+                {"vars": value, "three_form": {"terms": []}}))
+            argvs = [["derham-closed", "--form", str(form)],
+                     ["algebroid-twist", "--cocycle", str(cocycle)]]
+        for argv in argvs:
+            t0 = time.perf_counter()
+            code, out, err = run_quiet(argv)
+            assert code == 2 and not out, (argv, err)
+            assert time.perf_counter() - t0 < 1.0, argv
+            assert f"at most {maximum}" in err
+
+
 def test_borcherds_exhaustive_and_seeded(tmp_path):
     code, rep = report(
         tmp_path,

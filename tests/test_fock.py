@@ -20,6 +20,7 @@ import pytest
 from chiralis.algebra import JetAlgebra, SuperPolyAlgebra
 from chiralis.fock import BGSystem, borcherds_checks, borcherds_full_check
 from chiralis.exact import binomial
+from chiralis.koszul import ChiralKoszul
 from chiralis.ring import (acc, acc_poly, mono_degree, mono_parity, padd,
                            pdiv, poly_one, pscale, psub)
 
@@ -27,7 +28,7 @@ from chiralis.ring import (acc, acc_poly, mono_degree, mono_parity, padd,
 def one_var_system():
     """1-variable beta-gamma--bc system: base Q[x] tensor Lambda[xi]."""
     base = SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)])
-    return BGSystem(base, odd_charge=2)
+    return BGSystem(base)
 
 
 def letters(sys, max_weight):
@@ -243,9 +244,10 @@ def test_mode_range_validation():
 
 
 def test_charge_and_filtration_gradings():
-    sys = one_var_system()  # odd_charge = 2
+    sys = one_var_system()
+    charge = ChiralKoszul(2).charge  # xi carries charge m = 2
     mono = next(iter(sys.mul(sys.coord("x", 0), sys.mom("xi", -1))))
-    assert mono_degree(mono, sys.charge) == 1 - 2
+    assert mono_degree(mono, charge) == 1 - 2
     assert sum(e for (kind, _n, _k), e in mono if kind == "m") == 1
     assert sys.mono_degree(mono) == 0 + 1  # deg xi = -1 so deg mom_xi = +1
 
@@ -262,7 +264,7 @@ class FractionBG(BGSystem):
 
 def test_int_path_matches_fraction_path_on_letter_pairs():
     fast = one_var_system()
-    slow = FractionBG(fast.base, odd_charge=2)
+    slow = FractionBG(fast.base)
     lets = letters(fast, 2)
     for a, b in itertools.product(lets, repeat=2):
         af = {m: Fraction(c) for m, c in a.items()}
@@ -408,7 +410,7 @@ def fraction_scalar(rng):
 
 def test_kernel_matches_reference_on_letter_pairs():
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     lets = letters(fast, 2)
     for a, b in itertools.product(lets, repeat=2):
         for n in range(-3, 4):
@@ -420,7 +422,7 @@ def test_kernel_matches_reference_on_letter_pairs():
                          ids=["int", "fraction"])
 def test_kernel_matches_reference_on_multi_monomial_states(scalar):
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     rng = random.Random(19)
     for _ in range(30):
         a = random_sum(fast, rng, scalar)
@@ -542,7 +544,7 @@ def test_one_letter_products_match_reference():
 
 def test_borcherds_check_matches_reference():
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     lets = letters(fast, 1)
     rng = random.Random(23)
     cases = [(a, b, c, 0, 0, -1) for a, b, c in
@@ -596,7 +598,7 @@ def homogeneous_sum(sys, rng, scalar):
 
 def test_borcherds_checks_match_reference_on_letter_triples():
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     cases = [(a, b, c, rsts)
              for a, b, c in itertools.product(letters(fast, 1), repeat=3)
              for rsts in (EXHAUSTIVE_RSTS, MIXED_RSTS)]
@@ -607,7 +609,7 @@ def test_borcherds_checks_match_reference_on_letter_triples():
                          ids=["int", "fraction"])
 def test_borcherds_checks_match_reference_on_multi_monomial_states(scalar):
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     rng = random.Random(31)
     cases = []
     for _ in range(6):
@@ -621,7 +623,7 @@ def test_borcherds_checks_over_several_third_states():
     third state, the reports of the triple checked one identity at a time;
     an empty list gives none."""
     fast = one_var_system()
-    ref = ReferenceBG(fast.base, odd_charge=2)
+    ref = ReferenceBG(fast.base)
     lets = letters(fast, 1)
     rng = random.Random(37)
     cs = lets + [lets[2], homogeneous_sum(fast, rng, int_scalar),
@@ -653,7 +655,7 @@ def test_borcherds_checks_over_several_third_states():
 
 def test_grades_match_a_direct_computation():
     fk = one_var_system()
-    ref = ReferenceBG(fk.base, odd_charge=2)
+    ref = ReferenceBG(fk.base)
     rng = random.Random(29)
     x0, xi0 = fk.coord("x", 0), fk.coord("xi", 0)
     states = [

@@ -51,7 +51,7 @@ def reference_canon(names, parities, antisym):
 
 
 def reference_on_basis(hat, names):
-    pars = [hat.shift[n] for n in names]
+    pars = [hat.space.parity(n) for n in names]
     key, s = reference_canon(names, pars, hat.antisym)
     if key is None:
         return {}

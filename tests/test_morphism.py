@@ -10,7 +10,10 @@ Oracles:
     residuals of the two separate implementations;
   * fault injection: against the source itself as target the residual is
     not zero when the differential of the morphism family is not, so a
-    residual that always came out zero fails here.
+    residual that always came out zero fails here;
+  * a component above ``starops.MAX_ARITY`` is refused, where it was
+    stored and then left out of the operations, so that a check of the
+    twist reported ok, closed and match on a structure it never saw.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import pytest
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.algebroid import (
     ChiralInftyAlgebroid,
+    chiral_infty_morphism,
     chiral_infty_twist,
     default_field_samples,
     lc_d,
@@ -115,3 +119,15 @@ def test_wrong_target_leaves_a_residual(residuals):
     # the source itself is the wrong target when d(beta) != 0
     assert any(residuals(wrong_only=True))
 
+
+
+def test_components_above_the_highest_arity_are_refused():
+    world, betas = chiral_setup()
+    P = ChiralInftyAlgebroid(world)
+    seeds = {("et", "x", "xi", "y"): {(): world.coord("x")}}
+    with pytest.raises(ValueError, match="highest arity 3"):
+        chiral_infty_twist(P, {4: ChevalleyCochain(world, 4, seeds, 0)},
+                           check=True)
+    with pytest.raises(ValueError, match="highest arity 3"):
+        chiral_infty_morphism(
+            P, {**betas, 4: ChevalleyCochain(world, 4, seeds, 1)})

@@ -27,7 +27,6 @@ from chiralis.starops import (
     lp_apply_translate_minus_vars,
     lp_eliminate,
     lp_mul_mono,
-    lp_normal,
     lp_scale,
     plus_op,
     sigma_act,
@@ -66,7 +65,7 @@ def op_on_free_basis(arity, module, values):
                     val, module, range(1, arity), items[-1][0][1])
                 lp_acc(out, lp_mul_mono(term, mono),
                        math.prod(c for _key, c in items))
-        return lp_normal(out)
+        return out
 
     return StarOp(arity, module, fn, 0)
 
@@ -88,7 +87,7 @@ def test_vec_antisymmetry():
     l = {("l", 0): Fraction(1)}
     dl = {("l", 1): Fraction(1)}
     for a, b in itertools.product([l, dl], repeat=2):
-        assert not lp_normal(lp_add(mu(a, b), flip(a, b)))
+        assert not lp_add(mu(a, b), flip(a, b))
 
 
 def test_vec_jacobi():
@@ -107,7 +106,7 @@ def test_translation_covariance_of_free_op():
         ((1, 1),): {("l", 1): Fraction(-1)},
         ((1, 2),): {("l", 0): Fraction(2)},
     }
-    assert lp_normal(got) == expect
+    assert got == expect
 
 
 def test_plus_op_is_the_sum_with_the_parity_of_its_base():
@@ -123,7 +122,7 @@ def test_plus_op_is_the_sum_with_the_parity_of_its_base():
     assert (total.arity, total.module) == (2, mod)
     pool = [{("l", k): Fraction(1)} for k in range(3)]
     for a, b in itertools.product(pool, repeat=2):
-        want = lp_normal(lp_add(mu(a, b), extra(a, b)))
+        want = lp_add(mu(a, b), extra(a, b))
         assert total(a, b) == want
     l = pool[0]
     # the z_1 terms cancel: 2 l z_1 - 2 l z_1
@@ -171,8 +170,7 @@ def test_sigma_act_identity_and_composition_law():
     ]
 
     def equal_on_tuples(f, g):
-        return all(not lp_normal(lp_add(f(*args), lp_scale(g(*args), -1)))
-                   for args in tuples)
+        return all(f(*args) == g(*args) for args in tuples)
 
     assert equal_on_tuples(phi, sigma_act((1, 2, 3), phi))
 
@@ -211,7 +209,7 @@ def test_va_bracket_translation_compatibility():
     pa = mu.module.translate(a)
     lhs = mu(pa, b)
     rhs = lp_mul_var(mu(a, b), 1)
-    assert lp_normal(lhs) == lp_normal(rhs)
+    assert lhs == rhs
 
 
 def test_abelian_bracket_passes():
