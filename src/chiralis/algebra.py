@@ -91,9 +91,6 @@ class SuperPolyAlgebra:
             raise KeyError(name)
         return ring.poly_gen(name)
 
-    def one(self) -> Poly:
-        return poly_one()
-
     def mul(self, *ps: Poly) -> Poly:
         return ring.pmul_many(ps, self.parity)
 
@@ -117,7 +114,6 @@ class JetAlgebra(SuperPolyAlgebra):
 
     def __init__(self, base: SuperPolyAlgebra):
         self.base = base
-        self._D_cache: Dict = {}
 
     def gen(self, key) -> Poly:
         name, k = key
@@ -149,13 +145,11 @@ class JetAlgebra(SuperPolyAlgebra):
         return ring.derive(p, images, 0, self.parity)
 
     def _D_image(self, key) -> Poly:
-        if key not in self._D_cache:
-            name, k = key
-            img = self.lift(self.base.D_images.get(name, {}))
-            for _ in range(k):
-                img = self.translate(img)
-            self._D_cache[key] = img
-        return self._D_cache[key]
+        name, k = key
+        img = self.lift(self.base.D_images.get(name, {}))
+        for _ in range(k):
+            img = self.translate(img)
+        return img
 
     def D(self, p: Poly) -> Poly:
         images = {}
@@ -298,13 +292,6 @@ def split_tangent(mono, parity):
     if len(taus) != 1 or taus[0][1] != 1:
         raise ValueError("tangent degree must be at most one")
     tkey = taus[0][0]
-    # the tau letter must move right past every letter after it
-    s = 1
-    seen = False
-    tpar = parity(tkey)
-    for g, e in mono:
-        if g == tkey:
-            seen = True
-        elif seen and tpar and (parity(g) * e) & 1:
-            s = -s
-    return tuple((g, e) for g, e in mono if g != tkey), tkey, s
+    f_mono = tuple((g, e) for g, e in mono if g != tkey)
+    # the sign of moving the tau letter right past every letter after it
+    return f_mono, tkey, ring.mono_mul(f_mono, ((tkey, 1),), parity)[1]

@@ -154,6 +154,12 @@ def form_cochain(
         raise ValueError("form cochains need an even base")
     forms = FormAlgebra(base)
 
+    def jet_letter(key):
+        kind, g = key
+        letter = (g, 1 if kind == "d" else 0)
+        world.coord(*letter)  # validates the letter
+        return letter, 1
+
     def seed(tup, _pars, _taus):
         rest = form
         for nm in reversed(tup):
@@ -165,16 +171,8 @@ def form_cochain(
                 f"the contraction with {tup} is not all functions or"
                 " all one-forms"
             )
-        out: ring.Poly = {}
-        for mono, c in rest.items():
-            elem = world.jets.one()
-            for (kind, g), e in mono:
-                k = 1 if kind == "d" else 0
-                world.coord(g, k)  # validates the letter
-                # the jets of an even base are even: g^e is one monomial
-                elem = world.jets.mul(elem, {(((g, k), e),): 1})
-            ring.acc_poly(out, elem, c)
-        return lp_from_elem(out)
+        return lp_from_elem(ring.substitute(rest, jet_letter,
+                                            world.jets.parity))
 
     return frame_cochain(world, arity, seed, 0)
 
@@ -212,13 +210,7 @@ def differential_current(world: JetWorld) -> ring.Poly:
         img = world.base.D_images.get(g)
         if not img:
             continue
-        lifted = jets.lift(
-            {
-                tuple((name, e) for name, e in mono): c
-                for mono, c in img.items()
-            }
-        )
-        term = ring.pmul(lifted, world.tau(g), jets.parity)
+        term = ring.pmul(jets.lift(img), world.tau(g), jets.parity)
         ring.acc_poly(out, term)
     return out
 

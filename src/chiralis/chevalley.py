@@ -13,11 +13,14 @@ free-field dictionary: jets embed into the beta-gamma--bc state space by
 
 and the bracket is the vertex engine's Lie* bracket conjugated by this
 embedding (which intertwines the jet translation with the negated vertex
-translation operator).
+translation operator); both directions are ``ring.substitute``.
 
 Chevalley cochains are antisymmetric multilinear star operations on vector
-fields with function values, stored on frame tuples and evaluated through
-sesquilinearity and function-multilinearity slot rules; a cochain reads a
+fields with function values, stored on frame tuples and evaluated by one
+slot rule, the last slot included: a frame jet of order k in slot i
+multiplies the value by z_i^k (sesquilinearity) and a function factor
+enters through the Leibniz series in z_i (function multilinearity); z_n
+stays a symbol until one elimination at the end.  A cochain reads a
 carrier element through its vector-field part, so function terms
 contribute zero.  ``frame_cochain`` is the one way to build a cochain
 from a value per sorted frame tuple;
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import ring
@@ -50,8 +54,8 @@ from .starops import (
     StarOp,
     apply_to_value,
     lp_acc,
-    lp_apply_translate_minus_vars,
     lp_deriv_var,
+    lp_eliminate,
     lp_map_coeffs,
     lp_mul_var,
     lp_scale,
@@ -95,6 +99,7 @@ class JetWorld:
 
     # -- Fock dictionary ---------------------------------------------------------
     def _letter_to_fock(self, key) -> Tuple[tuple, int]:
+        """The Fock letter of a jet letter and the factor it carries."""
         name, k = key
         fact = -math.factorial(k) if k & 1 else math.factorial(k)
         if is_tau(name):
@@ -102,38 +107,19 @@ class JetWorld:
         return ("c", name, -k), fact
 
     def to_fock(self, p: ring.Poly) -> ring.Poly:
-        out: ring.Poly = {}
-        for mono, c in p.items():
-            state = self.fock.vac()
-            coeff = c
-            for g, e in mono:
-                letter, fact = self._letter_to_fock(g)
-                state = self.fock.mul(state, {((letter, e),): 1})
-                coeff *= fact ** e
-            ring.acc_poly(out, state, coeff)
-        return out
+        return ring.substitute(p, self._letter_to_fock, self.fock.parity)
 
-    def _letter_from_fock(self, key) -> Tuple[tuple, int]:
-        """The jet letter of a Fock letter and the factor it divides by."""
+    def _letter_from_fock(self, key) -> Tuple[tuple, Fraction]:
+        """The jet letter of a Fock letter and the factor it carries."""
         kind, name, k = key
         order = -k if kind == "c" else -k - 1
         fact = -math.factorial(order) if order & 1 else math.factorial(order)
-        gname = name if kind == "c" else tau_name(name)
-        return (gname, order), fact
+        letter = (name if kind == "c" else tau_name(name), order)
+        self.jets.gen(letter)  # validates the letter
+        return letter, Fraction(1, fact)
 
     def from_fock(self, p: ring.Poly) -> ring.Poly:
-        out: ring.Poly = {}
-        for mono, c in p.items():
-            elem = self.jets.one()
-            den = 1
-            for g, e in mono:
-                letter, fact = self._letter_from_fock(g)
-                self.jets.gen(letter)  # validates the letter
-                elem = self.jets.mul(elem, {((letter, e),): 1})
-                den *= fact ** e
-            coeff = ring.div(c, den)
-            ring.acc_poly(out, elem, coeff)
-        return out
+        return ring.substitute(p, self._letter_from_fock, self.jets.parity)
 
     # -- the standard Lie* bracket ------------------------------------------------
     def bracket(self) -> StarOp:
@@ -191,7 +177,8 @@ class ChevalleyCochain(StarOp):
         super().__init__(arity, world.module, self._evaluate, op_parity)
 
     def _term_value(self, parts):
-        """Value on one tuple of terms (f_mono, tau_key) per slot."""
+        """Value on one tuple of terms (f_mono, tau_key) per slot, every
+        slot by the one rule; z_n is eliminated once, at the end."""
         n = self.arity
         world = self.world
         names = tuple(tau_base(g[0]) for (_f, g) in parts)
@@ -199,15 +186,9 @@ class ChevalleyCochain(StarOp):
         if not val:
             return {}
         # sesquilinearity: jet orders of the frame letters
-        for i, (_f, (gname, k)) in enumerate(parts, start=1):
-            if not k:
-                continue
-            if i < n:
+        for i, (_f, (_gname, k)) in enumerate(parts, start=1):
+            if k:
                 val = lp_mul_var(val, i, k)
-            else:
-                val = lp_apply_translate_minus_vars(
-                    val, world.module, range(1, n), k
-                )
         # function multilinearity with Koszul prefix signs
         sign = 1
         prefix = 0
@@ -216,8 +197,9 @@ class ChevalleyCochain(StarOp):
             if fpar and ((self.parity + prefix) & 1):
                 sign = -sign
             if fmono:
-                val = _leibniz(world, val, i, n, {fmono: 1})
+                val = _leibniz(world, val, i, {fmono: 1})
             prefix = (prefix + fpar + world.jets.parity(g)) & 1
+        val = lp_eliminate(val, n, world.module, range(1, n))
         return lp_scale(val, sign) if sign == -1 else val
 
     def _evaluate(self, *args):
@@ -243,18 +225,14 @@ class ChevalleyCochain(StarOp):
         return out
 
 
-def _leibniz(world: JetWorld, val: LambdaPoly, slot: int, n: int,
+def _leibniz(world: JetWorld, val: LambdaPoly, slot: int,
              f: ring.Poly) -> LambdaPoly:
-    """The value on f * a_slot, from the value ``val`` on a_slot (unsigned).
-
-    In the last slot f multiplies the value; in slot i < n it enters
-    through the series sum_m (-1)^m / m! T^m(f) d^m/dz_i^m.
-    """
+    """The value on f * a_slot, from the value ``val`` on a_slot (unsigned):
+    the series sum_m (-1)^m / m! T^m(f) d^m/dz_slot^m, which is
+    multiplication by f on a value without z_slot."""
     def times_f(e):
         return ring.pmul(f, e, world.jets.parity)
 
-    if slot == n:
-        return lp_map_coeffs(val, times_f)
     out: LambdaPoly = {}
     m = 0
     while val:

@@ -192,8 +192,11 @@ def _at_most(value: int, maximum: int, what: str) -> None:
 # outside sizes, bounded so that a run ends in seconds: the coordinates
 # size every algebra, the jet order every sample window, and above weight
 # 0 the differential on x_0^m recurses once per copy of x_0 (so --m stays
-# well inside Python's recursion limit)
+# well inside Python's recursion limit); borcherds-check checks every
+# triple of its 2 * vars * (2 * max_weight + 1) letters, and at weight 6
+# each charge of an fs-cohomology window takes 1 to 3 s at m = 2 and 3
 MAX_VARS, MAX_JET_ORDER, MAX_M = 32, 8, 512
+MAX_LETTERS, MAX_WEIGHT, MAX_CHARGE_SPAN = 96, 6, 23
 
 
 def parse_vars(data) -> int:
@@ -278,10 +281,13 @@ def cmd_fs_cohomology(args) -> dict:
         raise UsageError("--m must be a positive integer")
     if args.max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
+    _at_most(args.max_weight, MAX_WEIGHT, "--max-weight")
     if args.max_weight >= 1:
         _at_most(args.m, MAX_M, "--m with --max-weight >= 1")
     if args.min_charge > args.max_charge:
         raise UsageError("--min-charge must not exceed --max-charge")
+    _at_most(args.max_charge - args.min_charge, MAX_CHARGE_SPAN,
+             "--max-charge minus --min-charge")
     K = ChiralKoszul(args.m)
     result = K.cohomology(args.max_weight, args.max_charge, args.min_charge)
     cells = result["cells"]
@@ -307,6 +313,8 @@ def cmd_borcherds_check(args) -> dict:
         raise UsageError("--vars must be a positive integer")
     if args.max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
+    _at_most(2 * args.vars * (2 * args.max_weight + 1), MAX_LETTERS,
+             "the letter count 2 * --vars * (2 * --max-weight + 1)")
     if args.samples < 0:
         raise UsageError("--samples must be non-negative (0 = exhaustive)")
     gens = []
@@ -372,6 +380,8 @@ def cmd_borcherds_check(args) -> dict:
 
 def cmd_liestar_check(args) -> dict:
     _at_most(args.vars, MAX_VARS, "--vars")
+    if args.jet_order < 0:
+        raise UsageError("--jet-order must be non-negative")
     _at_most(args.jet_order, MAX_JET_ORDER, "--jet-order")
     world = JetWorld(even_base(args.vars))
     mu = world.bracket()
@@ -558,17 +568,22 @@ SCHEMAS = {
                        " that d^2",
         },
         "state_encoding": "[[coeff 'p/q', [[kind, gen, k, exp], ...]], ...]",
-        "limits": {"m": f"at most {MAX_M} when max_weight >= 1"},
+        "limits": {"m": f"at most {MAX_M} when max_weight >= 1",
+                   "max_weight": f"at most {MAX_WEIGHT}",
+                   "max_charge": f"at most {MAX_CHARGE_SPAN} above"
+                                 " min_charge"},
     },
     "borcherds-check": {
         "report": {"checked": "int", "failures": "list", "seed": "int",
                    "window": "object", "ok": "bool"},
+        "limits": {"letters": "2 * vars * (2 * max_weight + 1), at most"
+                              f" {MAX_LETTERS}"},
     },
     "liestar-check": {
         "report": {"checked": "int", "failures": "list",
                    "window": "object", "ok": "bool"},
         "limits": {"vars": f"at most {MAX_VARS}",
-                   "jet_order": f"at most {MAX_JET_ORDER}"},
+                   "jet_order": f"0 to {MAX_JET_ORDER}"},
     },
     "linfty-check": {
         "report": {"trials": "int", "structures_passing": "int",
@@ -611,16 +626,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="chiralized Koszul cohomology of x^m")
     sp.add_argument("--m", type=int, help="the exponent, >= 1; at most"
                     f" {MAX_M} when --max-weight >= 1")
-    sp.add_argument("--max-weight", type=int, default=1)
-    sp.add_argument("--max-charge", type=int, default=4)
+    sp.add_argument("--max-weight", type=int, default=1,
+                    help=f"at most {MAX_WEIGHT}")
+    sp.add_argument("--max-charge", type=int, default=4,
+                    help=f"at most {MAX_CHARGE_SPAN} above --min-charge")
     sp.add_argument("--min-charge", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_fs_cohomology)
 
     sp = sub.add_parser("borcherds-check",
                         help="Borcherds identity suite on free fields")
-    sp.add_argument("--vars", type=int, default=1)
-    sp.add_argument("--max-weight", type=int, default=2)
+    letters = (f"the letters, 2 * vars * (2 * max-weight + 1), are at most"
+               f" {MAX_LETTERS}")
+    sp.add_argument("--vars", type=int, default=1, help=letters)
+    sp.add_argument("--max-weight", type=int, default=2, help=letters)
     sp.add_argument("--samples", type=int, default=0,
                     help="0 = exhaustive on single letters")
     sp.add_argument("--seed", type=int, default=0)
@@ -631,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Lie* axioms of the jet tangent bracket")
     sp.add_argument("--vars", type=int, default=2, help=f"at most {MAX_VARS}")
     sp.add_argument("--jet-order", type=int, default=2,
-                    help=f"at most {MAX_JET_ORDER}")
+                    help=f"0 to {MAX_JET_ORDER}")
     sp.add_argument("--degree", type=int, default=2,
                     help="<= 0: frame fields only; >= 1: also the frames times"
                     " one coordinate jet (every value >= 1 is the same)")

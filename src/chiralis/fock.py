@@ -194,7 +194,7 @@ class BGSystem:
     def _letter_from_voa(self, kind: str, name: str, j: int):
         return (kind, name, j + 1 if kind == "c" else j)
 
-    def _pair_coeff(self, annih_kind: str, odd: bool) -> int:
+    def _pair_coeff(self, annih_kind: str, odd: int) -> int:
         # momentum contracting coordinate: +1; coordinate contracting
         # momentum: -1 for even pairs, +1 for odd pairs (anticommutator).
         if annih_kind == "m" or odd:
@@ -208,25 +208,9 @@ class BGSystem:
             return ring.pmul(letter, p, self.parity)
         # annihilation: contract against the conjugate letter of index -1-j
         target = self._letter_from_voa(_CONJ[kind], name, -1 - j)
-        odd = bool(self.base.parity(name))
-        gp = self.base.parity(name)
-        coeff0 = self._pair_coeff(kind, odd)
-        out: State = {}
-        for mono, c in p.items():
-            pref = 0
-            for idx, (g, e) in enumerate(mono):
-                if g == target:
-                    s = coeff0 * c * e
-                    if gp and pref:
-                        s = -s
-                    rest = (
-                        mono[:idx]
-                        + (((g, e - 1),) if e > 1 else ())
-                        + mono[idx + 1 :]
-                    )
-                    ring.acc(out, rest, s)
-                pref = (pref + self.parity(g) * e) & 1
-        return out
+        odd = self.base.parity(name)
+        return ring.derive(p, {target: {(): self._pair_coeff(kind, odd)}},
+                           odd, self.parity)
 
     # -- products ---------------------------------------------------------------
     def nth(self, a: State, n: int, b: State) -> State:

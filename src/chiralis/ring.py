@@ -22,12 +22,17 @@ square to zero and reordering them produces Koszul signs.
 
 A polynomial is a dict mapping monomials to nonzero scalar coefficients;
 the empty dict is zero and the empty monomial ``()`` is 1.
+
+Each letter job has one primitive: :func:`mono_mul` holds the reorder
+sign, :func:`derive` is the one derivation (the graded Leibniz rule) and
+:func:`substitute` the one algebra map (each letter to a letter times a
+rational factor).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Tuple, Union
+from typing import Callable, Dict, Hashable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 GenKey = Hashable
@@ -203,6 +208,36 @@ def derive(
                         continue
                     acc(out, m2, s * ic * s1 * s2)
             pref = (pref + parity(g) * e) & 1
+    return out
+
+
+def substitute(
+    p: Poly,
+    image: Callable[[GenKey], Tuple[GenKey, Scalar]],
+    parity: Callable[[GenKey], int],
+) -> Poly:
+    """Apply the algebra map sending generator g to ``factor * h``, where
+    ``image(g) = (h, factor)`` and ``parity`` is that of the new letters.
+
+    The letters h of a monomial are multiplied in order, with their
+    Koszul sign; a monomial that squares an odd letter maps to zero.
+    Each coefficient is divided once, by the product of the factors'
+    denominators, so it stays an ``int`` while it is integral.
+    """
+    out: Poly = {}
+    for mono, c in p.items():
+        m: Optional[Mono] = ()
+        num = den = sign = 1
+        for g, e in mono:
+            h, f = image(g)
+            m, s = mono_mul(m, ((h, e),), parity)
+            if m is None:
+                break
+            sign *= s
+            num *= f.numerator ** e
+            den *= f.denominator ** e
+        if m is not None:
+            acc(out, m, div(sign * c * num, den))
     return out
 
 

@@ -135,19 +135,6 @@ def lp_relabel(p: LambdaPoly, mapping: Dict[int, int]) -> LambdaPoly:
     return out
 
 
-def lp_apply_translate_minus_vars(
-    p: LambdaPoly, module: StarModule, slots: Sequence[int], times: int = 1
-) -> LambdaPoly:
-    """Apply the operator (T - sum of slot variables) ``times`` times."""
-    for _ in range(times):
-        out: LambdaPoly = {}
-        lp_acc(out, lp_map_coeffs(p, module.translate))
-        for s in slots:
-            lp_acc(out, lp_mul_var(p, s), -1)
-        p = out
-    return p
-
-
 def lp_subst_sum(p: LambdaPoly, slot: int, new_slots: Sequence[int]) -> LambdaPoly:
     """Substitute the slot variable by a sum of other slot variables."""
     out: LambdaPoly = {}
@@ -173,8 +160,12 @@ def lp_eliminate(p: LambdaPoly, slot: int, module: StarModule,
         base = tuple((s, x) for s, x in m if s != slot)
         power = next((x for s, x in m if s == slot), 0)
         term: LambdaPoly = {base: e}
-        if power:
-            term = lp_apply_translate_minus_vars(term, module, kept, power)
+        for _ in range(power):  # apply T - sum of kept variables
+            nxt: LambdaPoly = {}
+            lp_acc(nxt, lp_map_coeffs(term, module.translate))
+            for s in kept:
+                lp_acc(nxt, lp_mul_var(term, s), -1)
+            term = nxt
         lp_acc(out, term)
     return out
 

@@ -317,7 +317,7 @@ def test_11_module_structure_is_rigid():
         world.tau("x1"),
         world.jets.mul(world.coord("x3"), world.tau("x2")),
         world.coord("x1", 2),
-        world.jets.one(),
+        ring.poly_one(),
     ]
     for v in states:
         for n in (-2, -1, 0, 1, 2):

@@ -20,8 +20,10 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from chiralis import ring
-from chiralis.algebra import SuperPolyAlgebra
+from chiralis.algebra import SuperPolyAlgebra, split_tangent, tau_base
 from chiralis.chevalley import (
     ChevalleyCochain,
     JetWorld,
@@ -34,7 +36,10 @@ from chiralis.starops import (
     StarOp,
     lp_acc,
     lp_add,
+    lp_deriv_var,
     lp_from_elem,
+    lp_map_coeffs,
+    lp_mul_var,
     lp_scale,
     lie_star_check,
     permute_slots,
@@ -73,7 +78,7 @@ def multilinearity_defect(phi, slot, f, args, world):
     for a in args[: slot - 1]:
         prefix = (prefix + world.jets.poly_parity(a)) & 1
     sign = -1 if (world.jets.poly_parity(f) and prefix) else 1
-    want = _leibniz(world, phi(*args), slot, phi.arity, f)
+    want = _leibniz(world, phi(*args), slot, f)
     return lp_add(phi(*scaled), lp_scale(want, -sign))
 
 
@@ -119,7 +124,7 @@ def rand_jet(rng, world, maxjet=2, maxdeg=2, terms=3):
     p = {}
     for _ in range(terms):
         deg = rng.randrange(maxdeg + 1)
-        mono = world.jets.one()
+        mono = ring.poly_one()
         for _ in range(deg):
             mono = world.jets.mul(mono, world.jets.gen(rng.choice(keys)))
         c = Fraction(rng.randrange(-3, 4))
@@ -186,7 +191,7 @@ def test_action_prolongation_formula():
             for k in range(0, 4):
                 dg = ring.derive(
                     g,
-                    {(name, k): w.jets.one()},
+                    {(name, k): ring.poly_one()},
                     w.base.parity(name),
                     w.jets.parity,
                 )
@@ -241,6 +246,133 @@ def test_cochain_is_zero_on_function_arguments():
         assert phi(f, t2) == {} and phi(t1, f) == {}
         assert phi(ring.padd(t1, f), t2) == phi(t1, t2)
         assert phi(t1, ring.padd(f, t2)) == phi(t1, t2)
+
+
+# -- the one slot rule against the two-rule evaluation ----------------------------
+
+
+def translate_minus_vars(p, module, slots, times):
+    """Apply the operator (T - sum of the slot variables) ``times`` times."""
+    for _ in range(times):
+        out = {}
+        lp_acc(out, lp_map_coeffs(p, module.translate))
+        for s in slots:
+            lp_acc(out, lp_mul_var(p, s), -1)
+        p = out
+    return p
+
+
+def two_rule_leibniz(world, val, slot, n, f):
+    """The value on f * a_slot from the value on a_slot (unsigned), with
+    the last slot apart: there f multiplies the value; in slot i < n it
+    enters through the series sum_m (-1)^m / m! T^m(f) d^m/dz_i^m."""
+    def times_f(e):
+        return ring.pmul(f, e, world.jets.parity)
+
+    if slot == n:
+        return lp_map_coeffs(val, times_f)
+    out = {}
+    m = 0
+    while val:
+        lp_acc(out, lp_map_coeffs(val, times_f),
+               ring.div((-1) ** m, math.factorial(m)))
+        val = lp_deriv_var(val, slot)
+        f = world.jets.translate(f)
+        m += 1
+    return out
+
+
+def two_rule_term_value(phi, parts):
+    """A cochain's value on one tuple of terms (f_mono, tau_key) per slot,
+    with the last slot apart: a jet of order k there applies
+    (T - z_1 - ... - z_{n-1})^k at once, and its function factor
+    multiplies the value."""
+    n = phi.arity
+    world = phi.world
+    val = phi.table.get(tuple(tau_base(g[0]) for _f, g in parts))
+    if not val:
+        return {}
+    for i, (_f, (_gname, k)) in enumerate(parts, start=1):
+        if not k:
+            continue
+        if i < n:
+            val = lp_mul_var(val, i, k)
+        else:
+            val = translate_minus_vars(val, world.module, range(1, n), k)
+    sign = 1
+    prefix = 0
+    for i, (fmono, g) in enumerate(parts, start=1):
+        fpar = ring.mono_parity(fmono, world.jets.parity)
+        if fpar and ((phi.parity + prefix) & 1):
+            sign = -sign
+        if fmono:
+            val = two_rule_leibniz(world, val, i, n, {fmono: 1})
+        prefix = (prefix + fpar + world.jets.parity(g)) & 1
+    return lp_scale(val, sign)
+
+
+def two_rule_value(phi, args):
+    """phi(*args), each term by :func:`two_rule_term_value`."""
+    parity = phi.world.jets.parity
+    terms = []
+    for a in args:
+        terms.append([])
+        for mono, c in a.items():
+            split = split_tangent(mono, parity)
+            if split is not None:
+                fmono, tkey, s = split
+                terms[-1].append(((fmono, tkey), c * s))
+    out = {}
+    for combo in itertools.product(*terms):
+        lp_acc(out, two_rule_term_value(phi, [p for p, _c in combo]),
+               math.prod(c for _p, c in combo))
+    return out
+
+
+def random_cochain(rng, world, arity, parity):
+    """A cochain with a random seed on every sorted frame tuple: jet
+    coefficients at z^0 and at each z_i, i < arity."""
+    seeds = {}
+    for tup in itertools.combinations_with_replacement(
+            sorted(world.frame_names()), arity):
+        val = {}
+        for mono in [()] + [((i, 1),) for i in range(1, arity)]:
+            g = rand_jet(rng, world, maxjet=1, maxdeg=2, terms=2)
+            if g:
+                val[mono] = g
+        val = symmetrized_seed(world, tup, val)
+        if val:
+            seeds[tup] = val
+    return ChevalleyCochain(world, arity, seeds, parity)
+
+
+@pytest.mark.parametrize("make_world", [even_world, super_world],
+                         ids=["even", "super"])
+def test_one_slot_rule_matches_the_two_rule_evaluation(make_world):
+    """Frame jets of order 1 and 2 in every slot, the last one included,
+    times function factors: the one slot rule (z_n kept as a symbol, one
+    elimination at the end) gives the value of the rule that treats the
+    last slot apart, exactly."""
+    rng = random.Random(29)
+    w = make_world()
+    names = sorted(w.frame_names())
+    nonzero = 0
+    for arity in (1, 2, 3):
+        for parity in (0, 1):
+            phi = random_cochain(rng, w, arity, parity)
+            for _ in range(6):
+                args = []
+                for _slot in range(arity):
+                    f = rand_jet(rng, w, maxjet=2, maxdeg=1, terms=2)
+                    field = w.jets.mul(f or ring.poly_one(),
+                                       w.tau(rng.choice(names),
+                                             rng.choice((1, 2))))
+                    args.append(ring.padd(field, w.tau(rng.choice(names),
+                                                       rng.randrange(3))))
+                got = phi(*args)
+                assert got == two_rule_value(phi, args), (arity, args)
+                nonzero += bool(got)
+    assert nonzero >= 24
 
 
 def test_even_repeat_seed_rejected():

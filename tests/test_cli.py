@@ -185,6 +185,52 @@ def test_outside_sizes_past_their_maximum_exit_2_at_once(tmp_path, field,
             assert f"at most {maximum}" in err
 
 
+@pytest.mark.parametrize("argv, past, maximum", [
+    (["borcherds-check", "--max-weight", "0", "--vars"], 49,
+     cli.MAX_LETTERS),
+    (["borcherds-check", "--vars", "1", "--max-weight"], 24,
+     cli.MAX_LETTERS),
+    (["fs-cohomology", "--m", "2", "--max-weight"], cli.MAX_WEIGHT + 1,
+     cli.MAX_WEIGHT),
+    (["fs-cohomology", "--m", "2", "--max-weight", "0", "--min-charge", "0",
+      "--max-charge"], cli.MAX_CHARGE_SPAN + 1, cli.MAX_CHARGE_SPAN),
+], ids=["borcherds --vars", "borcherds --max-weight", "fs --max-weight",
+        "fs --max-charge"])
+def test_windows_past_their_maximum_exit_2_at_once(argv, past, maximum):
+    """borcherds-check took 13.4 s on 96 letters, and it checks every
+    triple of letters; fs-cohomology took 53.5 s at weight 8, and 12.8 s
+    and 428 MB on 100001 charges.  Past the letter maximum (--vars 49 or
+    --max-weight 24), past weight 6 and past 23 charges above
+    --min-charge each exits 2 within a second."""
+    for value in (past, 10 ** 8):
+        t0 = time.perf_counter()
+        code, out, err = run_quiet(argv + [str(value)])
+        assert code == 2 and not out, (argv, value, err)
+        assert time.perf_counter() - t0 < 1.0, (argv, value)
+        assert f"at most {maximum}" in err
+
+
+def test_windows_at_their_maximum_are_accepted(monkeypatch):
+    """The largest windows pass the bounds: the run is stopped where it
+    would build its system, so nothing runs at a maximum."""
+    class Accepted(Exception):
+        pass
+
+    def accepted(*_args):
+        raise Accepted
+
+    monkeypatch.setattr(cli, "BGSystem", accepted)
+    monkeypatch.setattr(cli, "ChiralKoszul", accepted)
+    for argv in (["borcherds-check", "--vars", "48", "--max-weight", "0"],
+                 ["borcherds-check", "--vars", "1", "--max-weight", "23"],
+                 ["borcherds-check", "--vars", "2", "--max-weight", "11"],
+                 ["fs-cohomology", "--m", str(cli.MAX_M), "--max-weight",
+                  str(cli.MAX_WEIGHT), "--min-charge",
+                  str(-cli.MAX_CHARGE_SPAN), "--max-charge", "0"]):
+        code, out, err = run_quiet(argv)
+        assert code == 3 and "Accepted" in err, (argv, err)
+
+
 def test_borcherds_exhaustive_and_seeded(tmp_path):
     code, rep = report(
         tmp_path,
@@ -669,6 +715,9 @@ def test_usage_errors(tmp_path):
     assert run(["fs-cohomology", "--schema", "--out", bad_out]) == 2
     # a window without samples checks nothing, so it cannot pass
     assert run(["liestar-check", "--vars", "0"]) == 2
+    # --jet-order -1 exited 0 and reported "jet_order": -1 while every jet
+    # field dropped out of the window
+    assert run(["liestar-check", "--vars", "1", "--jet-order", "-1"]) == 2
     assert run(["borcherds-check", "--max-weight", "-1"]) == 2
     assert run(["borcherds-check", "--samples", "-3"]) == 2
     assert run(["linfty-check", "--samples", "0"]) == 2

@@ -5,8 +5,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from chiralis import exact
 
 

@@ -44,8 +44,9 @@ def test_unused_import_finder():
     assert unused_imports(src) == [(1, "os"), (3, "a")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + [
-    ROOT / "tests" / "finite_algebroid.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")),
+    ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

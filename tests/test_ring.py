@@ -21,6 +21,7 @@ from chiralis.ring import (
     poly_one,
     pscale,
     psub,
+    substitute,
 )
 from chiralis.starops import lp_scale
 
@@ -197,3 +198,36 @@ def test_division_is_exact():
     got = pdiv({x: 4, y: 3}, 2)
     assert got == {x: 2, y: Fraction(3, 2)}
     assert type(got[x]) is int and type(got[y]) is Fraction
+
+
+# -- the algebra map -------------------------------------------------------------
+
+# reorders letters (x and y swap, zeta moves to the front), sends the two
+# odd letters xi and eta to one odd letter, with int and Fraction factors
+LETTER_MAP = {"x": ("y", 2), "y": ("x", Fraction(1, 3)), "xi": ("zeta", -1),
+              "eta": ("zeta", Fraction(-1, 2)), "zeta": ("xi", 3)}
+
+
+def test_substitute_is_an_algebra_map():
+    rng = random.Random(31)
+    image = LETTER_MAP.get
+    killed = 0
+    for _ in range(80):
+        p, q = random_int_poly(rng), random_int_poly(rng)
+        lhs = substitute(pmul(p, q, par), image, par)
+        assert lhs == pmul(substitute(p, image, par),
+                           substitute(q, image, par), par)
+        killed += len(substitute(p, image, par)) < len(p)
+        got = substitute(p, image, par)
+        # one division per coefficient: the integral ones stay int
+        assert got == substitute(as_fractions(p), image, par)
+        assert all(type(c) is int for c in got.values() if c.denominator == 1)
+    assert killed
+    assert substitute({(("y", 1),): 3}, image, par) == {(("x", 1),): 1}
+    assert type(substitute({(("y", 2),): 9}, image, par)[(("x", 2),)]) is int
+    assert substitute({(("x", 1), ("zeta", 1)): 1}, image, par) == {
+        (("xi", 1), ("y", 1)): 6}
+    assert substitute({(("xi", 1), ("zeta", 1)): 1}, image, par) == {
+        (("xi", 1), ("zeta", 1)): 3}
+    assert substitute({(("eta", 1), ("xi", 1)): 1}, image, par) == {}
+    assert substitute(poly_one(), image, par) == poly_one()

@@ -24,7 +24,6 @@ from chiralis.starops import (
     lie_star_check,
     lp_acc,
     lp_add,
-    lp_apply_translate_minus_vars,
     lp_eliminate,
     lp_mul_mono,
     lp_scale,
@@ -61,8 +60,9 @@ def op_on_free_basis(arity, module, values):
             if val:
                 mono = tuple((i, k) for i, ((_n, k), _c)
                              in enumerate(items[:-1], 1) if k)
-                term = lp_apply_translate_minus_vars(
-                    val, module, range(1, arity), items[-1][0][1])
+                term = lp_eliminate(
+                    lp_mul_var(val, arity, items[-1][0][1]), arity, module,
+                    range(1, arity))
                 lp_acc(out, lp_mul_mono(term, mono),
                        math.prod(c for _key, c in items))
         return out
