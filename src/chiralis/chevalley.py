@@ -18,9 +18,10 @@ translation operator); both directions are ``ring.substitute``.
 Chevalley cochains are antisymmetric multilinear star operations on vector
 fields with function values, stored on frame tuples and evaluated by one
 slot rule, the last slot included: a frame jet of order k in slot i
-multiplies the value by z_i^k (sesquilinearity) and a function factor
-enters through the Leibniz series in z_i (function multilinearity); z_n
-stays a symbol until one elimination at the end.  A cochain reads a
+multiplies the value by z_i^k (sesquilinearity) and a function factor f
+enters as z_i -> z_i - T_f, T_f translating f alone (function
+multilinearity); z_n stays a symbol until one elimination at the end,
+and both rewrites are ``starops.lp_substitute``.  A cochain reads a
 carrier element through its vector-field part, so function terms
 contribute zero.  ``frame_cochain`` is the one way to build a cochain
 from a value per sorted frame tuple;
@@ -52,13 +53,14 @@ from .starops import (
     LambdaPoly,
     StarModule,
     StarOp,
+    T,
     apply_to_value,
     lp_acc,
-    lp_deriv_var,
     lp_eliminate,
     lp_map_coeffs,
     lp_mul_var,
     lp_scale,
+    lp_substitute,
     permute_slots,
     va_bracket,
 )
@@ -228,20 +230,16 @@ class ChevalleyCochain(StarOp):
 def _leibniz(world: JetWorld, val: LambdaPoly, slot: int,
              f: ring.Poly) -> LambdaPoly:
     """The value on f * a_slot, from the value ``val`` on a_slot (unsigned):
-    the series sum_m (-1)^m / m! T^m(f) d^m/dz_slot^m, which is
-    multiplication by f on a value without z_slot."""
-    def times_f(e):
-        return ring.pmul(f, e, world.jets.parity)
+    the series sum_m (-1)^m / m! T^m(f) d^m/dz_slot^m, which is the
+    substitution z_slot -> z_slot - T_f, T_f translating f alone."""
+    fs = [f]
 
-    out: LambdaPoly = {}
-    m = 0
-    while val:
-        c = ring.div((-1) ** m, math.factorial(m))
-        lp_acc(out, lp_map_coeffs(val, times_f), c)
-        val = lp_deriv_var(val, slot)
-        f = world.jets.translate(f)
-        m += 1
-    return out
+    def power(a, e):
+        while len(fs) <= a:
+            fs.append(world.jets.translate(fs[-1]))
+        return ring.pmul(fs[a], e, world.jets.parity)
+
+    return lp_substitute(val, {slot: {slot: 1, T: -1}}, power)
 
 
 def frame_cochain(

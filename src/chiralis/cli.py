@@ -142,7 +142,7 @@ FORM_SCHEMA = {
         "terms": [
             {
                 "coeff": "rational as 'p/q' or 'p'",
-                "f": [["variable name", "exponent (int >= 1)"]],
+                "f": [["variable name", "exponent (int >= 0)"]],
                 "d": ["ordered list of variable names under d(.)"],
             }
         ],
@@ -259,11 +259,11 @@ def parse_form(data: dict, forms: FormAlgebra, field: str,
 
 def load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
 
 

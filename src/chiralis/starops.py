@@ -14,7 +14,9 @@ argument position they are attached to.  Keeping slot names attached to
 argument positions makes the symmetric-group action and compositions
 purely mechanical: permuting arguments permutes slot names, composing an
 inner operation into the front slot renames the outer front variable to
-the sum of the consumed slots.
+the sum of the consumed slots.  A slot monomial is a ``ring`` monomial of
+even letters; a relabel, a sum of slots, the elimination of z_n and the
+Leibniz shift of ``chevalley`` are each one :func:`lp_substitute`.
 
 Modules are anything with a parity function and a translation operator on
 elements; elements themselves are dicts with exact rational coefficients.
@@ -40,6 +42,9 @@ LambdaPoly = Dict[LamMono, dict]
 
 # the highest arity of an operation, a Jacobi identity and a morphism
 MAX_ARITY = 3
+
+# the translation symbol in a linear form of lp_substitute; slots start at 1
+T = 0
 
 
 class StarModule:
@@ -108,15 +113,12 @@ def lp_from_elem(e: dict) -> LambdaPoly:
     return {(): dict(e)} if e else {}
 
 
-def _mono_mul(a: LamMono, b: LamMono) -> LamMono:
-    d = dict(a)
-    for s, e in b:
-        d[s] = d.get(s, 0) + e
-    return tuple(sorted(d.items()))
+def _even(_slot: int) -> int:
+    return 0
 
 
 def lp_mul_mono(p: LambdaPoly, mono: LamMono) -> LambdaPoly:
-    return {_mono_mul(m, mono): dict(e) for m, e in p.items()}
+    return {ring.mono_mul(m, mono, _even)[0]: dict(e) for m, e in p.items()}
 
 
 def lp_mul_var(p: LambdaPoly, slot: int, power: int = 1) -> LambdaPoly:
@@ -127,61 +129,49 @@ def lp_map_coeffs(p: LambdaPoly, f: Callable[[dict], dict]) -> LambdaPoly:
     return {m: fe for m, e in p.items() if (fe := f(e))}
 
 
-def lp_relabel(p: LambdaPoly, mapping: Dict[int, int]) -> LambdaPoly:
+def lp_substitute(
+    p: LambdaPoly,
+    images: Dict[int, Dict[int, ring.Scalar]],
+    power: Optional[Callable[[int, dict], dict]] = None,
+) -> LambdaPoly:
+    """The algebra map on slot variables sending z_s to the linear form
+    ``images[s]``, a dict ``{slot: scalar}``; a slot with no image stays.
+    A form may hold the key ``T``, an operator on the coefficients: a
+    term with T^a takes ``power(a, e)`` in place of its coefficient e
+    (every term, a = 0 included, when ``power`` is given).  Each
+    monomial's product of images is expanded by ``ring.pmul``.
+    """
     out: LambdaPoly = {}
     for m, e in p.items():
-        nm = tuple(sorted((mapping.get(s, s), x) for s, x in m))
-        _lp_acc(out, nm, e)
+        prod: ring.Poly = {(): 1}
+        for s, x in m:
+            form = {((t, 1),): c for t, c in images.get(s, {s: 1}).items()}
+            for _ in range(x):
+                prod = ring.pmul(prod, form, _even)
+        coeffs: Dict[int, dict] = {}
+        for mono, c in prod.items():
+            a = mono[0][1] if mono and mono[0][0] == T else 0
+            if a not in coeffs:
+                coeffs[a] = power(a, e) if power else e
+            _lp_acc(out, mono[1:] if a else mono, coeffs[a], c)
     return out
 
 
-def lp_subst_sum(p: LambdaPoly, slot: int, new_slots: Sequence[int]) -> LambdaPoly:
-    """Substitute the slot variable by a sum of other slot variables."""
-    out: LambdaPoly = {}
-    for m, e in p.items():
-        base = tuple((s, x) for s, x in m if s != slot)
-        power = next((x for s, x in m if s == slot), 0)
-        terms: LambdaPoly = {base: e}
-        for _ in range(power):
-            nxt: LambdaPoly = {}
-            for mm, ee in terms.items():
-                for ns in new_slots:
-                    _lp_acc(nxt, _mono_mul(mm, ((ns, 1),)), ee)
-            terms = nxt
-        lp_acc(out, terms)
-    return out
+def _translates(module: StarModule) -> Callable[[int, dict], dict]:
+    """``power`` for :func:`lp_substitute` when T is the module's
+    translation: T^a(e), the a-fold translate."""
+    def power(a, e):
+        for _ in range(a):
+            e = module.translate(e)
+        return e
+    return power
 
 
 def lp_eliminate(p: LambdaPoly, slot: int, module: StarModule,
                  kept: Sequence[int]) -> LambdaPoly:
     """Canonicalize by substituting z_slot = T - sum of kept variables."""
-    out: LambdaPoly = {}
-    for m, e in p.items():
-        base = tuple((s, x) for s, x in m if s != slot)
-        power = next((x for s, x in m if s == slot), 0)
-        term: LambdaPoly = {base: e}
-        for _ in range(power):  # apply T - sum of kept variables
-            nxt: LambdaPoly = {}
-            lp_acc(nxt, lp_map_coeffs(term, module.translate))
-            for s in kept:
-                lp_acc(nxt, lp_mul_var(term, s), -1)
-            term = nxt
-        lp_acc(out, term)
-    return out
-
-
-def lp_deriv_var(p: LambdaPoly, slot: int) -> LambdaPoly:
-    """Formal d/dz_slot."""
-    out: LambdaPoly = {}
-    for m, e in p.items():
-        d = dict(m)
-        power = d.pop(slot, 0)
-        if not power:
-            continue
-        if power > 1:
-            d[slot] = power - 1
-        _lp_acc(out, tuple(sorted(d.items())), ring.pscale(e, power))
-    return out
+    return lp_substitute(p, {slot: {T: 1, **dict.fromkeys(kept, -1)}},
+                         _translates(module))
 
 
 # -- star operations -----------------------------------------------------------
@@ -237,13 +227,15 @@ def permute_slots(val: LambdaPoly, sigma: Sequence[int],
                   module: StarModule, sign: int) -> LambdaPoly:
     """The slot-permutation action on a value.
 
-    ``sigma`` is 1-indexed (a tuple of images).  Slot p of ``val`` is renamed
-    to sigma(p), the last slot is eliminated, and the result is multiplied
-    by ``sign``, the Koszul or antisymmetry sign the caller owes.
+    ``sigma`` is 1-indexed (a tuple of images).  In one substitution slot
+    p of ``val`` goes to z_sigma(p), except the slot that sigma sends to
+    n, which goes to T - z_1 - ... - z_{n-1}; the result is multiplied by
+    ``sign``, the Koszul or antisymmetry sign the caller owes.
     """
     n = len(sigma)
-    val = lp_relabel(val, {p: sigma[p - 1] for p in range(1, n + 1)})
-    return lp_scale(lp_eliminate(val, n, module, range(1, n)), sign)
+    images = {p: {s: 1} for p, s in enumerate(sigma, 1) if s != p}
+    images[sigma.index(n) + 1] = {T: 1, **dict.fromkeys(range(1, n), -1)}
+    return lp_scale(lp_substitute(val, images, _translates(module)), sign)
 
 
 def _parities(module: StarModule, args) -> List[int]:
@@ -278,16 +270,18 @@ def compose_front(outer: StarOp, inner: StarOp) -> StarOp:
     i, j = inner.arity, outer.arity
     n = i + j - 1
 
+    # the front slot goes to the sum of the consumed slots, the others up
+    images = {t: {i + t - 1: 1} for t in range(2, j + 1)}
+    images[1] = dict.fromkeys(range(1, i + 1), 1)
+
     def fn(*args):
         v = inner(*args[:i])
         out: LambdaPoly = {}
-        relabel = {t: i + t - 1 for t in range(2, j + 1)}
         for mono, m in v.items():
-            w = outer({k: c for k, c in m.items()}, *args[i:])
-            w = lp_relabel(w, relabel)
-            w = lp_subst_sum(w, 1, range(1, i + 1))
+            w = lp_substitute(outer(m, *args[i:]), images)
             lp_acc(out, lp_mul_mono(w, mono))
-        return lp_eliminate(out, n, outer.module, range(1, n))
+        # no z_n to eliminate: outer values reach slots < n, inner ones < i
+        return out
 
     return StarOp(n, outer.module, fn, (outer.parity + inner.parity) & 1)
 

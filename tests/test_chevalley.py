@@ -23,10 +23,9 @@ from fractions import Fraction
 import pytest
 
 from chiralis import ring
-from chiralis.algebra import SuperPolyAlgebra, split_tangent, tau_base
+from chiralis.algebra import split_tangent, tau_base
 from chiralis.chevalley import (
     ChevalleyCochain,
-    JetWorld,
     _leibniz,
     chevalley_d,
     tau_name,
@@ -36,7 +35,6 @@ from chiralis.starops import (
     StarOp,
     lp_acc,
     lp_add,
-    lp_deriv_var,
     lp_from_elem,
     lp_map_coeffs,
     lp_mul_var,
@@ -46,7 +44,8 @@ from chiralis.starops import (
     sigma_act,
 )
 
-from test_starops import vec_bracket
+from test_starops import (even_world, lp_deriv_var, rand_jet, super_world,
+                          translate_minus_vars, vec_bracket)
 
 
 def symmetrized_seed(world, names, val):
@@ -99,38 +98,6 @@ def lie_modes_bracket(mu, a, n, b, m, decompose):
                 fall *= p - step
             ring.acc(out, (name, p - k), coeff * c * fall)
     return out
-
-
-def even_world(n=2):
-    return JetWorld(
-        SuperPolyAlgebra([(f"x{i}", 0, 0) for i in range(1, n + 1)])
-    )
-
-
-def super_world():
-    base = SuperPolyAlgebra(
-        [("x", 0, 0), ("xi", 1, -1)],
-        D={"xi": {(("x", 2),): Fraction(1)}},
-    )
-    return JetWorld(base)
-
-
-def rand_jet(rng, world, maxjet=2, maxdeg=2, terms=3):
-    keys = [
-        (name, k)
-        for name in world.base.gen_names
-        for k in range(maxjet + 1)
-    ]
-    p = {}
-    for _ in range(terms):
-        deg = rng.randrange(maxdeg + 1)
-        mono = ring.poly_one()
-        for _ in range(deg):
-            mono = world.jets.mul(mono, world.jets.gen(rng.choice(keys)))
-        c = Fraction(rng.randrange(-3, 4))
-        if c and mono:
-            p = ring.padd(p, ring.pscale(mono, c))
-    return p
 
 
 def test_fock_dictionary_round_trip_and_translate():
@@ -249,17 +216,6 @@ def test_cochain_is_zero_on_function_arguments():
 
 
 # -- the one slot rule against the two-rule evaluation ----------------------------
-
-
-def translate_minus_vars(p, module, slots, times):
-    """Apply the operator (T - sum of the slot variables) ``times`` times."""
-    for _ in range(times):
-        out = {}
-        lp_acc(out, lp_map_coeffs(p, module.translate))
-        for s in slots:
-            lp_acc(out, lp_mul_var(p, s), -1)
-        p = out
-    return p
 
 
 def two_rule_leibniz(world, val, slot, n, f):

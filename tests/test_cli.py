@@ -762,6 +762,18 @@ def test_malformed_json_input(tmp_path):
         "terms": [{"coeff": "1", "d": ["nope"]}],
     }))
     assert run(["derham-closed", "--form", str(g)]) == 2
+    # a file that is not UTF-8 and one nested past the parser's recursion
+    # limit are usage errors too, not internal ones
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"vars": 1}'.encode("utf-16-le"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for path in (utf16, deep):
+        for flag in (["derham-closed", "--form"],
+                     ["algebroid-twist", "--cocycle"]):
+            code, out, err = run_quiet(flag + [str(path)])
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_coefficients_are_parsed_as_the_schema_says(tmp_path):

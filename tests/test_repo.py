@@ -97,10 +97,11 @@ def test_unreferenced_finder():
 
 def test_library_code_has_callers():
     """Each definition of the package is named by the package, a demo or
-    the README, or is listed in ``TEST_ONLY``."""
+    a code block of the README (not its prose, where a word may match a
+    name), or is listed in ``TEST_ONLY``."""
     modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    elsewhere = "\n".join(p.read_text() for p in
-                          [ROOT / "README.md", *ROOT.glob("demos/*.py")])
+    elsewhere = "\n".join(readme_blocks("python|sh") + [
+        p.read_text() for p in ROOT.glob("demos/*.py")])
     assert sorted(unreferenced(modules, elsewhere)) == sorted(TEST_ONLY)
 
 
@@ -124,9 +125,11 @@ def test_tracer_targets_resolve(monkeypatch):
     assert stale == {"algebroid.twist_chiral"}
 
 
-def readme_blocks():
+def readme_blocks(langs="python"):
+    """The README's fenced code blocks in the languages ``langs``, a
+    regex alternation."""
     text = (ROOT / "README.md").read_text()
-    return re.findall(r"```python\n(.*?)```", text, re.S)
+    return re.findall(rf"```(?:{langs})\n(.*?)```", text, re.S)
 
 
 def test_readme_has_python_blocks():

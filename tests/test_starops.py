@@ -1,8 +1,13 @@
 """Tests for the star-operation calculus.
 
 Key fixtures: the vector-field bracket on one generator l with
-mu(l, l) = -(Tl) x 1 + 2 l x z_1 (a Lie* algebra), and the Lie* bracket of
-the free-field vertex engine.
+mu(l, l) = -(Tl) x 1 + 2 l x z_1 (a Lie* algebra), the Lie* bracket of
+the free-field vertex engine, and lambda polynomials with jet
+coefficients over an even and a super base.  The slot rewrites that
+``lp_substitute`` replaced (relabel, sum substitution, elimination and
+the Leibniz derivative series) are kept here as its oracles.
+
+``test_chevalley`` imports the jet worlds, ``rand_jet`` and the oracles.
 """
 
 import itertools
@@ -12,21 +17,29 @@ from fractions import Fraction
 
 import pytest
 
+from chiralis import ring
 from chiralis.algebra import SuperPolyAlgebra
+from chiralis.chevalley import JetWorld, _leibniz
 from chiralis.fock import BGSystem
 from chiralis.starops import (
     LieStarDefects,
     lp_mul_var,
     StarModule,
     StarOp,
+    T,
+    _translates,
+    compose_front,
     identity_plus,
     jacobi_defect,
     lie_star_check,
     lp_acc,
     lp_add,
     lp_eliminate,
+    lp_map_coeffs,
     lp_mul_mono,
     lp_scale,
+    lp_substitute,
+    permute_slots,
     plus_op,
     sigma_act,
     unshuffle_sum,
@@ -302,3 +315,217 @@ def test_lp_acc_matches_lp_add_of_scaled():
                 e[k] = 7
             e[(("new", 1),)] = 1
         assert _typed(p) == p_before
+
+
+# -- the one slot rewrite against the loops it replaced ---------------------------
+
+
+def even_world(n=2):
+    return JetWorld(
+        SuperPolyAlgebra([(f"x{i}", 0, 0) for i in range(1, n + 1)])
+    )
+
+
+def super_world():
+    base = SuperPolyAlgebra(
+        [("x", 0, 0), ("xi", 1, -1)],
+        D={"xi": {(("x", 2),): Fraction(1)}},
+    )
+    return JetWorld(base)
+
+
+def rand_jet(rng, world, maxjet=2, maxdeg=2, terms=3):
+    keys = [
+        (name, k)
+        for name in world.base.gen_names
+        for k in range(maxjet + 1)
+    ]
+    p = {}
+    for _ in range(terms):
+        deg = rng.randrange(maxdeg + 1)
+        mono = ring.poly_one()
+        for _ in range(deg):
+            mono = world.jets.mul(mono, world.jets.gen(rng.choice(keys)))
+        c = Fraction(rng.randrange(-3, 4))
+        if c and mono:
+            p = ring.padd(p, ring.pscale(mono, c))
+    return p
+
+
+def lp_relabel(p, mapping):
+    out = {}
+    for m, e in p.items():
+        lp_acc(out, {tuple(sorted((mapping.get(s, s), x) for s, x in m)): e})
+    return out
+
+
+def lp_subst_sum(p, slot, new_slots):
+    """Substitute the slot variable by a sum of other slot variables."""
+    out = {}
+    for m, e in p.items():
+        base = tuple((s, x) for s, x in m if s != slot)
+        terms = {base: e}
+        for _ in range(dict(m).get(slot, 0)):
+            nxt = {}
+            for mm, ee in terms.items():
+                for ns in new_slots:
+                    lp_acc(nxt, lp_mul_var({mm: ee}, ns))
+            terms = nxt
+        lp_acc(out, terms)
+    return out
+
+
+def translate_minus_vars(p, module, slots, times):
+    """Apply the operator (T - sum of the slot variables) ``times`` times."""
+    for _ in range(times):
+        out = {}
+        lp_acc(out, lp_map_coeffs(p, module.translate))
+        for s in slots:
+            lp_acc(out, lp_mul_var(p, s), -1)
+        p = out
+    return p
+
+
+def eliminate_by_steps(p, slot, module, kept):
+    """z_slot = T - sum of the kept variables, one factor at a time."""
+    out = {}
+    for m, e in p.items():
+        base = tuple((s, x) for s, x in m if s != slot)
+        lp_acc(out, translate_minus_vars({base: e}, module, kept,
+                                         dict(m).get(slot, 0)))
+    return out
+
+
+def lp_deriv_var(p, slot):
+    """Formal d/dz_slot."""
+    out = {}
+    for m, e in p.items():
+        d = dict(m)
+        power = d.pop(slot, 0)
+        if power:
+            if power > 1:
+                d[slot] = power - 1
+            lp_acc(out, {tuple(sorted(d.items())): e}, power)
+    return out
+
+
+def deriv_series(world, val, slot, f):
+    """sum_m (-1)^m / m! T^m(f) d^m/dz_slot^m applied to ``val``."""
+    out = {}
+    m = 0
+    while val:
+        lp_acc(out, lp_map_coeffs(
+            val, lambda e: ring.pmul(f, e, world.jets.parity)),
+            ring.div((-1) ** m, math.factorial(m)))
+        val = lp_deriv_var(val, slot)
+        f = world.jets.translate(f)
+        m += 1
+    return out
+
+
+def random_value(rng, world, slots):
+    """A lambda polynomial in ``slots`` with slot powers up to 3 and jet
+    coefficients."""
+    out = {}
+    for _ in range(4):
+        mono = tuple(sorted((s, rng.randint(1, 3)) for s in rng.sample(
+            slots, rng.randint(0, len(slots)))))
+        lp_acc(out, {mono: rand_jet(rng, world, maxjet=1, terms=2)})
+    return out
+
+
+WORLDS = pytest.mark.parametrize("make_world", [even_world, super_world],
+                                 ids=["even", "super"])
+
+
+@WORLDS
+def test_lp_substitute_matches_the_slot_loops(make_world):
+    """Relabel, sum substitution, elimination and ``permute_slots`` give
+    the loops' values with their item order and scalar types; the
+    Leibniz rule gives the derivative series' value."""
+    rng = random.Random(43)
+    world = make_world()
+    module = world.module
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p = random_value(rng, world, list(range(1, n + 1)))
+        nonzero += bool(p)
+        slot = rng.randint(1, n)
+        sigma = tuple(rng.sample(range(1, n + 1), n))
+        relabel = dict(zip(range(1, n + 1), sigma))
+        assert repr(lp_substitute(p, {s: {t: 1} for s, t in relabel.items()})
+                    ) == repr(lp_relabel(p, relabel))
+        new_slots = rng.sample(range(1, 5), rng.randint(1, 3))
+        assert repr(lp_substitute(p, {slot: dict.fromkeys(new_slots, 1)})
+                    ) == repr(lp_subst_sum(p, slot, new_slots))
+        kept = range(1, n)
+        assert repr(lp_eliminate(p, n, module, kept)) == repr(
+            eliminate_by_steps(p, n, module, kept))
+        sign = rng.choice((1, -1))
+        assert repr(permute_slots(p, sigma, module, sign)) == repr(lp_scale(
+            eliminate_by_steps(lp_relabel(p, relabel), n, module, kept),
+            sign))
+        f = rand_jet(rng, world, maxjet=1, maxdeg=2, terms=2)
+        assert _leibniz(world, p, slot, f) == deriv_series(world, p, slot, f)
+    assert nonzero >= 30
+
+
+@WORLDS
+def test_lp_substitute_composition_law(make_world):
+    """Substituting A and then B is substituting B o A, T included."""
+    rng = random.Random(47)
+    world = make_world()
+    power = _translates(world.module)
+
+    def random_images():
+        images = {}
+        for s in rng.sample(range(1, 4), rng.randint(1, 3)):
+            form = {t: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                    for t in rng.sample([T, 1, 2, 3], rng.randint(1, 3))}
+            images[s] = {t: c for t, c in form.items() if c}
+        return images
+
+    for _ in range(30):
+        p = random_value(rng, world, [1, 2, 3])
+        a, b = random_images(), random_images()
+        ba = dict(b)
+        for s, form in a.items():
+            comp = {}
+            for t, c in form.items():
+                for u, d in (b.get(t, {t: 1}) if t != T else {T: 1}).items():
+                    ring.acc(comp, u, c * d)
+            ba[s] = comp
+        twice = lp_substitute(lp_substitute(p, a, power), b, power)
+        assert twice == lp_substitute(p, ba, power)
+
+
+def test_compose_front_values_never_hold_the_last_slot():
+    """The composite is canonical without an elimination: no value of
+    compose_front holds z_n, for inner and outer arities up to 3."""
+    rng = random.Random(53)
+    mod = free_module({"a": 0, "b": 1})
+    names = ["a", "b"]
+
+    def random_op(arity):
+        values = {}
+        for tup in itertools.product(names, repeat=arity):
+            val = {}
+            for _ in range(3):
+                mono = tuple(sorted((s, rng.randint(1, 3)) for s in rng.sample(
+                    range(1, arity), rng.randint(0, arity - 1))))
+                lp_acc(val, {mono: {(rng.choice(names), rng.randint(0, 1)):
+                                    Fraction(rng.choice((-2, -1, 1, 2)))}})
+            values[tup] = val
+        return op_on_free_basis(arity, mod, values)
+
+    pool = [{(nm, k): Fraction(1)} for nm in names for k in range(3)]
+    held = 0
+    for i, j in itertools.product((1, 2, 3), repeat=2):
+        n = i + j - 1
+        for _ in range(4):
+            comp = compose_front(random_op(j), random_op(i))
+            val = comp(*(rng.choice(pool) for _ in range(n)))
+            held += bool(val)
+            assert all(s < n for mono in val for s, _x in mono), (i, j, val)
+    assert held >= 20
