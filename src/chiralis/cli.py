@@ -138,7 +138,7 @@ def emit(report: dict, out: Optional[str]) -> None:
 FORM_SCHEMA = {
     "description": "a differential form over Q[x1..x{vars}]",
     "format": {
-        "vars": "int, number of even coordinates x1..xn",
+        "vars": "int >= 1, number of even coordinates x1..xn (default 3)",
         "terms": [
             {
                 "coeff": "rational as 'p/q' or 'p'",
@@ -152,9 +152,10 @@ FORM_SCHEMA = {
 TWIST_SCHEMA = {
     "description": "twisting data for the standard chiral algebroid",
     "format": {
-        "vars": "int, number of even coordinates",
-        "three_form": "a form object (terms as in the form schema)",
-        "two_form": "optional, same shape",
+        "vars": "int >= 1, number of even coordinates (default 3)",
+        "three_form": "a 3-form object (terms as in the form schema);"
+                      " optional if two_form is given",
+        "two_form": "a 2-form object, same shape; optional if three_form is",
     },
 }
 

@@ -23,11 +23,11 @@ letter of the first argument with the iterate formula
                      - (-1)^(m + |a||b|) b_(m+n-j) (a_(j) c) ],
 
 whose two standard special cases are the commutator formula (m >= 0) and
-the normal-ordering formula (m = -1); weight bounds make every sum finite
-and the recursion terminate.  It stops at a one-letter first argument,
-whose products have a closed form: the letter of operator index -1-l is
-T^l phi / l! for the field phi of its mode family, and by the derivative
-rule (T a)_(n) = -n a_(n-1),
+the normal-ordering formula (m = -1); the pole bound below makes every
+sum finite and the recursion terminate.  It stops at a one-letter first
+argument, whose products have a closed form: the letter of operator index
+-1-l is T^l phi / l! for the field phi of its mode family, and by the
+derivative rule (T a)_(n) = -n a_(n-1),
 
   (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l),
 
@@ -41,7 +41,8 @@ that of the letters of b whose conjugate family occurs in a.  The OPE of
 two normally ordered monomials of free fields is a sum over sets of
 contractions between their letters; only conjugate letters contract, a
 contraction of letters of weights w and w' has pole order w + w', and the
-uncontracted letters are regular.
+uncontracted letters are regular.  Every loop over product indices ends
+at this bound, for states at :meth:`BGSystem.state_pole_bound`.
 
 There is one product loop, :meth:`BGSystem.nth`: it expands both states
 into monomials and sums the memoized monomial products of ``_nth_mono``
@@ -54,8 +55,8 @@ on the shorter first argument.  Term 1 runs over the j below the bound of
 letter.  In term 2 the annihilation mode g_(j) with j >= 0 can only
 contract a letter of b conjugate to g, so the sum runs over just the
 conjugate letters present in b (j = -1 - their operator index, in
-increasing j).  Every term is accumulated in place.  The weight, parity
-and per-family weights of each monomial are computed once and kept per
+increasing j).  Every term is accumulated in place.  The parity and
+per-family weights of each monomial are computed once and kept per
 system (:meth:`BGSystem.grade`), so the bounds and parity checks of
 ``_nth_mono``, the Borcherds checker and the Lie* bracket cost a dict
 lookup.  The memo lives as long as its system: a caller that reuses few
@@ -92,8 +93,8 @@ class BGSystem:
                              " not on the state space")
         self.base = base
         self._memo: Dict = {}
-        # monomial -> (weight, parity, {(kind, name): weight of its letters
-        # of that mode family})
+        # monomial -> (parity, {(kind, name): weight of its letters of that
+        # mode family})
         self._grades: Dict = {}
 
     # -- letters -------------------------------------------------------------
@@ -127,14 +128,11 @@ class BGSystem:
     def mul(self, *states: State) -> State:
         return ring.pmul_many(states, self.parity)
 
-    def mono_weight(self, mono) -> int:
-        return ring.mono_degree(mono, self.weight)
-
     def mono_degree(self, mono) -> int:
         return ring.mono_degree(mono, self.degree)
 
-    def grade(self, mono) -> Tuple[int, int, Dict]:
-        """(weight, parity, family weights) of a monomial, computed once per
+    def grade(self, mono) -> Tuple[int, Dict]:
+        """(parity, family weights) of a monomial, computed once per
         system; the family weights map each mode family (kind, name) of its
         letters to their total weight, with multiplicity."""
         hit = self._grades.get(mono)
@@ -142,8 +140,7 @@ class BGSystem:
             fams: Dict = {}
             for g, e in mono:
                 fams[g[:2]] = fams.get(g[:2], 0) + self.weight(g) * e
-            hit = (self.mono_weight(mono), ring.mono_parity(mono, self.parity),
-                   fams)
+            hit = (ring.mono_parity(mono, self.parity), fams)
             self._grades[mono] = hit
         return hit
 
@@ -151,24 +148,22 @@ class BGSystem:
         """P(a, b): the weight of the letters of a whose conjugate family
         occurs in b, plus that of the letters of b whose conjugate family
         occurs in a.  a_(n) b = 0 for every n >= P(a, b) (Wick)."""
-        fb = self.grade(mb)[2]
+        fb = self.grade(mb)[1]
         p = 0
-        for (kind, name), w in self.grade(ma)[2].items():
+        for (kind, name), w in self.grade(ma)[1].items():
             wb = fb.get((_CONJ[kind], name))
             if wb is not None:
                 p += w + wb
         return p
 
-    def max_weight(self, p: State) -> int:
-        w = 0  # every monomial has weight >= 0
-        for m in p:
-            mw = self.grade(m)[0]
-            if mw > w:
-                w = mw
-        return w
+    def state_pole_bound(self, x: State, y: State) -> int:
+        """The maximum of P over the monomial pairs of x and y (0 if there
+        are none): x_(n) y = 0 for every n at or above it."""
+        return max((self.pole_bound(ma, mb) for ma in x for mb in y),
+                   default=0)
 
     def state_parity(self, p: State) -> Optional[int]:
-        pars = {self.grade(m)[1] for m in p}
+        pars = {self.grade(m)[0] for m in p}
         return pars.pop() if len(pars) == 1 else None
 
     # -- translation -------------------------------------------------------------
@@ -264,7 +259,7 @@ class BGSystem:
             return res
         parity = self.parity
         ma_rest = ((g, e - 1),) + ma[1:] if e > 1 else ma[1:]
-        pa_rest = self.grade(ma_rest)[1]
+        pa_rest = self.grade(ma_rest)[0]
         out: State = {}
         # term 1: sum_j (-1)^j C(m,j) g_(m-j) (rest_(n+j) b); m - j <= -1,
         # so g_(m-j) multiplies by a letter; rest_(n+j) b = 0 once
@@ -320,7 +315,7 @@ def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
              - (-1)^(r + |a||b|) b_(r+t-j) (a_(s+j) c) ]
 
     and reports whether it vanishes.  All sums are truncated by exact
-    weight bounds.
+    pole bounds.
     """
     return borcherds_checks(va, a, b, [c], [(r, s, t)])[0][0]
 
@@ -330,7 +325,8 @@ def _span(starts) -> Tuple[int, Optional[int]]:
 
     A start (l, n) asks for k = l + j with j >= 0, and for j <= n when
     n >= 0, since C(n, j) = 0 there; ``cap`` is None when some n < 0.
-    The products x_(k) y with k >= wt x + wt y vanish, which caps k too.
+    The products x_(k) y at or above the state pole bound vanish, which
+    ends k too (:func:`_inner_products`).
     """
     lo = min(l for l, _n in starts)
     cap = None if any(n < 0 for _l, n in starts) else max(
@@ -338,15 +334,18 @@ def _span(starts) -> Tuple[int, Optional[int]]:
     return lo, cap
 
 
-def _inner_products(va, x, y, span, weight: int, pairs) -> list:
+def _inner_products(va, x, y, span, pairs) -> list:
     """[(k, x_(k) y)] for the nonzero products with k in ``span`` (see
-    :func:`_span`) and k < ``weight``, in increasing k.
+    :func:`_span`) and k below the state pole bound of (x, y), in
+    increasing k: a product at or above it is zero.
 
     ``pairs``, when given, keeps the lists across calls; they are never
     mutated.
     """
     lo, cap = span
-    hi = weight - 1 if cap is None else min(weight - 1, cap)
+    hi = va.state_pole_bound(x, y) - 1
+    if cap is not None:
+        hi = min(hi, cap)
     if pairs is not None:
         key = (tuple(x.items()), tuple(y.items()), lo, hi)
         hit = pairs.get(key)
@@ -367,25 +366,24 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
     ``cs``, at every (r, s, t) of ``rsts``: per third state, one
     :func:`borcherds_full_check` report per (r, s, t), in order.
 
-    The tables of the pair (a, b) are built once: the parities and
-    weights, the nonzero inner products a_(k) b over the union of the
-    ranges the sums visit, each (r, s, t)'s left-hand-side terms, and the
-    ranges of b_(k) c and a_(k) c.  Per third state only those two lists
-    and the outer products are computed; the identities of one triple
-    share them.  Each sum walks its list with j = k - r (k - t, k - s) in
-    increasing j, so every report keeps the item order and scalar types of
-    the identity checked alone.  ``pairs`` is a dict that keeps the
-    inner-product lists across calls, for a window in which each pair of
-    states occurs with many third states.
+    The tables of the pair (a, b) are built once: the parities, the
+    nonzero inner products a_(k) b over the union of the ranges the sums
+    visit (ending at ``va.state_pole_bound``), each (r, s, t)'s
+    left-hand-side terms, and the ranges of b_(k) c and a_(k) c.  Per
+    third state only those two lists and the outer products are computed;
+    the identities of one triple share them.  Each sum walks its list with
+    j = k - r (k - t, k - s) in increasing j, so every report keeps the
+    item order and scalar types of the identity checked alone.  ``pairs``
+    is a dict that keeps the inner-product lists across calls, for a
+    window in which each pair of states occurs with many third states.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:
         raise ValueError("arguments must be parity-homogeneous")
     if not rsts:
         return [[] for _c in cs]
-    wa, wb = va.max_weight(a), va.max_weight(b)
     ab = _inner_products(va, a, b, _span([(r, s) for r, s, _t in rsts]),
-                         wa + wb, pairs)
+                         pairs)
     span_bc = _span([(t, r) for r, _s, t in rsts])
     span_ac = _span([(s, r) for r, s, _t in rsts])
     tables = []  # per (r, s, t): its left-hand-side terms and sign
@@ -400,9 +398,8 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
         tables.append((r, s, t, lhs_terms, sign_r))
     out = []
     for c in cs:
-        wc = va.max_weight(c)
-        bc = _inner_products(va, b, c, span_bc, wb + wc, pairs)
-        ac = _inner_products(va, a, c, span_ac, wa + wc, pairs)
+        bc = _inner_products(va, b, c, span_bc, pairs)
+        ac = _inner_products(va, a, c, span_ac, pairs)
         # (role, k, n) -> (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
         outer: Dict = {}
         reports = []

@@ -397,7 +397,8 @@ def va_bracket(system) -> StarOp:
     handed to the star calculus is minus the vertex translation T: the
     calculus turns a translate in slot i into +z_i, while a vertex
     algebra has (Ta)_(n) = -n a_(n-1), i.e. [Ta_lambda b] = -lambda
-    [a_lambda b].
+    [a_lambda b].  The sum runs over the n below
+    ``system.state_pole_bound(a, b)``; every a_(n) b from there on is 0.
     """
     module = StarModule(
         parity=system.state_parity,
@@ -406,9 +407,8 @@ def va_bracket(system) -> StarOp:
 
     def fn(a, b):
         out: LambdaPoly = {}
-        wmax = system.max_weight(a) + system.max_weight(b)
         fact = 1
-        for nn in range(0, wmax + 1):
+        for nn in range(system.state_pole_bound(a, b)):
             if nn:
                 fact *= nn
             v = system.nth(a, nn, b)

@@ -362,7 +362,9 @@ def extended_commutator_defect(world, a, n, b, m, v):
     out = fk.nth(fa, n, fk.nth(fb, m, fv))
     swap = fk.nth(fb, m, fk.nth(fa, n, fv))
     out = ring.padd(out, swap) if pa * pb else ring.psub(out, swap)
-    for j in range(0, fk.max_weight(fa) + fk.max_weight(fb) + 1):
+    wa, wb = (max((ring.mono_degree(mono, fk.weight) for mono in p),
+                  default=0) for p in (fa, fb))
+    for j in range(0, wa + wb + 1):
         c = binomial(n, j)
         ab = fk.nth(fa, j, fb) if c else {}
         if ab:

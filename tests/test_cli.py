@@ -11,9 +11,10 @@ algebroid's differential and unary operation and in the Lie* bracket
 that must exit 1, an fs-cohomology window whose d^2 is not zero (a
 dropped odd sign in ``apply_mode``) that must exit 1 with its first bad
 monomial, powers with a huge exponent that must finish within seconds,
-an --m past its maximum that must exit 2, schema output, the documented
-example invocations, a reader that closes the pipe early, and a
-Hypothesis fuzz of form files and windows that must never crash.
+an --m past its maximum that must exit 2, schema output and the input
+fields it leaves optional, the documented example invocations, a reader
+that closes the pipe early, and a Hypothesis fuzz of form files and
+windows that must never crash.
 """
 
 import contextlib
@@ -750,6 +751,25 @@ def test_schema_flag(tmp_path):
                            [cmd, "--schema"])
         assert code == 0 and rep["schema"]
         assert sorted(rep["exit_codes"]) == ["0", "1", "2", "3"]
+
+
+def test_inputs_the_schemas_leave_optional(tmp_path):
+    """A form file without 'vars' is read over x1..x3, and a cocycle file
+    needs only one of its forms: 'two_form' alone is checked and passes,
+    as the schemas say."""
+    for cmd in ("derham-closed", "algebroid-twist"):
+        code, rep = report(tmp_path, f"s-{cmd}.json", [cmd, "--schema"])
+        fields = rep["schema"]["input"]["format"]
+        assert "default 3" in fields["vars"]
+    assert all("optional" in fields[f] for f in ("three_form", "two_form"))
+    code, rep = report(tmp_path, "form.json", [
+        "derham-closed", "--form", str(DATA / "form_default_vars.json")])
+    assert code == 0 and rep["closed"] and rep["vars"] == 3
+    code, rep = report(tmp_path, "twist.json", [
+        "algebroid-twist", "--cocycle",
+        str(DATA / "twist_two_form_only.json")])
+    assert code == 0 and rep["ok"] and rep["closed_input"]
+    assert rep["vars"] == 2
 
 
 def test_malformed_json_input(tmp_path):

@@ -7,7 +7,9 @@ were accumulated in place and its recursion stopped at one letter -- for
 ``nth`` and ``borcherds_full_check``, and with ``reference_borcherds`` for
 ``borcherds_checks``, which checks the identities of one pair with a list
 of third states together.  ``CommutativeVA`` is a second
-vertex algebra for the Borcherds checker.
+vertex algebra for the Borcherds checker.  The oracles of the ranges that
+end at the state pole bound are the loops that ran to the weight bound
+wt x + wt y (``max_weight``).
 """
 
 import itertools
@@ -18,8 +20,8 @@ from fractions import Fraction
 import pytest
 
 from chiralis.algebra import JetAlgebra, SuperPolyAlgebra
-from chiralis.fock import (_CONJ, BGSystem, borcherds_checks,
-                           borcherds_full_check)
+from chiralis.fock import (_CONJ, BGSystem, _inner_products, _span,
+                           borcherds_checks, borcherds_full_check)
 from chiralis.exact import binomial
 from chiralis.koszul import ChiralKoszul
 from chiralis.ring import (acc, acc_poly, mono_degree, mono_parity, padd,
@@ -126,11 +128,11 @@ def test_weight_homogeneity():
         b = random_state(sys, rng)
         ma, mb = next(iter(a)), next(iter(b))
         a1, b1 = {ma: Fraction(1)}, {mb: Fraction(1)}
-        wa, wb = sys.mono_weight(ma), sys.mono_weight(mb)
+        wa, wb = mono_degree(ma, sys.weight), mono_degree(mb, sys.weight)
         for n in range(-2, 3):
             got = sys.nth(a1, n, b1)
             for mono in got:
-                assert sys.mono_weight(mono) == wa + wb - n - 1
+                assert mono_degree(mono, sys.weight) == wa + wb - n - 1
 
 
 def test_borcherds_commutator_small_exhaustive():
@@ -193,8 +195,11 @@ class CommutativeVA:
     def vac(self):
         return poly_one()
 
-    def max_weight(self, p):
-        return max((mono_degree(m, self.jets.weight) for m in p), default=0)
+    def weight(self, key):
+        return self.jets.weight(key)
+
+    def state_pole_bound(self, x, y):
+        return 0  # every product with n >= 0 is zero
 
     def state_parity(self, p):
         return self.jets.poly_parity(p)
@@ -300,8 +305,8 @@ class ReferenceBG(BGSystem):
     of b, every sum built by ``padd``/``pscale``, and the gradings computed
     anew on every call."""
 
-    def max_weight(self, p):
-        return max((self.mono_weight(m) for m in p), default=0)
+    def mono_weight(self, mono):
+        return mono_degree(mono, self.weight)
 
     def state_parity(self, p):
         pars = {mono_parity(m, self.parity) for m in p}
@@ -362,10 +367,17 @@ class ReferenceBG(BGSystem):
         return out
 
 
+def max_weight(va, p):
+    """The largest weight of a monomial of p, 0 for p = 0: every product
+    x_(k) y with k >= max_weight(x) + max_weight(y) is zero."""
+    return max((mono_degree(m, va.weight) for m in p), default=0)
+
+
 def reference_borcherds(va, a, b, c, r, s, t):
-    """lhs, rhs and difference of the Borcherds identity, by padd/pscale."""
+    """lhs, rhs and difference of the Borcherds identity, by padd/pscale,
+    with every sum cut at the weight bound."""
     pa, pb = va.state_parity(a), va.state_parity(b)
-    wa, wb, wc = va.max_weight(a), va.max_weight(b), va.max_weight(c)
+    wa, wb, wc = max_weight(va, a), max_weight(va, b), max_weight(va, c)
     lhs = {}
     for j in range(0, max(wa + wb - r - 1, -1) + 1):
         coeff = binomial(s, j)
@@ -559,11 +571,11 @@ def test_pole_bound_matches_reference_on_two_letter_monomials():
     for group in by_rest.values():
         fast, ref = BGSystem(fk.base), ReferenceBG(fk.base)
         for ma in group:
-            a, wa = {ma: 1}, fast.mono_weight(ma)
+            a, wa = {ma: 1}, ref.mono_weight(ma)
             for mb in monos:
                 b, bound = {mb: 1}, wick_bound(fast, ma, mb)
                 assert fast.pole_bound(ma, mb) == bound, (ma, mb)
-                for n in range(-2, wa + fast.mono_weight(mb) + 1):
+                for n in range(-2, wa + ref.mono_weight(mb) + 1):
                     want = ref.nth(a, n, b)
                     assert exact_items(fast.nth(a, n, b)) == exact_items(
                         want), (ma, n, mb)
@@ -709,20 +721,107 @@ def test_grades_match_a_direct_computation():
     rng = random.Random(29)
     x0, xi0 = fk.coord("x", 0), fk.coord("xi", 0)
     states = [
-        {},  # the empty state: weight 0, no parity
+        {},  # the empty state: bound 0 with every state, no parity
         padd(x0, xi0),  # parity-inhomogeneous
         padd(fk.mom("x", -2), pscale(fk.mul(x0, fk.coord("x", -1)), 3)),
     ]
     states += [random_sum(fk, rng, int_scalar) for _ in range(20)]
-    assert fk.max_weight({}) == 0 and fk.state_parity({}) is None
+    assert fk.state_parity({}) is None
     assert fk.state_parity(states[1]) is None
     for p in states:
         for _ in range(2):  # the second call reads the kept grades
-            assert fk.max_weight(p) == ref.max_weight(p)
             assert fk.state_parity(p) == ref.state_parity(p)
+            for q in states:
+                assert fk.state_pole_bound(p, q) == max(
+                    (wick_bound(ref, ma, mb) for ma in p for mb in q),
+                    default=0), (p, q)
         for mono in p:
             fams = {fam: mono_degree(tuple((g, e) for g, e in mono
                                            if g[:2] == fam), fk.weight)
                     for fam in {g[:2] for g, _e in mono}}
-            assert fk.grade(mono) == (
-                fk.mono_weight(mono), mono_parity(mono, fk.parity), fams)
+            parity, got_fams = fk.grade(mono)
+            assert parity == mono_parity(mono, fk.parity)
+            assert got_fams == fams
+            # the family weights add up to the monomial's weight
+            assert sum(got_fams.values()) == ref.mono_weight(mono)
+
+
+# -- every product range ends at the state pole bound ------------------------------
+
+
+def homogeneous_two_var_pairs(count, seed):
+    """Seeded pairs of parity-homogeneous states over the two-variable
+    carrier: 1-3 monomials of 1-3 letters of weight at most 3, with int
+    and with Fraction coefficients."""
+    fast, lets = two_var_letters()
+    rng = random.Random(seed)
+
+    def draw(scalar):
+        while True:
+            out = {}
+            for _ in range(rng.randint(1, 3)):
+                mono = fast.vac()
+                for _ in range(rng.randint(1, 3)):
+                    mono = fast.mul(mono, rng.choice(lets))
+                acc_poly(out, mono, scalar(rng))
+            if out and fast.state_parity(out) is not None:
+                return out
+
+    pairs = []
+    for i in range(count):
+        scalar = (int_scalar, fraction_scalar)[i % 2]
+        pairs.append((draw(scalar), draw(scalar)))
+    return fast, pairs
+
+
+def weight_capped_inner_products(va, x, y, span):
+    """The inner-product list of the weight bound: k runs up to
+    wt x + wt y - 1, past the pole bound."""
+    lo, cap = span
+    w = max_weight(va, x) + max_weight(va, y)
+    hi = w - 1 if cap is None else min(w - 1, cap)
+    return [(k, p) for k in range(lo, hi + 1) for p in [va.nth(x, k, y)]
+            if p]
+
+
+def test_state_pole_bound_ends_every_nonzero_product():
+    """On random states, every product from the state pole bound up to
+    wt x + wt y is zero on the reference kernel, and the bound is the
+    maximum of P over the monomial pairs.  Some pairs have a nonzero
+    product just below it, so a range that ends one product early loses
+    a term."""
+    fast, pairs = homogeneous_two_var_pairs(24, 41)
+    ref = ReferenceBG(fast.base)
+    cut = 0  # products the weight bound asked for and the pole bound skips
+    sharp = 0  # pairs whose last product below the bound is nonzero
+    for x, y in pairs:
+        bound = fast.state_pole_bound(x, y)
+        assert bound == max(wick_bound(ref, ma, mb) for ma in x for mb in y)
+        top = max_weight(ref, x) + max_weight(ref, y)
+        for k in range(bound, top + 1):
+            assert ref.nth(x, k, y) == {}, (x, k, y)
+            cut += 1
+        sharp += bound > 0 and bool(ref.nth(x, bound - 1, y))
+    assert cut and sharp
+
+
+def test_inner_products_match_the_weight_capped_loop():
+    """``_inner_products`` ends at the state pole bound; on the spans of
+    the exhaustive and the seeded Borcherds windows its lists equal the
+    weight-capped loop's, item order and scalar types included, with and
+    without a kept ``pairs`` dict."""
+    fast, pairs = homogeneous_two_var_pairs(24, 43)
+    spans = [_span([(r, s) for r, s, _t in EXHAUSTIVE_RSTS]),
+             _span([(t, r) for r, _s, t in EXHAUSTIVE_RSTS]),
+             _span([(s, r) for r, s, _t in EXHAUSTIVE_RSTS])]
+    spans += [_span([(l, n)]) for l in range(-2, 3) for n in range(-2, 3)]
+    kept = {}
+    for x, y in pairs:
+        for span in spans:
+            want = [(k, exact_items(p)) for k, p in
+                    weight_capped_inner_products(fast, x, y, span)]
+            for cache in (None, kept, kept):
+                got = _inner_products(fast, x, y, span, cache)
+                assert [(k, exact_items(p)) for k, p in got] == want, (
+                    x, y, span)
+    assert kept

@@ -5,7 +5,9 @@ mu(l, l) = -(Tl) x 1 + 2 l x z_1 (a Lie* algebra), the Lie* bracket of
 the free-field vertex engine, and lambda polynomials with jet
 coefficients over an even and a super base.  The slot rewrites that
 ``lp_substitute`` replaced (relabel, sum substitution, elimination and
-the Leibniz derivative series) are kept here as its oracles.
+the Leibniz derivative series) are kept here as its oracles, and the
+weight-capped sum of ``va_bracket`` is the oracle of its pole-bound
+range.
 
 ``test_chevalley`` imports the jet worlds, ``rand_jet`` and the oracles.
 """
@@ -19,7 +21,9 @@ import pytest
 
 from chiralis import ring
 from chiralis.algebra import SuperPolyAlgebra
+from chiralis.algebroid import default_field_samples
 from chiralis.chevalley import JetWorld, _leibniz
+from chiralis.cli import even_base
 from chiralis.fock import BGSystem
 from chiralis.starops import (
     LieStarDefects,
@@ -223,6 +227,58 @@ def test_va_bracket_translation_compatibility():
     lhs = mu(pa, b)
     rhs = lp_mul_var(mu(a, b), 1)
     assert lhs == rhs
+
+
+def weight_capped_va_bracket(system, a, b):
+    """mu(a, b) by the loop of the weight bound: n runs up to
+    wt a + wt b, past the pole bound."""
+    wmax = sum(max((ring.mono_degree(m, system.weight) for m in p),
+                   default=0) for p in (a, b))
+    out = {}
+    fact = 1
+    for nn in range(0, wmax + 1):
+        if nn:
+            fact *= nn
+        v = system.nth(a, nn, b)
+        if v:
+            out[((1, nn),) if nn else ()] = ring.pdiv(v, fact)
+    return out
+
+
+def test_va_bracket_matches_the_weight_capped_loop():
+    """``va_bracket`` ends its sum at the state pole bound; on the Fock
+    images of liestar-check's window (two variables, jet order 2, degree
+    2), of the coefficients of their brackets, which the Jacobi check
+    brackets again, and of states with odd letters, it equals the
+    weight-capped loop, item order and scalar types included (equal
+    ``repr``)."""
+    world = JetWorld(even_base(2))
+    fields = []
+    for trip in default_field_samples(world, jet_order=2, degree=2):
+        fields += [f for f in trip if f not in fields]
+    states = [world.to_fock(f) for f in fields]
+    for a, b in itertools.product(fields, repeat=2):
+        for coeff in world.bracket()(a, b).values():
+            fc = world.to_fock(coeff)
+            if fc not in states:
+                states.append(fc)
+    systems = [(world.fock, states)]
+    odd = BGSystem(SuperPolyAlgebra([("x", 0, 0), ("xi", 1, -1)]))
+    x0 = odd.coord("x", 0)
+    systems.append((odd, [
+        x0, odd.coord("xi", -1), odd.mom("x", -2), odd.mom("xi", -1),
+        odd.mul(x0, odd.mom("x", -1)), odd.mul(x0, odd.mom("xi", -2)),
+        ring.padd(odd.mul(x0, x0), ring.pscale(odd.coord("x", -2),
+                                               Fraction(1, 3)))]))
+    sharp = 0  # pairs with a nonzero product just below the bound
+    for system, basis in systems:
+        mu = va_bracket(system)
+        for a, b in itertools.product(basis, repeat=2):
+            assert repr(mu(a, b)) == repr(
+                weight_capped_va_bracket(system, a, b)), (a, b)
+            bound = system.state_pole_bound(a, b)
+            sharp += bound > 0 and bool(system.nth(a, bound - 1, b))
+    assert len(states) > len(fields) and sharp
 
 
 def test_abelian_bracket_passes():
