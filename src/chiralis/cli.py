@@ -18,11 +18,9 @@ derham-closed      closedness of a differential form, with witness
 
 Exit codes: 0 = computation succeeded / all checks pass; 1 = a verified
 false identity (the report carries a witness); 2 = usage or input error,
-including a window that checks nothing (an empty fs-cohomology window,
-borcherds-check --max-weight < 0 or --samples < 0, linfty-check
---samples < 1, liestar-check --vars 0) and a size past the maximum that
---schema lists under 'limits'; 3 = internal error (a bug: one "internal
-error: ..." line on stderr).
+including a window that checks nothing and a size outside the range that
+each subcommand's --help and --schema state under 'limits'; 3 = internal
+error (a bug: one "internal error: ..." line on stderr).
 Reports are JSON on stdout (or --out).  borcherds-check and linfty-check
 draw random samples and take --seed; a fixed seed makes a run byte
 identical.  A reader that closes stdout early (``| head``) is not an
@@ -40,7 +38,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from . import __version__, ring
 from .algebra import FormAlgebra, SuperPolyAlgebra
@@ -68,9 +66,17 @@ from .starops import LieStarDefects, lie_star_check
 
 def enc_scalar(c: ring.Scalar) -> str:
     """'p/q', or 'p' when integral; an int and an equal Fraction agree."""
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(
-        c.numerator
-    )
+    try:
+        return str(c)
+    except ValueError:
+        # an exact result past Python's int-to-str digit limit (3.10.7 and
+        # later); the limit stays on for parsing input, where it bounds time
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(c)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def enc_gen(key) -> list:
@@ -135,31 +141,6 @@ def emit(report: dict, out: Optional[str]) -> None:
 
 # -- input forms ---------------------------------------------------------------------
 
-FORM_SCHEMA = {
-    "description": "a differential form over Q[x1..x{vars}]",
-    "format": {
-        "vars": "int >= 1, number of even coordinates x1..xn (default 3)",
-        "terms": [
-            {
-                "coeff": "rational as 'p/q' or 'p'",
-                "f": [["variable name", "exponent (int >= 0)"]],
-                "d": ["ordered list of variable names under d(.)"],
-            }
-        ],
-    },
-}
-
-TWIST_SCHEMA = {
-    "description": "twisting data for the standard chiral algebroid",
-    "format": {
-        "vars": "int >= 1, number of even coordinates (default 3)",
-        "three_form": "a 3-form object (terms as in the form schema);"
-                      " optional if two_form is given",
-        "two_form": "a 2-form object, same shape; optional if three_form is",
-    },
-}
-
-
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -184,30 +165,86 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _at_most(value: int, maximum: int, what: str) -> None:
-    """A usage error when a size taken from outside is past its maximum."""
-    if value > maximum:
-        raise UsageError(f"{what} must be at most {maximum}: {value!r}")
+# an outside size, bounded so that a run ends in seconds: ``value`` reads
+# it from the arguments or the input file, an integer from ``lo`` to
+# ``hi``; ``what`` names it in errors, and ``text`` (formatted with lo
+# and hi) states the limit under ``key`` in --schema and --help
+Limit = NamedTuple("Limit", [("key", str), ("what", str), ("lo", int),
+                             ("hi", int), ("text", str), ("value", Callable)])
+
+# above weight 0 the differential on x_0^m recurses once per copy of x_0,
+# so --m stays well inside Python's recursion limit; at weight 0 x^m is
+# one monomial and only the lower end binds
+MAX_M = 512
+# the coordinates size every algebra
+FILE_VARS = Limit("vars", "field 'vars'", 1, 32, "at most {hi}",
+                  lambda data: data.get("vars", 3))
+LIMITS = {
+    "fs-cohomology": (
+        Limit("m", "--m", 1, MAX_M, "at most {hi} when max_weight >= 1",
+              lambda a: min(a.m, 1) if a.m and a.max_weight < 1 else a.m),
+        # at weight 6 each charge of a window takes 1 to 3 s at m = 2 and 3
+        Limit("max_weight", "--max-weight", 0, 6, "at most {hi}",
+              lambda a: a.max_weight),
+        Limit("max_charge", "--max-charge minus --min-charge", 0, 23,
+              "at most {hi} above min_charge",
+              lambda a: a.max_charge - a.min_charge),
+    ),
+    # every triple of the window's letters is checked; there is no letter
+    # when --vars < 1 or --max-weight < 0
+    "borcherds-check": (
+        Limit("letters",
+              "the letter count 2 * --vars * (2 * --max-weight + 1)", 1, 96,
+              "2 * vars * (2 * max_weight + 1), at most {hi}",
+              lambda a: 2 * max(a.vars, 0) * max(2 * a.max_weight + 1, 0)),
+    ),
+    # the jet order sizes every sample window
+    "liestar-check": (
+        FILE_VARS._replace(what="--vars", value=lambda a: a.vars),
+        Limit("jet_order", "--jet-order", 0, 8, "{lo} to {hi}",
+              lambda a: a.jet_order),
+    ),
+    "algebroid-twist": (FILE_VARS,),
+    "derham-closed": (FILE_VARS,),
+}
 
 
-# outside sizes, bounded so that a run ends in seconds: the coordinates
-# size every algebra, the jet order every sample window, and above weight
-# 0 the differential on x_0^m recurses once per copy of x_0 (so --m stays
-# well inside Python's recursion limit); borcherds-check checks every
-# triple of its 2 * vars * (2 * max_weight + 1) letters, and at weight 6
-# each charge of an fs-cohomology window takes 1 to 3 s at m = 2 and 3
-MAX_VARS, MAX_JET_ORDER, MAX_M = 32, 8, 512
-MAX_LETTERS, MAX_WEIGHT, MAX_CHARGE_SPAN = 96, 6, 23
+def within_limits(command: str, source) -> list:
+    """The limited sizes of ``command`` in table order, read from ``source``
+    (its arguments or input file); a usage error when one is outside."""
+    values = [lim.value(source) for lim in LIMITS[command]]
+    for lim, value in zip(LIMITS[command], values):
+        if not (_is_count(value) and lim.lo <= value <= lim.hi):
+            raise UsageError(f"{lim.what} must be an integer >= {lim.lo} and"
+                             f" at most {lim.hi}: {value!r}")
+    return values
 
 
-def parse_vars(data) -> int:
-    if not isinstance(data, dict):
-        raise UsageError("the input file must hold a JSON object")
-    nvars = data.get("vars", 3)
-    if not _is_count(nvars) or nvars < 1:
-        raise UsageError(f"field 'vars' must be an integer >= 1: {nvars!r}")
-    _at_most(nvars, MAX_VARS, "field 'vars'")
-    return nvars
+FORM_SCHEMA = {
+    "description": "a differential form over Q[x1..x{vars}]",
+    "format": {
+        "vars": f"int >= {FILE_VARS.lo}, number of even coordinates x1..xn"
+                " (default 3)",
+        "terms": [
+            {
+                "coeff": "rational as 'p/q' or 'p'",
+                "f": [["variable name", "exponent (int >= 0)"]],
+                "d": ["ordered list of variable names under d(.)"],
+            }
+        ],
+    },
+}
+
+TWIST_SCHEMA = {
+    "description": "twisting data for the standard chiral algebroid",
+    "format": {
+        "vars": f"int >= {FILE_VARS.lo}, number of even coordinates"
+                " (default 3)",
+        "three_form": "a 3-form object (terms as in the form schema);"
+                      " optional if two_form is given",
+        "two_form": "a 2-form object, same shape; optional if three_form is",
+    },
+}
 
 
 def parse_form(data: dict, forms: FormAlgebra, field: str,
@@ -258,14 +295,20 @@ def parse_form(data: dict, forms: FormAlgebra, field: str,
     return total
 
 
-def load_json(path: str) -> dict:
+def load_json(path: Optional[str], flag: str) -> dict:
+    """The JSON object in the file that the option ``flag`` names."""
+    if not path:
+        raise UsageError(f"{flag} is required")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("the input file must hold a JSON object")
+    return data
 
 
 def even_base(nvars: int) -> SuperPolyAlgebra:
@@ -278,17 +321,7 @@ def even_base(nvars: int) -> SuperPolyAlgebra:
 
 
 def cmd_fs_cohomology(args) -> dict:
-    if args.m is None or args.m < 1:
-        raise UsageError("--m must be a positive integer")
-    if args.max_weight < 0:
-        raise UsageError("--max-weight must be non-negative")
-    _at_most(args.max_weight, MAX_WEIGHT, "--max-weight")
-    if args.max_weight >= 1:
-        _at_most(args.m, MAX_M, "--m with --max-weight >= 1")
-    if args.min_charge > args.max_charge:
-        raise UsageError("--min-charge must not exceed --max-charge")
-    _at_most(args.max_charge - args.min_charge, MAX_CHARGE_SPAN,
-             "--max-charge minus --min-charge")
+    within_limits(args.command, args)
     K = ChiralKoszul(args.m)
     result = K.cohomology(args.max_weight, args.max_charge, args.min_charge)
     cells = result["cells"]
@@ -310,12 +343,7 @@ def cmd_fs_cohomology(args) -> dict:
 
 
 def cmd_borcherds_check(args) -> dict:
-    if args.vars < 1:
-        raise UsageError("--vars must be a positive integer")
-    if args.max_weight < 0:
-        raise UsageError("--max-weight must be non-negative")
-    _at_most(2 * args.vars * (2 * args.max_weight + 1), MAX_LETTERS,
-             "the letter count 2 * --vars * (2 * --max-weight + 1)")
+    within_limits(args.command, args)
     if args.samples < 0:
         raise UsageError("--samples must be non-negative (0 = exhaustive)")
     gens = []
@@ -380,17 +408,14 @@ def cmd_borcherds_check(args) -> dict:
 
 
 def cmd_liestar_check(args) -> dict:
-    _at_most(args.vars, MAX_VARS, "--vars")
-    if args.jet_order < 0:
-        raise UsageError("--jet-order must be non-negative")
-    _at_most(args.jet_order, MAX_JET_ORDER, "--jet-order")
+    within_limits(args.command, args)
     world = JetWorld(even_base(args.vars))
     mu = world.bracket()
     samples = default_field_samples(
         world, jet_order=args.jet_order, degree=args.degree
     )
     if not samples:
-        raise UsageError("the window yields no samples; --vars must be >= 1")
+        raise UsageError("the window yields no samples")
     # the pair windows of the samples overlap: evaluate each identity once
     defects = LieStarDefects(mu)
     failures = []
@@ -467,8 +492,8 @@ def cmd_linfty_check(args) -> dict:
 
 
 def cmd_algebroid_twist(args) -> dict:
-    data = load_json(args.cocycle)
-    nvars = parse_vars(data)
+    data = load_json(args.cocycle, "--cocycle")
+    nvars, = within_limits(args.command, data)
     base = even_base(nvars)
     forms = FormAlgebra(base)
     given = {}
@@ -528,8 +553,8 @@ def cmd_chiral_infty_check(args) -> dict:
 
 
 def cmd_derham_closed(args) -> dict:
-    data = load_json(args.form)
-    nvars = parse_vars(data)
+    data = load_json(args.form, "--form")
+    nvars, = within_limits(args.command, data)
     forms = FormAlgebra(even_base(nvars))
     omega = parse_form(data, forms, "form")
     d = forms.derham_d(omega)
@@ -569,22 +594,14 @@ SCHEMAS = {
                        " that d^2",
         },
         "state_encoding": "[[coeff 'p/q', [[kind, gen, k, exp], ...]], ...]",
-        "limits": {"m": f"at most {MAX_M} when max_weight >= 1",
-                   "max_weight": f"at most {MAX_WEIGHT}",
-                   "max_charge": f"at most {MAX_CHARGE_SPAN} above"
-                                 " min_charge"},
     },
     "borcherds-check": {
         "report": {"checked": "int", "failures": "list", "seed": "int",
                    "window": "object", "ok": "bool"},
-        "limits": {"letters": "2 * vars * (2 * max_weight + 1), at most"
-                              f" {MAX_LETTERS}"},
     },
     "liestar-check": {
         "report": {"checked": "int", "failures": "list",
                    "window": "object", "ok": "bool"},
-        "limits": {"vars": f"at most {MAX_VARS}",
-                   "jet_order": f"0 to {MAX_JET_ORDER}"},
     },
     "linfty-check": {
         "report": {"trials": "int", "structures_passing": "int",
@@ -594,7 +611,6 @@ SCHEMAS = {
         "input": TWIST_SCHEMA,
         "report": {"closed_input": "bool", "jacobi_ok": "bool",
                    "closed": "bool", "match": "bool", "ok": "bool"},
-        "limits": {"vars": f"at most {MAX_VARS}"},
     },
     "chiral-infty-check": {
         "report": {"m": "int", "truncated": "bool", "jacobi_ok": "bool",
@@ -605,9 +621,11 @@ SCHEMAS = {
         "input": FORM_SCHEMA,
         "report": {"closed": "bool", "witness": "encoded form",
                    "ok": "bool"},
-        "limits": {"vars": f"at most {MAX_VARS}"},
     },
 }
+for _command, _limits in LIMITS.items():
+    SCHEMAS[_command]["limits"] = {
+        lim.key: lim.text.format(**lim._asdict()) for lim in _limits}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,78 +636,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, fn, help):
+        """A subcommand whose --help ends with the limits of its table."""
+        limits = "".join(
+            f"\n  {lim.key}: {SCHEMAS[name]['limits'][lim.key]}; {lim.what}"
+            f" >= {lim.lo}" for lim in LIMITS.get(name, ()))
+        sp = sub.add_parser(name, help=help, epilog=limits and "limits (past"
+                            " them the command exits 2):" + limits,
+                            formatter_class=p.formatter_class)
         sp.add_argument("--out", help="write the JSON report to a file")
         sp.add_argument("--schema", action="store_true",
                         help="print the JSON formats and exit")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("fs-cohomology",
-                        help="chiralized Koszul cohomology of x^m")
-    sp.add_argument("--m", type=int, help="the exponent, >= 1; at most"
-                    f" {MAX_M} when --max-weight >= 1")
-    sp.add_argument("--max-weight", type=int, default=1,
-                    help=f"at most {MAX_WEIGHT}")
-    sp.add_argument("--max-charge", type=int, default=4,
-                    help=f"at most {MAX_CHARGE_SPAN} above --min-charge")
+    sp = command("fs-cohomology", cmd_fs_cohomology,
+                 "chiralized Koszul cohomology of x^m")
+    sp.add_argument("--m", type=int, help="the exponent")
+    sp.add_argument("--max-weight", type=int, default=1)
+    sp.add_argument("--max-charge", type=int, default=4)
     sp.add_argument("--min-charge", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_fs_cohomology)
 
-    sp = sub.add_parser("borcherds-check",
-                        help="Borcherds identity suite on free fields")
-    letters = (f"the letters, 2 * vars * (2 * max-weight + 1), are at most"
-               f" {MAX_LETTERS}")
-    sp.add_argument("--vars", type=int, default=1, help=letters)
-    sp.add_argument("--max-weight", type=int, default=2, help=letters)
+    sp = command("borcherds-check", cmd_borcherds_check,
+                 "Borcherds identity suite on free fields")
+    sp.add_argument("--vars", type=int, default=1)
+    sp.add_argument("--max-weight", type=int, default=2)
     sp.add_argument("--samples", type=int, default=0,
                     help="0 = exhaustive on single letters")
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_borcherds_check)
 
-    sp = sub.add_parser("liestar-check",
-                        help="Lie* axioms of the jet tangent bracket")
-    sp.add_argument("--vars", type=int, default=2, help=f"at most {MAX_VARS}")
-    sp.add_argument("--jet-order", type=int, default=2,
-                    help=f"0 to {MAX_JET_ORDER}")
+    sp = command("liestar-check", cmd_liestar_check,
+                 "Lie* axioms of the jet tangent bracket")
+    sp.add_argument("--vars", type=int, default=2)
+    sp.add_argument("--jet-order", type=int, default=2)
     sp.add_argument("--degree", type=int, default=2,
                     help="<= 0: frame fields only; >= 1: also the frames times"
                     " one coordinate jet (every value >= 1 is the same)")
-    common(sp)
-    sp.set_defaults(fn=cmd_liestar_check)
 
-    sp = sub.add_parser("linfty-check",
-                        help="direct vs coderivation homotopy checks")
+    sp = command("linfty-check", cmd_linfty_check,
+                 "direct vs coderivation homotopy checks")
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_linfty_check)
 
-    sp = sub.add_parser("algebroid-twist",
-                        help="twist the standard chiral algebroid")
-    sp.add_argument("--cocycle", required=False,
-                    help="JSON file with the twisting forms; its 'vars' is"
-                    f" at most {MAX_VARS}")
+    sp = command("algebroid-twist", cmd_algebroid_twist,
+                 "twist the standard chiral algebroid")
+    sp.add_argument("--cocycle", help="JSON file with the twisting forms")
     sp.add_argument("--check", action="store_true",
                     help="kept for compatibility; the check always runs")
-    common(sp)
-    sp.set_defaults(fn=cmd_algebroid_twist)
 
-    sp = sub.add_parser("chiral-infty-check",
-                        help="homotopy twist over the super base")
+    sp = command("chiral-infty-check", cmd_chiral_infty_check,
+                 "homotopy twist over the super base")
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--truncate", action="store_true",
                     help="drop the arity-3 component (expected failure)")
-    common(sp)
-    sp.set_defaults(fn=cmd_chiral_infty_check)
 
-    sp = sub.add_parser("derham-closed",
-                        help="closedness of a differential form")
-    sp.add_argument("--form", required=False,
-                    help="JSON file with the form; its 'vars' is at most"
-                    f" {MAX_VARS}")
-    common(sp)
-    sp.set_defaults(fn=cmd_derham_closed)
+    sp = command("derham-closed", cmd_derham_closed,
+                 "closedness of a differential form")
+    sp.add_argument("--form", help="JSON file with the form")
     return p
 
 
@@ -704,10 +707,6 @@ def run(argv: Optional[List[str]] = None) -> int:
             emit({"command": args.command, "exit_codes": EXIT_CODES,
                   "schema": SCHEMAS[args.command]}, args.out)
             return 0
-        if args.command == "algebroid-twist" and not args.cocycle:
-            raise UsageError("--cocycle is required")
-        if args.command == "derham-closed" and not args.form:
-            raise UsageError("--form is required")
         report = {"command": args.command, "version": __version__,
                   **args.fn(args)}
         emit(report, args.out)

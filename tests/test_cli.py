@@ -11,10 +11,13 @@ algebroid's differential and unary operation and in the Lie* bracket
 that must exit 1, an fs-cohomology window whose d^2 is not zero (a
 dropped odd sign in ``apply_mode``) that must exit 1 with its first bad
 monomial, powers with a huge exponent that must finish within seconds,
-an --m past its maximum that must exit 2, schema output and the input
-fields it leaves optional, the documented example invocations, a reader
-that closes the pipe early, and a Hypothesis fuzz of form files and
-windows that must never crash.
+one parametrization over ``cli.LIMITS`` (every limit exits 2 at once
+past its maximum and below its lower end, and passes the parser at its
+maximum), integer literals and exact results past Python's int-to-str
+digit limit, the recorded sha256 of each --schema output, --help
+stating every limit, the input fields the schemas leave optional, the
+documented example invocations, a reader that closes the pipe early,
+and a Hypothesis fuzz of form files and windows that must never crash.
 """
 
 import contextlib
@@ -157,79 +160,120 @@ def test_fs_cohomology_limits_m_above_weight_0():
     assert f"at most {cli.MAX_M}" in proc.stderr.decode()
 
 
-@pytest.mark.parametrize("field, maximum", [
-    ("--vars", cli.MAX_VARS), ("--jet-order", cli.MAX_JET_ORDER),
-    ("vars", cli.MAX_VARS)])
-def test_outside_sizes_past_their_maximum_exit_2_at_once(tmp_path, field,
-                                                         maximum):
+def fs_window(**quantity):
+    """fs-cohomology with each limited quantity at its maximum but the ones
+    given; the charge span is set by --min-charge below --max-charge 0."""
+    q = {lim.key: lim.hi for lim in cli.LIMITS["fs-cohomology"]} | quantity
+    return ["fs-cohomology", "--m", str(q["m"]), "--max-weight",
+            str(q["max_weight"]), "--min-charge", str(-q["max_charge"]),
+            "--max-charge", "0"]
+
+
+# for each limit of cli.LIMITS, the option or field that the case varies
+# and an argv that sets the limited quantity to a value; a dict in the
+# argv stands for a JSON input file
+LIMIT_CASES = {
+    ("fs-cohomology", "m"): ("fs --m", lambda v: fs_window(m=v)),
+    ("fs-cohomology", "max_weight"): (
+        "fs --max-weight", lambda v: fs_window(max_weight=v)),
+    ("fs-cohomology", "max_charge"): (
+        "fs --max-charge", lambda v: fs_window(max_charge=v)),
+    # one variable has 2 letters at weight 0: an odd count rounds up
+    ("borcherds-check", "letters"): ("borcherds --vars", lambda v: [
+        "borcherds-check", "--max-weight", "0", "--vars", str(-(-v // 2))]),
+    ("liestar-check", "vars"): ("liestar --vars", lambda v: [
+        "liestar-check", "--jet-order", "1", "--degree", "1", "--vars",
+        str(v)]),
+    ("liestar-check", "jet_order"): ("liestar --jet-order", lambda v: [
+        "liestar-check", "--degree", "1", "--jet-order", str(v)]),
+    ("algebroid-twist", "vars"): ("twist vars", lambda v: [
+        "algebroid-twist", "--cocycle",
+        {"vars": v, "three_form": {"terms": []}}]),
+    ("derham-closed", "vars"): ("derham vars", lambda v: [
+        "derham-closed", "--form", {"vars": v, "terms": []}]),
+}
+LIMITS = {(command, lim.key): lim
+          for command, lims in cli.LIMITS.items() for lim in lims}
+
+
+def test_every_limit_has_a_case():
+    assert sorted(LIMIT_CASES) == sorted(LIMITS)
+
+
+def run_case(tmp_path, case, value):
+    """``run_quiet`` on the argv that sets the quantity of the limit
+    ``case`` to ``value``, each dict in it written to a JSON file."""
+    argv = LIMIT_CASES[case][1](value)
+    for i, word in enumerate(argv):
+        if isinstance(word, dict):
+            argv[i] = str(tmp_path / "input.json")
+            (tmp_path / "input.json").write_text(json.dumps(word))
+    return run_quiet(argv)
+
+
+limit_cases = pytest.mark.parametrize("case", sorted(LIMITS), ids=lambda case:
+                                      LIMIT_CASES.get(case, case)[0])
+
+
+@limit_cases
+def test_windows_past_their_maximum_exit_2_at_once(tmp_path, case):
     """liestar-check --vars 100 was still running after 30 s and
-    --jet-order 16 after 60 s; so was a form or cocycle file's 'vars'
-    past its maximum, which sizes the algebra the same way.  Past the
-    maximum each exits 2 within a second."""
-    for value in (maximum + 1, 10 ** 8):
-        if field.startswith("--"):
-            argvs = [["liestar-check", "--jet-order", "1", "--degree", "1",
-                      field, str(value)]]
-        else:
-            form = tmp_path / "form.json"
-            form.write_text(json.dumps({"vars": value, "terms": []}))
-            cocycle = tmp_path / "cocycle.json"
-            cocycle.write_text(json.dumps(
-                {"vars": value, "three_form": {"terms": []}}))
-            argvs = [["derham-closed", "--form", str(form)],
-                     ["algebroid-twist", "--cocycle", str(cocycle)]]
-        for argv in argvs:
-            t0 = time.perf_counter()
-            code, out, err = run_quiet(argv)
-            assert code == 2 and not out, (argv, err)
-            assert time.perf_counter() - t0 < 1.0, argv
-            assert f"at most {maximum}" in err
-
-
-@pytest.mark.parametrize("argv, past, maximum", [
-    (["borcherds-check", "--max-weight", "0", "--vars"], 49,
-     cli.MAX_LETTERS),
-    (["borcherds-check", "--vars", "1", "--max-weight"], 24,
-     cli.MAX_LETTERS),
-    (["fs-cohomology", "--m", "2", "--max-weight"], cli.MAX_WEIGHT + 1,
-     cli.MAX_WEIGHT),
-    (["fs-cohomology", "--m", "2", "--max-weight", "0", "--min-charge", "0",
-      "--max-charge"], cli.MAX_CHARGE_SPAN + 1, cli.MAX_CHARGE_SPAN),
-], ids=["borcherds --vars", "borcherds --max-weight", "fs --max-weight",
-        "fs --max-charge"])
-def test_windows_past_their_maximum_exit_2_at_once(argv, past, maximum):
-    """borcherds-check took 13.4 s on 96 letters, and it checks every
-    triple of letters; fs-cohomology took 53.5 s at weight 8, and 12.8 s
-    and 428 MB on 100001 charges.  Past the letter maximum (--vars 49 or
-    --max-weight 24), past weight 6 and past 23 charges above
-    --min-charge each exits 2 within a second."""
-    for value in (past, 10 ** 8):
+    --jet-order 16 after 60 s, and so was a form or cocycle file's 'vars'
+    past its maximum, which sizes the algebra the same way; borcherds-check
+    took 13.4 s on 96 letters, and it checks every triple of letters;
+    fs-cohomology took 53.5 s at weight 8, and 12.8 s and 428 MB on 100001
+    charges.  Past its maximum each limit exits 2 within a second."""
+    lim = LIMITS[case]
+    for value in (lim.hi + 1, 10 ** 8):
         t0 = time.perf_counter()
-        code, out, err = run_quiet(argv + [str(value)])
-        assert code == 2 and not out, (argv, value, err)
-        assert time.perf_counter() - t0 < 1.0, (argv, value)
-        assert f"at most {maximum}" in err
+        code, out, err = run_case(tmp_path, case, value)
+        assert code == 2 and not out, (value, err)
+        assert time.perf_counter() - t0 < 1.0, value
+        assert f"at most {lim.hi}" in err, (value, err)
 
 
-def test_windows_at_their_maximum_are_accepted(monkeypatch):
-    """The largest windows pass the bounds: the run is stopped where it
-    would build its system, so nothing runs at a maximum."""
-    class Accepted(Exception):
-        pass
+@limit_cases
+def test_windows_below_their_lower_end_exit_2(tmp_path, case):
+    code, out, err = run_case(tmp_path, case, LIMITS[case].lo - 1)
+    assert code == 2 and not out and err.startswith("error: "), err
 
-    def accepted(*_args):
-        raise Accepted
 
+class Accepted(Exception):
+    pass
+
+
+def accepted(*_args):
+    raise Accepted
+
+
+def test_windows_at_their_maximum_are_accepted(tmp_path, monkeypatch):
+    """Each limit at its maximum passes the bounds: the run is stopped
+    where it would build its first algebra or system, so nothing runs at
+    a maximum.  The fs-cohomology cases set all three of its limits to
+    their maxima at once."""
+    for name in ("BGSystem", "ChiralKoszul", "even_base"):
+        monkeypatch.setattr(cli, name, accepted)
+    for case, lim in LIMITS.items():
+        code, out, err = run_case(tmp_path, case, lim.hi)
+        assert code == 3 and "Accepted" in err, (case, err)
+
+
+def test_letter_count_takes_both_factors(monkeypatch):
+    """The letters of a borcherds-check window grow with --max-weight as
+    with --vars: 24 weights of one variable are 98 letters, past the
+    maximum, and 23 weights of one or 11 of two are inside it."""
+    maximum = LIMITS["borcherds-check", "letters"].hi
+    for value in ("24", str(10 ** 8)):
+        t0 = time.perf_counter()
+        code, out, err = run_quiet(["borcherds-check", "--vars", "1",
+                                    "--max-weight", value])
+        assert code == 2 and not out and f"at most {maximum}" in err, err
+        assert time.perf_counter() - t0 < 1.0
     monkeypatch.setattr(cli, "BGSystem", accepted)
-    monkeypatch.setattr(cli, "ChiralKoszul", accepted)
-    for argv in (["borcherds-check", "--vars", "48", "--max-weight", "0"],
-                 ["borcherds-check", "--vars", "1", "--max-weight", "23"],
-                 ["borcherds-check", "--vars", "2", "--max-weight", "11"],
-                 ["fs-cohomology", "--m", str(cli.MAX_M), "--max-weight",
-                  str(cli.MAX_WEIGHT), "--min-charge",
-                  str(-cli.MAX_CHARGE_SPAN), "--max-charge", "0"]):
-        code, out, err = run_quiet(argv)
-        assert code == 3 and "Accepted" in err, (argv, err)
+    for nvars, weight in (("1", "23"), ("2", "11")):
+        code, out, err = run_quiet(["borcherds-check", "--vars", nvars,
+                                    "--max-weight", weight])
+        assert code == 3 and "Accepted" in err, err
 
 
 def test_borcherds_exhaustive_and_seeded(tmp_path):
@@ -699,6 +743,7 @@ def test_seed_is_taken_only_by_the_seeded_commands():
 
 
 def test_usage_errors(tmp_path):
+    assert run(["fs-cohomology"]) == 2
     assert run(["fs-cohomology", "--m", "0"]) == 2
     # an empty or inverted window is a usage error, never a vacuous pass
     assert run(["fs-cohomology", "--m", "2", "--max-weight", "1",
@@ -743,14 +788,47 @@ def test_usage_errors(tmp_path):
         assert run(["algebroid-twist", "--cocycle", str(f)]) == 2
 
 
+# sha256 of each subcommand's --schema output, recorded before its limits
+# were read from cli.LIMITS
+SCHEMA_SHA256 = {
+    "fs-cohomology":
+        "d4fa09d27390e54c1364a9d5a379c1a109f1ebabce0327aa1c7761f07f1a7df9",
+    "borcherds-check":
+        "f49cc017afa22c586a24662d808b5b02d0ad4066b954a4e813bd853336440fb4",
+    "liestar-check":
+        "169985240541251051f36f20f4f6d67ab7f4233e66346125316ecf4e8b870c71",
+    "linfty-check":
+        "08fb149e818f2900c14482307662aee09829a302d7ea1cc4e2b8b0eac40f0176",
+    "algebroid-twist":
+        "48cf19deaab7bb5415ddc070dc83b14db4319ce88c896ce2200459a8c639d87e",
+    "chiral-infty-check":
+        "3e63da5487795f5a13c66368bdb1977feb79f7a465bd3fa55dbe54fdcd1f8d05",
+    "derham-closed":
+        "ac9ef48704e973d42b9fb07a107cb2b160e2e577f0a11b28389e928735778433",
+}
+
+
 def test_schema_flag(tmp_path):
-    for cmd in ("fs-cohomology", "borcherds-check", "liestar-check",
-                "linfty-check", "algebroid-twist",
-                "chiral-infty-check", "derham-closed"):
+    assert sorted(SCHEMA_SHA256) == sorted(cli.SCHEMAS)
+    for cmd, digest in SCHEMA_SHA256.items():
         code, rep = report(tmp_path, f"s-{cmd}.json",
                            [cmd, "--schema"])
         assert code == 0 and rep["schema"]
         assert sorted(rep["exit_codes"]) == ["0", "1", "2", "3"]
+        code, out, _err = run_quiet([cmd, "--schema"])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, cmd
+
+
+def test_help_states_every_limit():
+    """argparse %-formats an option's help, so a generated '%' would crash
+    --help outside run's exit codes; each subcommand's --help ends with
+    the limits of its table."""
+    for cmd in cli.SCHEMAS:
+        code, out, err = run_quiet([cmd, "--help"])
+        assert code == 0 and not err, (cmd, err)
+        for lim in cli.LIMITS.get(cmd, ()):
+            stated = lim.text.format(**lim._asdict())
+            assert str(lim.hi) in stated and f"{lim.key}: {stated}" in out
 
 
 def test_inputs_the_schemas_leave_optional(tmp_path):
@@ -794,6 +872,49 @@ def test_malformed_json_input(tmp_path):
             code, out, err = run_quiet(flag + [str(path)])
             assert (code, out) == (2, ""), err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_integer_literals_past_the_digit_limit_exit_2():
+    """json raises a plain ValueError for an integer literal longer than
+    Python's int-to-str digit limit (4300 digits), which exited 3; the
+    file is written as text, since json.dumps refuses the same integer."""
+    big = "1" * 5000
+    forms = {
+        "vars": f'{{"vars": {big}, "terms": []}}',
+        "coeff": f'{{"vars": 1, "terms": [{{"coeff": {big}, "d": ["x1"]}}]}}',
+        "exponent": f'{{"vars": 1, "terms": [{{"f": [["x1", {big}]],'
+                    ' "d": ["x1"]}]}',
+    }
+    for field, form in forms.items():
+        for argv, text in (
+                (["derham-closed", "--form"], form),
+                (["algebroid-twist", "--cocycle"],
+                 f'{{"vars": 3, "two_form": {form}}}' if field != "vars"
+                 else form)):
+            code, out, err = run_on_file(argv, text)
+            assert (code, out) == (2, ""), (field, argv, err)
+
+
+def test_results_past_the_digit_limit_are_printed_exactly():
+    """d of c x1^e dx2 with c = e = 10^4000 - 1 has a coefficient of 8000
+    digits, past the int-to-str limit of input parsing; it exited 3 where
+    the report is written, and now it is printed in full."""
+    nines = "9" * 4000
+    code, out, err = run_on_file(
+        ["derham-closed", "--form"],
+        f'{{"vars": 2, "terms": [{{"coeff": "{nines}", "f": [["x1",'
+        f' {nines}]], "d": ["x2"]}}]}}')
+    assert code == 1, err
+    (coeff, _mono), = json.loads(out)["witness"]
+    # (10^n - 1)^2 = 10^2n - 2 10^n + 1
+    assert coeff == "9" * 3999 + "8" + "0" * 3999 + "1"
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(coeff) == int(nines) ** 2
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_coefficients_are_parsed_as_the_schema_says(tmp_path):

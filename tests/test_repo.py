@@ -1,5 +1,6 @@
 """Checks on the repository itself: no dead imports, no definitions that
-only tests use, a README whose examples run and whose command lines parse.
+only tests use, a README whose examples run, whose command lines parse
+and whose prose states every maximum of the CLI's limits.
 
 They use the standard library (``ast``, ``re``, ``shlex``) and the CLI's
 own argument parser.
@@ -185,3 +186,14 @@ def test_readme_command_parses(line, capsys):
         except SystemExit:
             pytest.fail(f"{argv}: {capsys.readouterr().err}")
         assert args.command == argv[0]
+
+
+def test_readme_states_every_limit():
+    """The prose of the README's "Command line" section names each
+    maximum of ``cli.LIMITS``, so the limits it states cannot drift from
+    the table (their lower ends are 0 or 1, which would prove nothing)."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"## Command line\n.*?```\n(.*?)\n## ", text,
+                        re.S).group(1)
+    maxima = {lim.hi for lims in cli.LIMITS.values() for lim in lims}
+    assert {m for m in maxima if not re.search(rf"\b{m}\b", section)} == set()
