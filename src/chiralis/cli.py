@@ -26,6 +26,12 @@ draw random samples and take --seed; a fixed seed makes a run byte
 identical.  A reader that closes stdout early (``| head``) is not an
 error: the rest of the report is dropped and the exit code is the
 verdict's.
+
+Every run is a fresh process that compiles or loads each module it
+imports, so this module imports only ``ring`` at start-up and each
+subcommand imports the layers it runs when it runs: a borcherds-check
+never loads the star-operation, Chevalley, algebroid, L-infinity or
+Koszul layers, and --help and --schema load none.
 """
 
 from __future__ import annotations
@@ -41,25 +47,6 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional
 
 from . import __version__, ring
-from .algebra import FormAlgebra, SuperPolyAlgebra
-from .algebroid import (
-    chiral_infty_twist,
-    default_field_samples,
-    form_twist,
-    fs_closed_family,
-    standard_chiral_infty_algebroid,
-)
-from .chevalley import JetWorld
-from .fock import BGSystem, borcherds_checks
-from .koszul import ChiralKoszul, euler_lines
-from .linfty import (
-    BasisMultiMap,
-    GradedSpace,
-    basis_words,
-    coderivation_square_report,
-    direct_jacobi_report,
-)
-from .starops import LieStarDefects, lie_star_check
 
 # -- JSON encoding -------------------------------------------------------------------
 
@@ -304,14 +291,19 @@ def load_json(path: Optional[str], flag: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise UsageError(f"{path!r} holds an integer longer than"
+                         f" {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
         raise UsageError("the input file must hold a JSON object")
     return data
 
 
 def even_base(nvars: int) -> SuperPolyAlgebra:
+    from .algebra import SuperPolyAlgebra
+
     return SuperPolyAlgebra(
         [(f"x{i}", 0, 0) for i in range(1, nvars + 1)]
     )
@@ -321,6 +313,8 @@ def even_base(nvars: int) -> SuperPolyAlgebra:
 
 
 def cmd_fs_cohomology(args) -> dict:
+    from .koszul import ChiralKoszul, euler_lines
+
     within_limits(args.command, args)
     K = ChiralKoszul(args.m)
     result = K.cohomology(args.max_weight, args.max_charge, args.min_charge)
@@ -343,6 +337,9 @@ def cmd_fs_cohomology(args) -> dict:
 
 
 def cmd_borcherds_check(args) -> dict:
+    from .algebra import SuperPolyAlgebra
+    from .fock import BGSystem, borcherds_checks
+
     within_limits(args.command, args)
     if args.samples < 0:
         raise UsageError("--samples must be non-negative (0 = exhaustive)")
@@ -408,6 +405,10 @@ def cmd_borcherds_check(args) -> dict:
 
 
 def cmd_liestar_check(args) -> dict:
+    from .algebroid import default_field_samples
+    from .chevalley import JetWorld
+    from .starops import LieStarDefects, lie_star_check
+
     within_limits(args.command, args)
     world = JetWorld(even_base(args.vars))
     mu = world.bracket()
@@ -440,6 +441,9 @@ def cmd_liestar_check(args) -> dict:
 
 
 def cmd_linfty_check(args) -> dict:
+    from .linfty import (BasisMultiMap, GradedSpace, basis_words,
+                         coderivation_square_report, direct_jacobi_report)
+
     if args.samples < 1:
         raise UsageError("--samples must be a positive integer")
     rng = random.Random(args.seed)
@@ -492,6 +496,10 @@ def cmd_linfty_check(args) -> dict:
 
 
 def cmd_algebroid_twist(args) -> dict:
+    from .algebra import FormAlgebra
+    from .algebroid import (chiral_infty_twist, form_twist,
+                            standard_chiral_infty_algebroid)
+
     data = load_json(args.cocycle, "--cocycle")
     nvars, = within_limits(args.command, data)
     base = even_base(nvars)
@@ -520,6 +528,10 @@ def cmd_algebroid_twist(args) -> dict:
 
 
 def cmd_chiral_infty_check(args) -> dict:
+    from .algebra import SuperPolyAlgebra
+    from .algebroid import (chiral_infty_twist, fs_closed_family,
+                            standard_chiral_infty_algebroid)
+
     if args.m != 2:
         raise UsageError(
             "--m: only the built-in m=2 closed family is shipped"
@@ -553,6 +565,8 @@ def cmd_chiral_infty_check(args) -> dict:
 
 
 def cmd_derham_closed(args) -> dict:
+    from .algebra import FormAlgebra
+
     data = load_json(args.form, "--form")
     nvars, = within_limits(args.command, data)
     forms = FormAlgebra(even_base(nvars))

@@ -68,7 +68,11 @@ products (a seeded Borcherds draw) checks on a fresh system.
 nonzero inner products a_(k) b, each (r, s, t)'s left-hand-side terms and
 the ranges of the other sums -- are built once; per third state only the
 nonzero inner products b_(k) c and a_(k) c and the outer products are
-computed, and the (r, s, t) of one triple share them.
+computed, and the (r, s, t) of one triple share them.  A window that
+checks many third states per pair keeps a ``pairs`` table across calls:
+it holds each inner-product list, keyed by the pair and its range, and
+each pair's state pole bound, keyed by the pair alone, so a table hit
+recomputes nothing.
 """
 
 from __future__ import annotations
@@ -339,15 +343,22 @@ def _inner_products(va, x, y, span, pairs) -> list:
     :func:`_span`) and k below the state pole bound of (x, y), in
     increasing k: a product at or above it is zero.
 
-    ``pairs``, when given, keeps the lists across calls; they are never
-    mutated.
+    ``pairs``, when given, keeps the lists across calls, keyed by
+    (x, y, lo, hi); they are never mutated.  It also keeps the state pole
+    bound of each pair, keyed by (x, y) alone, so a pair's bound is
+    computed once whatever the span.
     """
     lo, cap = span
-    hi = va.state_pole_bound(x, y) - 1
-    if cap is not None:
-        hi = min(hi, cap)
+    if pairs is None:
+        bound = va.state_pole_bound(x, y)
+    else:
+        pair = (tuple(x.items()), tuple(y.items()))
+        bound = pairs.get(pair)
+        if bound is None:
+            bound = pairs[pair] = va.state_pole_bound(x, y)
+    hi = bound - 1 if cap is None else min(bound - 1, cap)
     if pairs is not None:
-        key = (tuple(x.items()), tuple(y.items()), lo, hi)
+        key = pair + (lo, hi)
         hit = pairs.get(key)
         if hit is not None:
             return hit
@@ -374,8 +385,9 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
     the identities of one triple share them.  Each sum walks its list with
     j = k - r (k - t, k - s) in increasing j, so every report keeps the
     item order and scalar types of the identity checked alone.  ``pairs``
-    is a dict that keeps the inner-product lists across calls, for a
-    window in which each pair of states occurs with many third states.
+    is a dict that keeps the inner-product lists, and the pole bound of
+    each pair, across calls, for a window in which each pair of states
+    occurs with many third states.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:

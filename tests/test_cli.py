@@ -17,7 +17,9 @@ maximum), integer literals and exact results past Python's int-to-str
 digit limit, the recorded sha256 of each --schema output, --help
 stating every limit, the input fields the schemas leave optional, the
 documented example invocations, a reader that closes the pipe early,
-and a Hypothesis fuzz of form files and windows that must never crash.
+the library layers that each subcommand, --help and --schema load in a
+fresh process, and a Hypothesis fuzz of form files and windows that
+must never crash.
 """
 
 import contextlib
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralis import algebroid, chevalley, cli, ring
+from chiralis import algebroid, chevalley, cli, fock, koszul, ring
 from chiralis.algebra import SuperPolyAlgebra, tangent_part
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
@@ -132,6 +134,55 @@ def child(argv):
     return subprocess.run([sys.executable, "-m", "chiralis.cli", *argv],
                           capture_output=True, timeout=5,
                           env=dict(os.environ, PYTHONPATH=src))
+
+
+# a fresh process that runs one command and prints its exit code and the
+# chiralis modules it has loaded
+LOADED_PROBE = """
+import contextlib, io, json, sys
+from chiralis.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("chiralis."))]))
+"""
+
+
+def test_each_run_loads_only_the_layers_it_runs(tmp_path):
+    """Every run is a fresh process, so each layer that a subcommand does
+    not run but the CLI imports is compiled for nothing: each subcommand
+    on its smallest window, --help and --schema load exactly these
+    layers besides the package, ``cli`` and ``ring``."""
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"vars": 1, "terms": []}))
+    cocycle = tmp_path / "cocycle.json"
+    cocycle.write_text(json.dumps({"vars": 1, "two_form": {"terms": []}}))
+    algebroid_layers = ["algebra", "algebroid", "chevalley", "exact", "fock",
+                        "starops"]
+    cases = [
+        (["--help"], []),
+        (["borcherds-check", "--schema"], []),
+        (["fs-cohomology", "--m", "1", "--max-weight", "0", "--max-charge",
+          "0"], ["algebra", "exact", "fock", "koszul"]),
+        (["borcherds-check", "--vars", "1", "--max-weight", "0"],
+         ["algebra", "exact", "fock"]),
+        (["liestar-check", "--vars", "1", "--jet-order", "0", "--degree",
+          "0"], algebroid_layers),
+        (["algebroid-twist", "--cocycle", str(cocycle)], algebroid_layers),
+        (["chiral-infty-check", "--m", "2", "--truncate"], algebroid_layers),
+        (["linfty-check", "--samples", "1"], ["exact", "linfty", "starops"]),
+        (["derham-closed", "--form", str(form)], ["algebra"]),
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, layers in cases:
+        proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=src))
+        code, loaded = json.loads(proc.stdout)
+        want_code = 1 if "--truncate" in argv else 0
+        assert code == want_code, (argv, proc.stderr)
+        assert loaded == sorted(["chiralis.cli", "chiralis.ring"] + [
+            f"chiralis.{layer}" for layer in layers]), argv
 
 
 def test_large_exponents_are_one_monomial(tmp_path):
@@ -251,8 +302,9 @@ def test_windows_at_their_maximum_are_accepted(tmp_path, monkeypatch):
     where it would build its first algebra or system, so nothing runs at
     a maximum.  The fs-cohomology cases set all three of its limits to
     their maxima at once."""
-    for name in ("BGSystem", "ChiralKoszul", "even_base"):
-        monkeypatch.setattr(cli, name, accepted)
+    for module, name in ((fock, "BGSystem"), (koszul, "ChiralKoszul"),
+                         (cli, "even_base")):
+        monkeypatch.setattr(module, name, accepted)
     for case, lim in LIMITS.items():
         code, out, err = run_case(tmp_path, case, lim.hi)
         assert code == 3 and "Accepted" in err, (case, err)
@@ -269,7 +321,7 @@ def test_letter_count_takes_both_factors(monkeypatch):
                                     "--max-weight", value])
         assert code == 2 and not out and f"at most {maximum}" in err, err
         assert time.perf_counter() - t0 < 1.0
-    monkeypatch.setattr(cli, "BGSystem", accepted)
+    monkeypatch.setattr(fock, "BGSystem", accepted)
     for nvars, weight in (("1", "23"), ("2", "11")):
         code, out, err = run_quiet(["borcherds-check", "--vars", nvars,
                                     "--max-weight", weight])
@@ -318,7 +370,7 @@ def test_exhaustive_borcherds_report_is_pinned(tmp_path):
         "f43df4195a9f9134176e46fdaeacfb2910cb1ae6e62bdc0d687ed4dbc350e918")
 
 
-class Faulty(cli.BGSystem):
+class Faulty(BGSystem):
     """Doubles every 0-th product, which breaks the commutator formula."""
 
     def nth(self, a, n, b):
@@ -326,7 +378,7 @@ class Faulty(cli.BGSystem):
         return {k: 2 * c for k, c in out.items()} if n == 0 else out
 
 
-class SignlessLetter(cli.BGSystem):
+class SignlessLetter(BGSystem):
     """Drops the (-1)^l of the one-letter base case
     (T^l phi / l!)_(n) = (-1)^l C(n, l) phi_(n-l), for every product
     that the kernel computes."""
@@ -374,7 +426,7 @@ def test_borcherds_failure_reports_witness(tmp_path, monkeypatch, mode):
     # offending differences as witnesses: the same count, entries and order
     # as the oracle gives checking one identity at a time on the same
     # faulty products
-    monkeypatch.setattr(cli, "BGSystem", Faulty)
+    monkeypatch.setattr(fock, "BGSystem", Faulty)
     code, rep = report(
         tmp_path, "bf.json",
         ["borcherds-check", "--vars", "1", "--max-weight", "1", *mode],
@@ -402,7 +454,7 @@ def test_borcherds_catches_a_faulty_one_letter_base_case(tmp_path,
                                                          monkeypatch, mode):
     # a fault inside the kernel, below every nth call: the witnesses are the
     # oracle's, checking one identity at a time on the same products
-    monkeypatch.setattr(cli, "BGSystem", SignlessLetter)
+    monkeypatch.setattr(fock, "BGSystem", SignlessLetter)
     code, rep = report(
         tmp_path, "bs.json",
         ["borcherds-check", "--vars", "1", "--max-weight", "1", *mode],
@@ -424,12 +476,13 @@ def test_borcherds_catches_a_faulty_one_letter_base_case(tmp_path,
 
 def test_borcherds_window_leaves_cached_products_intact(tmp_path,
                                                         monkeypatch):
-    # the memo and the kept inner-product lists are shared by every triple
-    # of the window; recomputed on a fresh system after the run, each must
-    # still hold its first value, item order and scalar types included
+    # the memo and the kept inner-product lists and pair bounds are shared
+    # by every triple of the window; recomputed on a fresh system after the
+    # run, each must still hold its first value, item order and scalar
+    # types included
     systems, kept = [], []
 
-    class Recorded(cli.BGSystem):
+    class Recorded(BGSystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             systems.append(self)
@@ -438,8 +491,8 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
         kept.append(pairs)
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
-    monkeypatch.setattr(cli, "BGSystem", Recorded)
-    monkeypatch.setattr(cli, "borcherds_checks", recording)
+    monkeypatch.setattr(fock, "BGSystem", Recorded)
+    monkeypatch.setattr(fock, "borcherds_checks", recording)
     code, rep = report(
         tmp_path, "bm.json",
         ["borcherds-check", "--vars", "1", "--max-weight", "2",
@@ -454,8 +507,13 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
         fresh = BGSystem(fk.base)
         assert exact_items(fresh._nth_mono(ma, n, mb)) == exact_items(
             value), (ma, n, mb)
-    for (x, y, lo, hi), value in pairs.items():
+    for key, value in pairs.items():
         fresh = BGSystem(fk.base)
+        if len(key) == 2:  # the pair's state pole bound
+            assert value == fresh.state_pole_bound(*map(dict, key)), key
+            continue
+        x, y, lo, hi = key
+        assert (x, y) in pairs and hi < pairs[x, y], key
         want = [(k, exact_items(p)) for k in range(lo, hi + 1)
                 if (p := fresh.nth(dict(x), k, dict(y)))]
         assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
@@ -480,7 +538,7 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
     monkeypatch.setattr(BGSystem, "__init__", spy)
-    monkeypatch.setattr(cli, "borcherds_checks", checks)
+    monkeypatch.setattr(fock, "borcherds_checks", checks)
     code, rep = report(tmp_path, "seeded.json",
                        ["borcherds-check", "--samples", "300", "--seed", "1"])
     assert code == 0 and rep["checked"] == 284
@@ -495,7 +553,7 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
         held.append(va)
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
-    monkeypatch.setattr(cli, "borcherds_checks", holding)
+    monkeypatch.setattr(fock, "borcherds_checks", holding)
     code, rep = report(tmp_path, "window.json",
                        ["borcherds-check", "--vars", "1", "--max-weight", "2",
                         "--samples", "0"])
@@ -877,7 +935,9 @@ def test_malformed_json_input(tmp_path):
 def test_integer_literals_past_the_digit_limit_exit_2():
     """json raises a plain ValueError for an integer literal longer than
     Python's int-to-str digit limit (4300 digits), which exited 3; the
-    file is written as text, since json.dumps refuses the same integer."""
+    file is written as text, since json.dumps refuses the same integer.
+    The error says what is wrong with the file, not how to lift the
+    limit inside Python."""
     big = "1" * 5000
     forms = {
         "vars": f'{{"vars": {big}, "terms": []}}',
@@ -893,6 +953,9 @@ def test_integer_literals_past_the_digit_limit_exit_2():
                  else form)):
             code, out, err = run_on_file(argv, text)
             assert (code, out) == (2, ""), (field, argv, err)
+            assert "holds an integer longer than" in err, err
+            assert f"{sys.get_int_max_str_digits()} digits" in err, err
+            assert "set_int_max_str_digits" not in err, err
 
 
 def test_results_past_the_digit_limit_are_printed_exactly():

@@ -23,26 +23,44 @@ PACKAGE = ROOT / "src" / "chiralis"
 
 
 def unused_imports(source: str):
-    """Module-level imported names that the module never reads."""
+    """Imported names that their scope never reads: a module-level import
+    must be read somewhere in the module, and an import inside a function
+    somewhere in that function."""
     tree = ast.parse(source)
-    imported = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in imported.items()
-                  if name not in read)
+    unused = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+            continue
+        imported = {}
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:  # the scope's own statements, not its inner functions
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            todo.extend(ast.iter_child_nodes(node))
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        unused.update((line, name) for name, line in imported.items()
+                      if name not in read)
+    return sorted(unused)
 
 
 def test_unused_import_finder():
     src = "import os, sys\nfrom . import ring\nfrom .x import a, b as c\n" \
           "print(sys.argv, ring.ZERO, c)\n"
     assert unused_imports(src) == [(1, "os"), (3, "a")]
+    # an import inside a function is read in that function or not at all
+    src = "import os\n\ndef f():\n    from .x import a, b\n    return b\n" \
+          "\ndef g():\n    import sys\n    return a, os\n"
+    assert unused_imports(src) == [(4, "a"), (8, "sys")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(

@@ -75,6 +75,17 @@ def test_mono_mul_against_bubble_sort_oracle():
     for _ in range(400):
         a, b = random_mono(rng), random_mono(rng)
         assert mono_mul(a, b, par) == oracle_mono_mul(a, b)
+    # a one-letter, exponent-1 left factor (a creation mode) is placed by
+    # its own scan: every letter, against right factors of which half
+    # already hold it (an odd one squares to zero, an even one adds 1)
+    for g in sorted(PARITY):
+        a = ((g, 1),)
+        for _ in range(1000):
+            b = random_mono(rng)
+            if rng.randrange(2) and all(h != g for h, _e in b):
+                e = 1 if par(g) else rng.randint(1, 3)
+                b = tuple(sorted(b + ((g, e),)))
+            assert mono_mul(a, b, par) == oracle_mono_mul(a, b), b
 
 
 def test_odd_generators_anticommute_and_square_to_zero():
