@@ -291,11 +291,14 @@ def load_json(path: Optional[str], flag: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8
+        # an integer literal past the int-to-str digit limit (Python
+        # 3.10.7 and later), whose text tells a Python caller to lift it
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        if limit and "integer string conversion" in str(exc):
+            raise UsageError(f"{path!r} holds an integer longer than"
+                             f" {limit()} digits") from exc
         raise UsageError(f"malformed JSON in {path!r}: {exc}") from exc
-    except ValueError as exc:  # an integer literal past the digit limit
-        raise UsageError(f"{path!r} holds an integer longer than"
-                         f" {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(data, dict):
         raise UsageError("the input file must hold a JSON object")
     return data

@@ -69,10 +69,9 @@ nonzero inner products a_(k) b, each (r, s, t)'s left-hand-side terms and
 the ranges of the other sums -- are built once; per third state only the
 nonzero inner products b_(k) c and a_(k) c and the outer products are
 computed, and the (r, s, t) of one triple share them.  A window that
-checks many third states per pair keeps a ``pairs`` table across calls:
-it holds each inner-product list, keyed by the pair and its range, and
-each pair's state pole bound, keyed by the pair alone, so a table hit
-recomputes nothing.
+checks many third states per pair keeps a ``pairs`` table across calls,
+one entry per pair: its state pole bound and its inner-product lists,
+keyed by their range, so a table hit recomputes nothing.
 """
 
 from __future__ import annotations
@@ -343,23 +342,22 @@ def _inner_products(va, x, y, span, pairs) -> list:
     :func:`_span`) and k below the state pole bound of (x, y), in
     increasing k: a product at or above it is zero.
 
-    ``pairs``, when given, keeps the lists across calls, keyed by
-    (x, y, lo, hi); they are never mutated.  It also keeps the state pole
-    bound of each pair, keyed by (x, y) alone, so a pair's bound is
-    computed once whatever the span.
+    ``pairs``, when given, keeps one entry per pair across calls, keyed
+    by (x, y): the pair's state pole bound, computed once, and a dict of
+    its lists keyed by (lo, hi); the lists are never mutated.
     """
     lo, cap = span
     if pairs is None:
-        bound = va.state_pole_bound(x, y)
+        bound, lists = va.state_pole_bound(x, y), None
     else:
         pair = (tuple(x.items()), tuple(y.items()))
-        bound = pairs.get(pair)
-        if bound is None:
-            bound = pairs[pair] = va.state_pole_bound(x, y)
+        entry = pairs.get(pair)
+        if entry is None:
+            entry = pairs[pair] = (va.state_pole_bound(x, y), {})
+        bound, lists = entry
     hi = bound - 1 if cap is None else min(bound - 1, cap)
-    if pairs is not None:
-        key = pair + (lo, hi)
-        hit = pairs.get(key)
+    if lists is not None:
+        hit = lists.get((lo, hi))
         if hit is not None:
             return hit
     out = []
@@ -367,8 +365,8 @@ def _inner_products(va, x, y, span, pairs) -> list:
         p = va.nth(x, k, y)
         if p:
             out.append((k, p))
-    if pairs is not None:
-        pairs[key] = out
+    if lists is not None:
+        lists[lo, hi] = out
     return out
 
 
@@ -385,9 +383,9 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
     the identities of one triple share them.  Each sum walks its list with
     j = k - r (k - t, k - s) in increasing j, so every report keeps the
     item order and scalar types of the identity checked alone.  ``pairs``
-    is a dict that keeps the inner-product lists, and the pole bound of
-    each pair, across calls, for a window in which each pair of states
-    occurs with many third states.
+    is a dict that keeps each pair's pole bound and inner-product lists
+    across calls, for a window in which each pair of states occurs with
+    many third states.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:

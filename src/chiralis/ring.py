@@ -129,23 +129,6 @@ def mono_mul(a: Mono, b: Mono, parity: Callable[[GenKey], int]):
         return b, 1
     if not b:
         return a, 1
-    if len(a) == 1 and a[0][1] == 1:
-        # One letter (a creation mode): place it by one scan.  It passes
-        # b's smaller letters, so an odd letter takes their parity as sign.
-        g = a[0][0]
-        odd = parity(g)
-        sign = 1
-        for i, (gb, eb) in enumerate(b):
-            if gb < g:
-                if odd and parity(gb) & eb:
-                    sign = -sign
-            elif gb == g:
-                if odd:
-                    return None, 0
-                return b[:i] + ((g, eb + 1),) + b[i + 1:], 1
-            else:
-                return b[:i] + a + b[i:], sign
-        return b + a, sign
     # Parity of the tail a[i:], used for Koszul signs as b's letters are
     # merged leftwards past the remaining letters of a.
     rem = [0] * (len(a) + 1)

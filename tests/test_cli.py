@@ -507,16 +507,15 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
         fresh = BGSystem(fk.base)
         assert exact_items(fresh._nth_mono(ma, n, mb)) == exact_items(
             value), (ma, n, mb)
-    for key, value in pairs.items():
+    for (x, y), (bound, lists) in pairs.items():
         fresh = BGSystem(fk.base)
-        if len(key) == 2:  # the pair's state pole bound
-            assert value == fresh.state_pole_bound(*map(dict, key)), key
-            continue
-        x, y, lo, hi = key
-        assert (x, y) in pairs and hi < pairs[x, y], key
-        want = [(k, exact_items(p)) for k in range(lo, hi + 1)
-                if (p := fresh.nth(dict(x), k, dict(y)))]
-        assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
+        assert bound == fresh.state_pole_bound(dict(x), dict(y)), (x, y)
+        assert lists, (x, y)
+        for (lo, hi), value in lists.items():
+            assert hi < bound, (x, y, lo, hi)
+            want = [(k, exact_items(p)) for k in range(lo, hi + 1)
+                    if (p := fresh.nth(dict(x), k, dict(y)))]
+            assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
 
 
 def test_borcherds_memo_scope(tmp_path, monkeypatch):
@@ -956,6 +955,22 @@ def test_integer_literals_past_the_digit_limit_exit_2():
             assert "holds an integer longer than" in err, err
             assert f"{sys.get_int_max_str_digits()} digits" in err, err
             assert "set_int_max_str_digits" not in err, err
+
+
+def test_other_value_errors_are_not_called_long_integers(tmp_path,
+                                                         monkeypatch):
+    """Only Python's digit-limit error is reported as an over-long
+    integer: a path holding a NUL, which ``open`` refuses with a
+    ValueError, is a plain usage error, and so is the digit-limit error
+    where ``sys`` has no ``get_int_max_str_digits`` (Python before
+    3.10.7)."""
+    argv = ["derham-closed", "--form"]
+    code, out, err = run_quiet(argv + [str(tmp_path / "a\0b.json")])
+    assert (code, out) == (2, "") and "integer" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out, err = run_on_file(argv, f'{{"vars": {"1" * 5000}}}')
+    assert (code, out) == (2, "") and "malformed JSON" in err, err
 
 
 def test_results_past_the_digit_limit_are_printed_exactly():

@@ -75,9 +75,10 @@ def test_mono_mul_against_bubble_sort_oracle():
     for _ in range(400):
         a, b = random_mono(rng), random_mono(rng)
         assert mono_mul(a, b, par) == oracle_mono_mul(a, b)
-    # a one-letter, exponent-1 left factor (a creation mode) is placed by
-    # its own scan: every letter, against right factors of which half
-    # already hold it (an odd one squares to zero, an even one adds 1)
+    # a one-letter, exponent-1 left factor (a creation mode, a third to a
+    # half of all calls on the benchmark workloads): every letter, against
+    # right factors of which half already hold it (an odd one squares to
+    # zero, an even one adds 1)
     for g in sorted(PARITY):
         a = ((g, 1),)
         for _ in range(1000):
