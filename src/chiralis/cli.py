@@ -155,9 +155,11 @@ def _is_count(x) -> bool:
 # an outside size, bounded so that a run ends in seconds: ``value`` reads
 # it from the arguments or the input file, an integer from ``lo`` to
 # ``hi``; ``what`` names it in errors, and ``text`` (formatted with lo
-# and hi) states the limit under ``key`` in --schema and --help
+# and hi) states the limit under ``key`` in --schema and --help.  A limit
+# with no ``value`` is checked where its input is read
 Limit = NamedTuple("Limit", [("key", str), ("what", str), ("lo", int),
-                             ("hi", int), ("text", str), ("value", Callable)])
+                             ("hi", int), ("text", str),
+                             ("value", Optional[Callable])])
 
 # above weight 0 the differential on x_0^m recurses once per copy of x_0,
 # so --m stays well inside Python's recursion limit; at weight 0 x^m is
@@ -166,6 +168,9 @@ MAX_M = 512
 # the coordinates size every algebra
 FILE_VARS = Limit("vars", "field 'vars'", 1, 32, "at most {hi}",
                   lambda data: data.get("vars", 3))
+# an input file is parsed whole, so at most hi + 1 characters are read
+FILE_CHARS = Limit("file_chars", "the input file's length in characters",
+                   1, 65536, "at most {hi}", None)
 LIMITS = {
     "fs-cohomology": (
         Limit("m", "--m", 1, MAX_M, "at most {hi} when max_weight >= 1",
@@ -191,16 +196,18 @@ LIMITS = {
         Limit("jet_order", "--jet-order", 0, 8, "{lo} to {hi}",
               lambda a: a.jet_order),
     ),
-    "algebroid-twist": (FILE_VARS,),
-    "derham-closed": (FILE_VARS,),
+    "algebroid-twist": (FILE_CHARS, FILE_VARS),
+    "derham-closed": (FILE_CHARS, FILE_VARS),
 }
 
 
 def within_limits(command: str, source) -> list:
-    """The limited sizes of ``command`` in table order, read from ``source``
-    (its arguments or input file); a usage error when one is outside."""
-    values = [lim.value(source) for lim in LIMITS[command]]
-    for lim, value in zip(LIMITS[command], values):
+    """The limited sizes of ``command`` that have a ``value``, in table
+    order, read from ``source`` (its arguments or input file); a usage
+    error when one is outside."""
+    limits = [lim for lim in LIMITS[command] if lim.value]
+    values = [lim.value(source) for lim in limits]
+    for lim, value in zip(limits, values):
         if not (_is_count(value) and lim.lo <= value <= lim.hi):
             raise UsageError(f"{lim.what} must be an integer >= {lim.lo} and"
                              f" at most {lim.hi}: {value!r}")
@@ -283,12 +290,17 @@ def parse_form(data: dict, forms: FormAlgebra, field: str,
 
 
 def load_json(path: Optional[str], flag: str) -> dict:
-    """The JSON object in the file that the option ``flag`` names."""
+    """The JSON object in the file that the option ``flag`` names, which
+    holds at most ``FILE_CHARS.hi`` characters."""
     if not path:
         raise UsageError(f"{flag} is required")
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read(FILE_CHARS.hi + 1)
+        if len(text) > FILE_CHARS.hi:
+            raise UsageError(f"{FILE_CHARS.what} must be at most"
+                             f" {FILE_CHARS.hi}: {path!r} is longer")
+        data = json.loads(text)
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also bad UTF-8
@@ -379,22 +391,22 @@ def cmd_borcherds_check(args) -> dict:
                 yield a, b, [c], [[rng.randint(-2, 2) for _ in range(3)]]
 
     # in the exhaustive window each pair (b, c) or (a, c) recurs with every
-    # letter as the other state, so the inner-product lists and the memo of
-    # one system are kept; seeded draws rarely repeat a product, so each is
-    # checked on a fresh system
-    pairs = {} if args.samples == 0 else None
+    # letter as the other state, so one system (its memo) and one table of
+    # inner products serve the run; seeded draws rarely repeat a product,
+    # so each is checked on a fresh system and table that die with it
+    kept = (fk, {})
     failures = []  # the first ten, which the report shows
     failed = checked = 0
     for a, b, cs, rsts in cases():
-        va = fk if pairs is not None else BGSystem(fk.base)
-        for c, reps in zip(cs, borcherds_checks(va, a, b, cs, rsts, pairs)):
-            for rst, rep in zip(rsts, reps):
+        va, pairs = kept if args.samples == 0 else (BGSystem(fk.base), {})
+        for c, res in zip(cs, borcherds_checks(va, a, b, cs, rsts, pairs)):
+            for rst, (_lhs, _rhs, diff) in zip(rsts, res):
                 checked += 1
-                if not rep["ok"]:
+                if diff:
                     failed += 1
                     if failed <= 10:
                         failures.append({"a": a, "b": b, "c": c, "rst": rst,
-                                         "difference": rep["difference"]})
+                                         "difference": diff})
     if not checked:
         raise UsageError("the window yields no Borcherds cases")
     return {

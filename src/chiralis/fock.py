@@ -63,15 +63,15 @@ lookup.  The memo lives as long as its system: a caller that reuses few
 products (a seeded Borcherds draw) checks on a fresh system.
 
 :func:`borcherds_checks` checks the Borcherds identities of the triples
-(a, b, c) for one pair (a, b) and a list of third states c
-(:func:`borcherds_full_check` checks one).  The tables of the pair -- the
+(a, b, c) for one pair (a, b) and a list of third states c, with one
+(lhs, rhs, difference) per identity.  The tables of the pair -- the
 nonzero inner products a_(k) b, each (r, s, t)'s left-hand-side terms and
 the ranges of the other sums -- are built once; per third state only the
 nonzero inner products b_(k) c and a_(k) c and the outer products are
-computed, and the (r, s, t) of one triple share them.  A window that
-checks many third states per pair keeps a ``pairs`` table across calls,
-one entry per pair: its state pole bound and its inner-product lists,
-keyed by their range, so a table hit recomputes nothing.
+computed, and the (r, s, t) of one triple share them.  Every inner
+product list goes through a ``pairs`` table, one entry per pair: its
+state pole bound and its lists, keyed by their range.  A window keeps
+one table across calls, and a seeded draw starts a fresh one.
 """
 
 from __future__ import annotations
@@ -308,21 +308,6 @@ class BGSystem:
         return ring.poly_str(p, name)
 
 
-def borcherds_full_check(va, a, b, c, r: int, s: int, t: int) -> dict:
-    """Check the full Borcherds identity for F = (x-y)^r (x-z)^s (y-z)^t.
-
-    Evaluates
-
-      sum_j C(s,j) (a_(r+j) b)_(s+t-j) c
-        - sum_j (-1)^j C(r,j) [ a_(r+s-j) (b_(t+j) c)
-             - (-1)^(r + |a||b|) b_(r+t-j) (a_(s+j) c) ]
-
-    and reports whether it vanishes.  All sums are truncated by exact
-    pole bounds.
-    """
-    return borcherds_checks(va, a, b, [c], [(r, s, t)])[0][0]
-
-
 def _span(starts) -> Tuple[int, Optional[int]]:
     """(lo, cap): the sums of ``starts`` visit k >= lo, and k <= cap.
 
@@ -342,38 +327,40 @@ def _inner_products(va, x, y, span, pairs) -> list:
     :func:`_span`) and k below the state pole bound of (x, y), in
     increasing k: a product at or above it is zero.
 
-    ``pairs``, when given, keeps one entry per pair across calls, keyed
-    by (x, y): the pair's state pole bound, computed once, and a dict of
-    its lists keyed by (lo, hi); the lists are never mutated.
+    ``pairs`` keeps one entry per pair across calls, keyed by (x, y): the
+    pair's state pole bound, computed once, and a dict of its lists keyed
+    by (lo, hi); the lists are never mutated.
     """
     lo, cap = span
-    if pairs is None:
-        bound, lists = va.state_pole_bound(x, y), None
-    else:
-        pair = (tuple(x.items()), tuple(y.items()))
-        entry = pairs.get(pair)
-        if entry is None:
-            entry = pairs[pair] = (va.state_pole_bound(x, y), {})
-        bound, lists = entry
+    pair = (tuple(x.items()), tuple(y.items()))
+    entry = pairs.get(pair)
+    if entry is None:
+        entry = pairs[pair] = (va.state_pole_bound(x, y), {})
+    bound, lists = entry
     hi = bound - 1 if cap is None else min(bound - 1, cap)
-    if lists is not None:
-        hit = lists.get((lo, hi))
-        if hit is not None:
-            return hit
+    hit = lists.get((lo, hi))
+    if hit is not None:
+        return hit
     out = []
     for k in range(lo, hi + 1):
         p = va.nth(x, k, y)
         if p:
             out.append((k, p))
-    if lists is not None:
-        lists[lo, hi] = out
+    lists[lo, hi] = out
     return out
 
 
-def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
-    """Check the Borcherds identity of the triples (a, b, c), for c in
-    ``cs``, at every (r, s, t) of ``rsts``: per third state, one
-    :func:`borcherds_full_check` report per (r, s, t), in order.
+def borcherds_checks(va, a, b, cs, rsts, pairs) -> list:
+    """Check the Borcherds identity for F = (x-y)^r (x-z)^s (y-z)^t,
+
+      sum_j C(s,j) (a_(r+j) b)_(s+t-j) c
+        = sum_j (-1)^j C(r,j) [ a_(r+s-j) (b_(t+j) c)
+             - (-1)^(r + |a||b|) b_(r+t-j) (a_(s+j) c) ],
+
+    of the triples (a, b, c), for c in ``cs``, at every (r, s, t) of
+    ``rsts``: per third state, one (lhs, rhs, difference) per (r, s, t),
+    in order; the identity holds when the difference is {}.  All sums are
+    truncated by exact pole bounds.
 
     The tables of the pair (a, b) are built once: the parities, the
     nonzero inner products a_(k) b over the union of the ranges the sums
@@ -381,11 +368,11 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
     left-hand-side terms, and the ranges of b_(k) c and a_(k) c.  Per
     third state only those two lists and the outer products are computed;
     the identities of one triple share them.  Each sum walks its list with
-    j = k - r (k - t, k - s) in increasing j, so every report keeps the
+    j = k - r (k - t, k - s) in increasing j, so every result keeps the
     item order and scalar types of the identity checked alone.  ``pairs``
-    is a dict that keeps each pair's pole bound and inner-product lists
-    across calls, for a window in which each pair of states occurs with
-    many third states.
+    is the table of :func:`_inner_products`: one dict kept across the
+    calls of a window in which each pair of states occurs with many third
+    states, or a fresh one.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:
@@ -412,7 +399,7 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
         ac = _inner_products(va, a, c, span_ac, pairs)
         # (role, k, n) -> (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
         outer: Dict = {}
-        reports = []
+        results = []
         for r, s, t, lhs_terms, sign_r in tables:
             lhs: State = {}
             for k, p, n, coeff in lhs_terms:
@@ -440,15 +427,6 @@ def borcherds_checks(va, a, b, cs, rsts, pairs=None) -> list:
                         prod = outer[2, k, n] = va.nth(b, n, p)
                     ring.acc_poly(rhs, prod,
                                   -sign_r * (-1 if j & 1 else 1) * coeff)
-            diff = ring.psub(lhs, rhs)
-            reports.append({
-                "r": r,
-                "s": s,
-                "t": t,
-                "ok": not diff,
-                "lhs": lhs,
-                "rhs": rhs,
-                "difference": diff,
-            })
-        out.append(reports)
+            results.append((lhs, rhs, ring.psub(lhs, rhs)))
+        out.append(results)
     return out

@@ -112,17 +112,6 @@ class ChiralKoszul:
             cells.setdefault(self.fock.mono_degree(mono), []).append(mono)
         return cells
 
-    def differential_matrix(
-        self, weight: int, charge: int, degree: int
-    ) -> Tuple[List[dict], List[tuple], List[tuple]]:
-        """Matrix of the differential from degree d to d+1 in one cell.
-
-        Returns (columns as sparse dicts over the target index, the
-        domain basis, the target basis); each column is the image of one
-        domain monomial.
-        """
-        return self._matrix(self.cell_by_degree(weight, charge), degree)
-
     def _matrix(
         self, cells: Dict[int, List[tuple]], degree: int
     ) -> Tuple[List[dict], List[tuple], List[tuple]]:
@@ -161,7 +150,7 @@ class ChiralKoszul:
         degrees = sorted(cells)
         entries = []
         info: Dict[int, tuple] = {}
-        for d in range(degrees[0] - 1, degrees[-1] + 1):
+        for d in degrees:
             cols, dom, tgt = self._matrix(cells, d)
             n = len(dom)
             rows: List[dict] = [dict() for _ in tgt]

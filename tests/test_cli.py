@@ -222,7 +222,8 @@ def fs_window(**quantity):
 
 # for each limit of cli.LIMITS, the option or field that the case varies
 # and an argv that sets the limited quantity to a value; a dict in the
-# argv stands for a JSON input file
+# argv stands for a JSON input file, and a (dict, size) pair for one of
+# size characters
 LIMIT_CASES = {
     ("fs-cohomology", "m"): ("fs --m", lambda v: fs_window(m=v)),
     ("fs-cohomology", "max_weight"): (
@@ -242,6 +243,10 @@ LIMIT_CASES = {
         {"vars": v, "three_form": {"terms": []}}]),
     ("derham-closed", "vars"): ("derham vars", lambda v: [
         "derham-closed", "--form", {"vars": v, "terms": []}]),
+    ("algebroid-twist", "file_chars"): ("twist file length", lambda v: [
+        "algebroid-twist", "--cocycle", ({"three_form": {"terms": []}}, v)]),
+    ("derham-closed", "file_chars"): ("derham file length", lambda v: [
+        "derham-closed", "--form", ({"terms": []}, v)]),
 }
 LIMITS = {(command, lim.key): lim
           for command, lims in cli.LIMITS.items() for lim in lims}
@@ -251,14 +256,31 @@ def test_every_limit_has_a_case():
     assert sorted(LIMIT_CASES) == sorted(LIMITS)
 
 
+def write_input(path, data, size=None):
+    """``data`` as JSON in the file ``path``; with ``size``, a file of that
+    many characters: spaces before the closing brace up to one past
+    ``cli.FILE_CHARS``, so that the object ends at the last character
+    read, then NUL bytes that no run reads (a sparse tail)."""
+    text = json.dumps(data)
+    with open(path, "w") as fh:
+        if size is None:
+            fh.write(text)
+        else:
+            fh.write(text[:-1].ljust(min(size, cli.FILE_CHARS.hi + 1) - 1)
+                     + "}")
+            fh.truncate(size)
+    return str(path)
+
+
 def run_case(tmp_path, case, value):
     """``run_quiet`` on the argv that sets the quantity of the limit
-    ``case`` to ``value``, each dict in it written to a JSON file."""
+    ``case`` to ``value``, each input file in it written out."""
     argv = LIMIT_CASES[case][1](value)
     for i, word in enumerate(argv):
         if isinstance(word, dict):
-            argv[i] = str(tmp_path / "input.json")
-            (tmp_path / "input.json").write_text(json.dumps(word))
+            argv[i] = write_input(tmp_path / "input.json", word)
+        elif isinstance(word, tuple):
+            argv[i] = write_input(tmp_path / "input.json", *word)
     return run_quiet(argv)
 
 
@@ -273,7 +295,9 @@ def test_windows_past_their_maximum_exit_2_at_once(tmp_path, case):
     past its maximum, which sizes the algebra the same way; borcherds-check
     took 13.4 s on 96 letters, and it checks every triple of letters;
     fs-cohomology took 53.5 s at weight 8, and 12.8 s and 428 MB on 100001
-    charges.  Past its maximum each limit exits 2 within a second."""
+    charges; a form file was read whole, and /dev/zero grew until a
+    MemoryError (exit 3).  Past its maximum each limit exits 2 within a
+    second."""
     lim = LIMITS[case]
     for value in (lim.hi + 1, 10 ** 8):
         t0 = time.perf_counter()
@@ -487,7 +511,7 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
             super().__init__(*args, **kwargs)
             systems.append(self)
 
-    def recording(va, a, b, cs, rsts, pairs=None):
+    def recording(va, a, b, cs, rsts, pairs):
         kept.append(pairs)
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
@@ -520,9 +544,9 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
 
 def test_borcherds_memo_scope(tmp_path, monkeypatch):
     # seeded draws share almost no products, so each is checked on a fresh
-    # system that dies with its draw; the exhaustive window keeps one
-    # system, and its memo holds no product that the Wick bound P(a, b)
-    # says is zero
+    # system and a fresh table that die with its draw; the exhaustive
+    # window keeps one system and one table, and its memo holds no product
+    # that the Wick bound P(a, b) says is zero
     systems = []  # a weak reference to every system made
     init = BGSystem.__init__
 
@@ -532,8 +556,9 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
 
     live = []
 
-    def checks(va, a, b, cs, rsts, pairs=None):
-        live.append((len(va._memo), sum(ref() is not None for ref in systems)))
+    def checks(va, a, b, cs, rsts, pairs):
+        live.append((len(va._memo), len(pairs),
+                     sum(ref() is not None for ref in systems)))
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
     monkeypatch.setattr(BGSystem, "__init__", spy)
@@ -542,14 +567,15 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
                        ["borcherds-check", "--samples", "300", "--seed", "1"])
     assert code == 0 and rep["checked"] == 284
     # one system draws the states, and one per draw checks them, starting
-    # from an empty memo while the systems of earlier draws are gone
-    assert len(systems) == 285 and live == [(0, 2)] * 284
+    # from an empty memo and an empty table while the systems of earlier
+    # draws are gone
+    assert len(systems) == 285 and live == [(0, 0, 2)] * 284
     assert all(ref() is None for ref in systems)
 
     held = []
 
-    def holding(va, a, b, cs, rsts, pairs=None):
-        held.append(va)
+    def holding(va, a, b, cs, rsts, pairs):
+        held.append((va, pairs))
         return borcherds_checks(va, a, b, cs, rsts, pairs)
 
     monkeypatch.setattr(fock, "borcherds_checks", holding)
@@ -557,8 +583,8 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
                        ["borcherds-check", "--vars", "1", "--max-weight", "2",
                         "--samples", "0"])
     assert code == 0 and rep["checked"] == 5000
-    fk = held[0]
-    assert all(va is fk for va in held)
+    fk, table = held[0]
+    assert table and all(va is fk and pairs is table for va, pairs in held)
     assert len(fk._memo) == 630
     for ma, n, mb in fk._memo:
         assert n < 0 or n < wick_bound(fk, ma, mb), (ma, n, mb)
@@ -846,7 +872,8 @@ def test_usage_errors(tmp_path):
 
 
 # sha256 of each subcommand's --schema output, recorded before its limits
-# were read from cli.LIMITS
+# were read from cli.LIMITS; algebroid-twist and derham-closed recorded
+# again when their input files got a length limit
 SCHEMA_SHA256 = {
     "fs-cohomology":
         "d4fa09d27390e54c1364a9d5a379c1a109f1ebabce0327aa1c7761f07f1a7df9",
@@ -857,11 +884,11 @@ SCHEMA_SHA256 = {
     "linfty-check":
         "08fb149e818f2900c14482307662aee09829a302d7ea1cc4e2b8b0eac40f0176",
     "algebroid-twist":
-        "48cf19deaab7bb5415ddc070dc83b14db4319ce88c896ce2200459a8c639d87e",
+        "babac472bce3cd6159814cf4cb6cac6306123d138156afc8d0d5f3a4be65aaf5",
     "chiral-infty-check":
         "3e63da5487795f5a13c66368bdb1977feb79f7a465bd3fa55dbe54fdcd1f8d05",
     "derham-closed":
-        "ac9ef48704e973d42b9fb07a107cb2b160e2e577f0a11b28389e928735778433",
+        "d7656451145c586afbe911ad8aca04d9133005aa3154f6dde1cd830ee32aa40b",
 }
 
 

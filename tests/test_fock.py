@@ -4,9 +4,9 @@ Oracles: the vertex algebra axioms and the Borcherds identity, the Fraction
 path for the int path, and ``ReferenceBG`` -- the product kernel before
 its term-2 sum was restricted to the conjugate letters present, its sums
 were accumulated in place and its recursion stopped at one letter -- for
-``nth`` and ``borcherds_full_check``, and with ``reference_borcherds`` for
-``borcherds_checks``, which checks the identities of one pair with a list
-of third states together.  ``CommutativeVA`` is a second
+``nth`` and ``borcherds_checks`` (one identity at a time), and with
+``reference_borcherds`` for ``borcherds_checks`` checking the identities
+of one pair with a list of third states together.  ``CommutativeVA`` is a second
 vertex algebra for the Borcherds checker.  The oracles of the ranges that
 end at the state pole bound are the loops that ran to the weight bound
 wt x + wt y (``max_weight``).
@@ -21,7 +21,7 @@ import pytest
 
 from chiralis.algebra import JetAlgebra, SuperPolyAlgebra
 from chiralis.fock import (_CONJ, BGSystem, _inner_products, _span,
-                           borcherds_checks, borcherds_full_check)
+                           borcherds_checks)
 from chiralis.exact import binomial
 from chiralis.koszul import ChiralKoszul
 from chiralis.ring import (acc, acc_poly, mono_degree, mono_parity, padd,
@@ -140,8 +140,9 @@ def test_borcherds_commutator_small_exhaustive():
     lets = letters(sys, 1)
     for a, b, c in itertools.product(lets, repeat=3):
         for s, t in [(0, 0), (1, 0), (0, -1), (-1, 1)]:
-            rep = borcherds_full_check(sys, a, b, c, 0, s, t)
-            assert rep["ok"], sys.str(rep["difference"])
+            _lhs, _rhs, diff = borcherds_checks(
+                sys, a, b, [c], [(0, s, t)], {})[0][0]
+            assert not diff, sys.str(diff)
 
 
 def test_borcherds_normal_order_form():
@@ -151,8 +152,9 @@ def test_borcherds_normal_order_form():
     for _ in range(60):
         a, b, c = (rng.choice(lets) for _ in range(3))
         t = rng.randint(-2, 2)
-        rep = borcherds_full_check(sys, a, b, c, -1, 0, t)
-        assert rep["ok"], sys.str(rep["difference"])
+        _lhs, _rhs, diff = borcherds_checks(
+            sys, a, b, [c], [(-1, 0, t)], {})[0][0]
+        assert not diff, sys.str(diff)
 
 
 def test_borcherds_random_rst_composite_states():
@@ -165,8 +167,9 @@ def test_borcherds_random_rst_composite_states():
         if sys.state_parity(a) is None or sys.state_parity(b) is None:
             continue
         r, s, t = (rng.randint(-1, 1) for _ in range(3))
-        rep = borcherds_full_check(sys, a, b, c, r, s, t)
-        assert rep["ok"], (r, s, t, sys.str(rep["difference"]))
+        _lhs, _rhs, diff = borcherds_checks(
+            sys, a, b, [c], [(r, s, t)], {})[0][0]
+        assert not diff, (r, s, t, sys.str(diff))
 
 
 def test_skew_symmetry_consequence():
@@ -230,13 +233,14 @@ def test_commutative_va_borcherds():
     for _ in range(20):
         a, b, c = (J.gen(rng.choice(gens)) for _ in range(3))
         r, s, t = (rng.randint(-2, 2) for _ in range(3))
-        rep = borcherds_full_check(va, a, b, c, r, s, t)
-        assert rep["ok"]
+        _lhs, _rhs, diff = borcherds_checks(
+            va, a, b, [c], [(r, s, t)], {})[0][0]
+        assert not diff
     # nonnegative (r,s,t) vanish identically
-    rep = borcherds_full_check(
-        va, J.gen(("x", 0)), J.gen(("y", 0)), J.gen(("x", 1)), 1, 2, 0
-    )
-    assert rep["ok"] and rep["lhs"] == {} and rep["rhs"] == {}
+    lhs, rhs, diff = borcherds_checks(
+        va, J.gen(("x", 0)), J.gen(("y", 0)), [J.gen(("x", 1))], [(1, 2, 0)],
+        {})[0][0]
+    assert not diff and lhs == {} and rhs == {}
 
 
 def test_mode_range_validation():
@@ -616,9 +620,8 @@ def test_borcherds_check_matches_reference():
         if None not in (fast.state_parity(abc[0]), fast.state_parity(abc[1])):
             cases.append((*abc, *(rng.randint(-2, 2) for _ in range(3))))
     for a, b, c, r, s, t in cases:
-        rep = borcherds_full_check(fast, a, b, c, r, s, t)
+        got = borcherds_checks(fast, a, b, [c], [(r, s, t)], {})[0][0]
         want = reference_borcherds(ref, a, b, c, r, s, t)
-        got = (rep["lhs"], rep["rhs"], rep["difference"])
         assert [exact_items(p) for p in got] == [
             exact_items(p) for p in want], (a, b, c, r, s, t)
 
@@ -632,18 +635,18 @@ MIXED_RSTS = [(-2, 1, 0), (1, -1, 2), (0, 2, -1), (2, 0, -2), (-1, -2, 1)]
 
 def assert_checks_match_reference(fast, ref, cases):
     """``borcherds_checks`` against ``reference_borcherds`` one (r, s, t) at
-    a time, with no pairs dict and with one shared dict used twice."""
+    a time, with a fresh pairs dict per call and with one shared dict used
+    twice."""
     shared = {}
-    for pairs in (None, shared, shared):
+    for fresh in (True, False, False):
         for a, b, c, rsts in cases:
-            (reps,) = borcherds_checks(fast, a, b, [c], rsts, pairs)
-            assert [(rep["r"], rep["s"], rep["t"]) for rep in reps] == rsts
-            for rep, (r, s, t) in zip(reps, rsts):
+            pairs = {} if fresh else shared
+            (got,) = borcherds_checks(fast, a, b, [c], rsts, pairs)
+            assert len(got) == len(rsts)
+            for res, (r, s, t) in zip(got, rsts):
                 want = reference_borcherds(ref, a, b, c, r, s, t)
-                got = (rep["lhs"], rep["rhs"], rep["difference"])
-                assert [exact_items(p) for p in got] == [
+                assert [exact_items(p) for p in res] == [
                     exact_items(p) for p in want], (a, b, c, r, s, t)
-                assert rep["ok"] is not bool(want[2])
     assert shared
 
 
@@ -695,23 +698,22 @@ def test_borcherds_checks_over_several_third_states():
     abs_ += [(homogeneous_sum(fast, rng, fraction_scalar), lets[4])]
     want = {}
     shared = {}
-    for pairs in (None, shared, shared):
+    for fresh in (True, False, False):
         for (ai, (a, b)), rsts in itertools.product(
                 enumerate(abs_), (EXHAUSTIVE_RSTS, MIXED_RSTS)):
+            pairs = {} if fresh else shared
             assert borcherds_checks(fast, a, b, [], rsts, pairs) == []
             got = borcherds_checks(fast, a, b, cs, rsts, pairs)
             assert len(got) == len(cs)
-            for ci, (c, reps) in enumerate(zip(cs, got)):
-                assert [(rep["r"], rep["s"], rep["t"]) for rep in reps] == rsts
-                for rep, rst in zip(reps, rsts):
+            for ci, (c, results) in enumerate(zip(cs, got)):
+                assert len(results) == len(rsts)
+                for res, rst in zip(results, rsts):
                     key = (ai, ci, rst)
                     if key not in want:
                         want[key] = [exact_items(p) for p in
                                      reference_borcherds(ref, a, b, c, *rst)]
-                    got_items = [exact_items(rep[k])
-                                 for k in ("lhs", "rhs", "difference")]
-                    assert got_items == want[key], (a, b, c, rst)
-                    assert rep["ok"] is not bool(want[key][2])
+                    assert [exact_items(p) for p in res] == want[key], (
+                        a, b, c, rst)
     assert shared
 
 
@@ -808,8 +810,8 @@ def test_state_pole_bound_ends_every_nonzero_product():
 def test_inner_products_match_the_weight_capped_loop():
     """``_inner_products`` ends at the state pole bound; on the spans of
     the exhaustive and the seeded Borcherds windows its lists equal the
-    weight-capped loop's, item order and scalar types included, with and
-    without a kept ``pairs`` dict."""
+    weight-capped loop's, item order and scalar types included, from a
+    fresh ``pairs`` dict and from a kept one."""
     fast, pairs = homogeneous_two_var_pairs(24, 43)
     spans = [_span([(r, s) for r, s, _t in EXHAUSTIVE_RSTS]),
              _span([(t, r) for r, _s, t in EXHAUSTIVE_RSTS]),
@@ -820,7 +822,7 @@ def test_inner_products_match_the_weight_capped_loop():
         for span in spans:
             want = [(k, exact_items(p)) for k, p in
                     weight_capped_inner_products(fast, x, y, span)]
-            for cache in (None, kept, kept):
+            for cache in ({}, kept, kept):
                 got = _inner_products(fast, x, y, span, cache)
                 assert [(k, exact_items(p)) for k, p in got] == want, (
                     x, y, span)

@@ -13,7 +13,9 @@ Oracles used here:
   * dimensions are independent of the basis enumeration order, checked
     against a shuffled-basis recomputation;
   * the pruned cell enumerator agrees with a brute-force enumerator over
-    every letter count, built with the carrier's own multiplication.
+    every letter count, built with the carrier's own multiplication;
+  * every cochain dimension is a coefficient of the carrier's character,
+    a product series computed with plain integer dicts.
 """
 
 import itertools
@@ -92,6 +94,62 @@ def test_cell_basis_matches_brute_force():
                 assert K.cell_basis(w, q) == brute_force_cell_basis(K, w, q)
 
 
+def series_mul(f, g, top):
+    """The product of two series in t, u and s, each a dict from (w, q, d)
+    to the integer coefficient of t^w u^q s^d, cut above t-degree top."""
+    out = {}
+    for (w1, q1, d1), c1 in f.items():
+        for (w2, q2, d2), c2 in g.items():
+            if w1 + w2 <= top:
+                key = (w1 + w2, q1 + q2, d1 + d2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def carrier_character(m, top):
+    """The coefficients of t^w u^q s^d, w <= top, of
+
+      prod_{k>=1} 1/((1 - t^k u)(1 - t^k u^-1))
+        * prod_{k>=1} (1 + t^k u^m s^-1)(1 + t^k u^-m s)
+        * (1 + u^m s^-1) * 1/(1 - u):
+
+    the even letters of weight k >= 1 (x and its momentum, charge 1 and
+    -1), the odd ones (xi and its momentum, charge m and -m, degree -1 and
+    1), xi_0 and x_0.  The last factor is applied as a sum over the
+    charges up to q, so every other factor is a finite series."""
+    f = {(0, 0, 0): 1}
+    for k in range(1, top + 1):
+        for q in (1, -1):
+            f = series_mul(f, {(k * n, q * n, 0): 1
+                               for n in range(top // k + 1)}, top)
+        for q, d in ((m, -1), (-m, 1)):
+            f = series_mul(f, {(0, 0, 0): 1, (k, q, d): 1}, top)
+    f = series_mul(f, {(0, 0, 0): 1, (0, m, -1): 1}, top)
+
+    def coefficient(w, q, d):
+        return sum(c for (w1, q1, d1), c in f.items()
+                   if (w1, d1) == (w, d) and q1 <= q)
+
+    return coefficient, {d for _w, _q, d in f}
+
+
+@pytest.mark.parametrize("m, top", [(2, 5), (3, 4), (5, 3)])
+def test_cochain_dimensions_match_the_carrier_character(m, top):
+    """Each cell's basis size per degree is the coefficient of its
+    (weight, charge, degree) in the character of the carrier, at charges
+    -2 to 8: a basis that drops xi_0 or caps an even letter's exponent
+    loses monomials here."""
+    coefficient, degrees = carrier_character(m, top)
+    K = ChiralKoszul(m)
+    for w in range(top + 1):
+        for q in range(-2, 9):
+            cells = K.cell_by_degree(w, q)
+            assert set(cells) <= degrees
+            for d in degrees:
+                assert len(cells.get(d, [])) == coefficient(w, q, d), (
+                    w, q, d)
+
+
 def test_differential_squares_to_zero_window():
     for m in (1, 2, 3):
         K = ChiralKoszul(m)
@@ -125,8 +183,8 @@ def test_matrices_compose_to_zero():
             for q in range(-2, 2 * m + 2):
                 cells = K.cell_by_degree(w, q)
                 for d in sorted(cells):
-                    c1, dom, mid = K.differential_matrix(w, q, d)
-                    c2, mid2, _ = K.differential_matrix(w, q, d + 1)
+                    c1, dom, mid = K._matrix(cells, d)
+                    c2, mid2, _ = K._matrix(cells, d + 1)
                     assert mid == mid2
                     for col in c1:
                         # apply the next matrix to this image column
@@ -231,7 +289,8 @@ def test_representatives_are_independent_modulo_the_image(
     K = ChiralKoszul(m)
     cell = next(c for c in K.cell_cohomology(weight, charge)
                 if c["degree"] == degree)
-    image, _, basis = K.differential_matrix(weight, charge, degree - 1)
+    image, _, basis = K._matrix(K.cell_by_degree(weight, charge),
+                                degree - 1)
     index = {mono: i for i, mono in enumerate(basis)}
     reps = [{index[mo]: c for mo, c in r.items()}
             for r in cell["representatives"]]
