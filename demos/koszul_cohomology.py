@@ -13,7 +13,7 @@ Higher-weight dimensions are printed with their Euler-characteristic
 consistency check.
 """
 
-from chiralis.koszul import ChiralKoszul
+from chiralis.koszul import ChiralKoszul, euler_lines
 
 
 def main() -> None:
@@ -33,9 +33,10 @@ def main() -> None:
                 f"  charge {cell['charge']}, degree {cell['degree']}: "
                 f"dim {cell['dim']}, representatives {reps}"
             )
-        table = K.character_table(2, 2 * m + 2, min_charge=-2)
-        print(f"weights <= 2: Euler checks pass: {table['euler_ok']}")
-        for line in table["lines"]:
+        lines, euler_ok = euler_lines(
+            K.cohomology(2, 2 * m + 2, min_charge=-2)["cells"])
+        print(f"weights <= 2: Euler checks pass: {euler_ok}")
+        for line in lines:
             if line["dims"]:
                 print(
                     f"  weight {line['weight']}, charge "

@@ -189,12 +189,21 @@ LIMITS = {
               "the letter count 2 * --vars * (2 * --max-weight + 1)", 1, 96,
               "2 * vars * (2 * max_weight + 1), at most {hi}",
               lambda a: 2 * max(a.vars, 0) * max(2 * a.max_weight + 1, 0)),
+        # 0 = exhaustive; at the maximum the slowest window, --vars 1
+        # --max-weight 23, takes about 9 s (2 ms a draw)
+        Limit("samples", "--samples", 0, 5000, "at most {hi}",
+              lambda a: a.samples),
     ),
     # the jet order sizes every sample window
     "liestar-check": (
         FILE_VARS._replace(what="--vars", value=lambda a: a.vars),
         Limit("jet_order", "--jet-order", 0, 8, "{lo} to {hi}",
               lambda a: a.jet_order),
+    ),
+    # each trial draws and checks one structure, about 0.5 ms
+    "linfty-check": (
+        Limit("samples", "--samples", 1, 20000, "at most {hi}",
+              lambda a: a.samples),
     ),
     "algebroid-twist": (FILE_CHARS, FILE_VARS),
     "derham-closed": (FILE_CHARS, FILE_VARS),
@@ -356,8 +365,6 @@ def cmd_borcherds_check(args) -> dict:
     from .fock import BGSystem, borcherds_checks
 
     within_limits(args.command, args)
-    if args.samples < 0:
-        raise UsageError("--samples must be non-negative (0 = exhaustive)")
     gens = []
     for i in range(1, args.vars + 1):
         gens.append((f"x{i}", 0, 0))
@@ -459,8 +466,7 @@ def cmd_linfty_check(args) -> dict:
     from .linfty import (BasisMultiMap, GradedSpace, basis_words,
                          coderivation_square_report, direct_jacobi_report)
 
-    if args.samples < 1:
-        raise UsageError("--samples must be a positive integer")
+    within_limits(args.command, args)
     rng = random.Random(args.seed)
     sp = GradedSpace([("u", 0), ("v", 1), ("w", 1), ("z", 2)])
     pars = {n: sp.parity(n) for n in sp.names}

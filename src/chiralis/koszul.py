@@ -8,8 +8,10 @@ degree by one.
 
 The extra charge grading (x carries charge 1, xi charge m, momenta the
 negatives) cuts every (weight, charge) cell down to a finite-dimensional
-complex, so dimensions, representatives, and Euler characteristics are
-computed by exact rational elimination.  At weight zero the complex is the
+complex, so dimensions and representatives are computed by exact
+rational elimination: one of each differential, and one of its image only
+where the next degree has classes to represent.  ``euler_lines`` checks
+the Euler characteristics of a report.  At weight zero the complex is the
 classical Koszul complex of x^m and the cohomology is spanned by the
 classes of 1, x, ..., x^{m-1}.
 """
@@ -137,36 +139,29 @@ class ChiralKoszul:
         """Cohomology of one (weight, charge) cell, per degree.
 
         Returns a list of entries {"degree", "dim", "cochain_dim",
-        "representatives", "d_squared"}; representatives are kernel
-        vectors reduced against the image in the deterministic pivot
-        order.  ``d_squared`` is None when d_(d+1) maps every column of d_d
-        to zero, and otherwise {"monomial", "image"}: the first basis
-        monomial of the degree whose image under d^2 is nonzero, with that
-        image.
+        "representatives", "d_squared"}.  Each differential is eliminated
+        once, for its rank and kernel.  The representatives are the first
+        ``dim`` kernel vectors that stay nonzero modulo the image of the
+        previous differential, each reduced against it; that image is
+        eliminated only for a degree with ``dim > 0``.  ``d_squared`` is
+        None when d_(d+1) maps every column of d_d to zero, and otherwise
+        {"monomial", "image"}: the first basis monomial of the degree
+        whose image under d^2 is nonzero, with that image.
         """
         cells = self.cell_by_degree(weight, charge)
-        if not cells:
-            return []
-        degrees = sorted(cells)
-        entries = []
         info: Dict[int, tuple] = {}
-        for d in degrees:
+        for d in sorted(cells):
             cols, dom, tgt = self._matrix(cells, d)
-            n = len(dom)
             rows: List[dict] = [dict() for _ in tgt]
             for j, col in enumerate(cols):
                 for i, c in col.items():
                     rows[i][j] = c
-            rank, kernel = rank_kernel(rows, n) if n else (0, [])
-            # image rows live in the target space
-            image_rows = [c for c in cols if c]
-            red, pivots = echelon(image_rows, len(tgt))
-            info[d] = (rank, kernel, dom, red, pivots, cols, tgt)
-        for d in degrees:
-            rank, kernel, dom, _red, _piv, cols, _tgt = info[d]
+            info[d] = (*rank_kernel(rows, len(dom)), dom, cols, tgt)
+        entries = []
+        for d, (_rank, kernel, dom, cols, _tgt) in info.items():
             square = None
             if d + 1 in info:
-                cols_next, tgt_next = info[d + 1][5], info[d + 1][6]
+                cols_next, tgt_next = info[d + 1][3:]
                 for mono, col in zip(dom, cols):
                     img: dict = {}
                     for i, c in col.items():
@@ -176,23 +171,17 @@ class ChiralKoszul:
                             tgt_next[k]: v for k, v in sorted(img.items())}}
                         break
             prev = info.get(d - 1)
-            prev_rank = prev[0] if prev else 0
-            dim = len(kernel) - prev_rank
-            reps = []
-            if prev:
-                red_prev, piv_prev = prev[3], prev[4]
-            else:
-                red_prev, piv_prev = [], []
-            count = 0
-            for vec in kernel:
-                if count >= dim:
-                    break
-                rem = reduce_against(vec, red_prev, piv_prev)
-                if rem:
-                    reps.append(
-                        {dom[i]: c for i, c in sorted(rem.items())}
-                    )
-                    count += 1
+            dim = len(kernel) - (prev[0] if prev else 0)
+            reps: List[dict] = []
+            if dim > 0:
+                red, pivots = echelon(prev[3], len(dom)) if prev else ([], [])
+                for vec in kernel:
+                    rem = reduce_against(vec, red, pivots)
+                    if rem:
+                        reps.append(
+                            {dom[i]: c for i, c in sorted(rem.items())})
+                        if len(reps) == dim:
+                            break
             entries.append(
                 {
                     "degree": d,
@@ -243,19 +232,6 @@ class ChiralKoszul:
                 "min_charge": min_charge,
             },
             "witness": witness,
-        }
-
-    def character_table(
-        self, max_weight: int, max_charge: int, min_charge: int = 0
-    ) -> dict:
-        """Graded cohomology dimensions with Euler-characteristic checks."""
-        report = self.cohomology(max_weight, max_charge, min_charge)
-        table, ok = euler_lines(report["cells"])
-        return {
-            "m": self.m,
-            "lines": table,
-            "euler_ok": ok,
-            "window": report["window"],
         }
 
 

@@ -41,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralis import algebroid, chevalley, cli, fock, koszul, ring
+from chiralis import algebroid, chevalley, cli, fock, koszul, linfty, ring
 from chiralis.algebra import SuperPolyAlgebra, tangent_part
 from chiralis.cli import run
 from chiralis.fock import BGSystem, borcherds_checks
@@ -233,6 +233,10 @@ LIMIT_CASES = {
     # one variable has 2 letters at weight 0: an odd count rounds up
     ("borcherds-check", "letters"): ("borcherds --vars", lambda v: [
         "borcherds-check", "--max-weight", "0", "--vars", str(-(-v // 2))]),
+    ("borcherds-check", "samples"): ("borcherds --samples", lambda v: [
+        "borcherds-check", "--samples", str(v)]),
+    ("linfty-check", "samples"): ("linfty --samples", lambda v: [
+        "linfty-check", "--samples", str(v)]),
     ("liestar-check", "vars"): ("liestar --vars", lambda v: [
         "liestar-check", "--jet-order", "1", "--degree", "1", "--vars",
         str(v)]),
@@ -294,6 +298,8 @@ def test_windows_past_their_maximum_exit_2_at_once(tmp_path, case):
     --jet-order 16 after 60 s, and so was a form or cocycle file's 'vars'
     past its maximum, which sizes the algebra the same way; borcherds-check
     took 13.4 s on 96 letters, and it checks every triple of letters;
+    borcherds-check and linfty-check had no maximum on --samples, and
+    each sample costs about 2 and 0.5 ms, so a large value ran for hours;
     fs-cohomology took 53.5 s at weight 8, and 12.8 s and 428 MB on 100001
     charges; a form file was read whole, and /dev/zero grew until a
     MemoryError (exit 3).  Past its maximum each limit exits 2 within a
@@ -323,11 +329,11 @@ def accepted(*_args):
 
 def test_windows_at_their_maximum_are_accepted(tmp_path, monkeypatch):
     """Each limit at its maximum passes the bounds: the run is stopped
-    where it would build its first algebra or system, so nothing runs at
-    a maximum.  The fs-cohomology cases set all three of its limits to
-    their maxima at once."""
+    where it would build its first algebra, system or graded space, so
+    nothing runs at a maximum.  The fs-cohomology cases set all three of
+    its limits to their maxima at once."""
     for module, name in ((fock, "BGSystem"), (koszul, "ChiralKoszul"),
-                         (cli, "even_base")):
+                         (cli, "even_base"), (linfty, "GradedSpace")):
         monkeypatch.setattr(module, name, accepted)
     for case, lim in LIMITS.items():
         code, out, err = run_case(tmp_path, case, lim.hi)
@@ -392,6 +398,20 @@ def test_exhaustive_borcherds_report_is_pinned(tmp_path):
     assert run(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f43df4195a9f9134176e46fdaeacfb2910cb1ae6e62bdc0d687ed4dbc350e918")
+
+
+def test_heavier_koszul_window_report_is_pinned(tmp_path):
+    # four times the cochains of the two pinned benchmark windows
+    # together (3424 against 808): the elimination of its cells, not
+    # start-up, decides its run time.  It
+    # holds the cell (m 2, weight 3, charge 1) whose representatives are
+    # not independent modulo the image, so that fix re-pins it
+    out = tmp_path / "fs.json"
+    argv = ["fs-cohomology", "--m", "2", "--max-weight", "5",
+            "--min-charge", "-2", "--max-charge", "6"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7e467c0c219dc5828e64392d7e519a598f061c3c743c3c2de8fee293b1bc0746")
 
 
 class Faulty(BGSystem):
@@ -873,16 +893,17 @@ def test_usage_errors(tmp_path):
 
 # sha256 of each subcommand's --schema output, recorded before its limits
 # were read from cli.LIMITS; algebroid-twist and derham-closed recorded
-# again when their input files got a length limit
+# again when their input files got a length limit, borcherds-check and
+# linfty-check when --samples got a maximum
 SCHEMA_SHA256 = {
     "fs-cohomology":
         "d4fa09d27390e54c1364a9d5a379c1a109f1ebabce0327aa1c7761f07f1a7df9",
     "borcherds-check":
-        "f49cc017afa22c586a24662d808b5b02d0ad4066b954a4e813bd853336440fb4",
+        "629404127f91abbe6e2ba232ac0197fe0cec802ce4b7ac11725e8792c313f2a9",
     "liestar-check":
         "169985240541251051f36f20f4f6d67ab7f4233e66346125316ecf4e8b870c71",
     "linfty-check":
-        "08fb149e818f2900c14482307662aee09829a302d7ea1cc4e2b8b0eac40f0176",
+        "35f19f30bd1faa0f5af62604fd31b733af6f48ddfe656d080721965ae8e6f227",
     "algebroid-twist":
         "babac472bce3cd6159814cf4cb6cac6306123d138156afc8d0d5f3a4be65aaf5",
     "chiral-infty-check":

@@ -124,11 +124,13 @@ def test_library_code_has_callers():
 
 def test_tracer_targets_resolve(monkeypatch):
     """Every span of the benchmark's tracer names a function the package
-    has, so a rename fails here instead of tracing nothing.  Three spans
-    name functions that are gone: ``algebroid.twist_chiral``, and
+    has, so a rename fails here instead of tracing nothing.  Four spans
+    name functions that are gone: ``algebroid.twist_chiral``;
     ``fock.borcherds_full_check`` and ``koszul.differential_matrix``,
-    which only tests called, so their spans read 0 on every run before
-    they went.  When the tracer drops them, this set shrinks."""
+    which only tests called; and ``koszul.character_table``, the
+    cohomology report plus ``koszul.euler_lines``, which no CLI run
+    called.  The last three spans read 0 on every run before their
+    functions went.  When the tracer drops them, this set shrinks."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
@@ -142,7 +144,7 @@ def test_tracer_targets_resolve(monkeypatch):
         if not callable(target):
             stale.add(name)
     assert stale == {"algebroid.twist_chiral", "fock.borcherds_full_check",
-                     "koszul.differential_matrix"}
+                     "koszul.differential_matrix", "koszul.character_table"}
 
 
 def readme_blocks(langs="python"):
