@@ -398,15 +398,14 @@ def cmd_borcherds_check(args) -> dict:
                 yield a, b, [c], [[rng.randint(-2, 2) for _ in range(3)]]
 
     # in the exhaustive window each pair (b, c) or (a, c) recurs with every
-    # letter as the other state, so one system (its memo) and one table of
-    # inner products serve the run; seeded draws rarely repeat a product,
-    # so each is checked on a fresh system and table that die with it
-    kept = (fk, {})
+    # letter as the other state, so one system (its memo and product lists)
+    # serves the run; seeded draws rarely repeat a product, so each is
+    # checked on a fresh system that dies with it
     failures = []  # the first ten, which the report shows
     failed = checked = 0
     for a, b, cs, rsts in cases():
-        va, pairs = kept if args.samples == 0 else (BGSystem(fk.base), {})
-        for c, res in zip(cs, borcherds_checks(va, a, b, cs, rsts, pairs)):
+        va = fk if args.samples == 0 else BGSystem(fk.base)
+        for c, res in zip(cs, borcherds_checks(va, a, b, cs, rsts)):
             for rst, (_lhs, _rhs, diff) in zip(rsts, res):
                 checked += 1
                 if diff:

@@ -44,7 +44,7 @@ contraction of letters of weights w and w' has pole order w + w', and the
 uncontracted letters are regular.  Every loop over product indices ends
 at this bound, for states at :meth:`BGSystem.state_pole_bound`.
 
-There is one product loop, :meth:`BGSystem.nth`: it expands both states
+Every product goes through :meth:`BGSystem.nth`: it expands both states
 into monomials and sums the memoized monomial products of ``_nth_mono``
 into a new state, so a product belongs to its caller and no memo entry is
 handed out.  ``_nth_mono`` reads the memo first and returns the products
@@ -62,21 +62,20 @@ system (:meth:`BGSystem.grade`), so the bounds and parity checks of
 lookup.  The memo lives as long as its system: a caller that reuses few
 products (a seeded Borcherds draw) checks on a fresh system.
 
-:func:`borcherds_checks` checks the Borcherds identities of the triples
-(a, b, c) for one pair (a, b) and a list of third states c, with one
-(lhs, rhs, difference) per identity.  The tables of the pair -- the
-nonzero inner products a_(k) b, each (r, s, t)'s left-hand-side terms and
-the ranges of the other sums -- are built once; per third state only the
-nonzero inner products b_(k) c and a_(k) c and the outer products are
-computed, and the (r, s, t) of one triple share them.  Every inner
-product list goes through a ``pairs`` table, one entry per pair: its
-state pole bound and its lists, keyed by their range.  A window keeps
-one table across calls, and a seeded draw starts a fresh one.
+:meth:`BGSystem.products` is the one loop over a pair's product
+indices: the nonzero x_(k) y from a start k up to the state pole bound,
+a list computed once per system, keyed by the pair and the start, and
+never mutated.  The Lie* bracket (:func:`chiralis.starops.va_bracket`)
+and :func:`borcherds_checks` read these lists; the latter checks the
+Borcherds identities of the triples (a, b, c) for one pair (a, b) and a
+list of third states c, with one (lhs, rhs, difference) per identity.
+Like the memo, the lists live as long as their system, so a caller picks
+their scope by picking the system.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import ring
 from .algebra import SuperPolyAlgebra
@@ -99,6 +98,8 @@ class BGSystem:
         # monomial -> (parity, {(kind, name): weight of its letters of that
         # mode family})
         self._grades: Dict = {}
+        # (x items, y items, lo) -> [(k, x_(k) y)], see :meth:`products`
+        self._products: Dict = {}
 
     # -- letters -------------------------------------------------------------
     def parity(self, key) -> int:
@@ -220,6 +221,18 @@ class BGSystem:
                 ring.acc_poly(out, self._nth_mono(ma, n, mb), ca * cb)
         return out
 
+    def products(self, x: State, y: State, lo: int) -> List:
+        """[(k, x_(k) y)] for the nonzero products with lo <= k below
+        :meth:`state_pole_bound`, in increasing k.  Each list is computed
+        once per system and never mutated."""
+        key = (tuple(x.items()), tuple(y.items()), lo)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = [
+                (k, p) for k in range(lo, self.state_pole_bound(x, y))
+                for p in [self.nth(x, k, y)] if p]
+        return hit
+
     def _nth_mono(self, ma, n: int, mb) -> State:
         """The n-th product of two monomials, memoized per system.
 
@@ -308,49 +321,7 @@ class BGSystem:
         return ring.poly_str(p, name)
 
 
-def _span(starts) -> Tuple[int, Optional[int]]:
-    """(lo, cap): the sums of ``starts`` visit k >= lo, and k <= cap.
-
-    A start (l, n) asks for k = l + j with j >= 0, and for j <= n when
-    n >= 0, since C(n, j) = 0 there; ``cap`` is None when some n < 0.
-    The products x_(k) y at or above the state pole bound vanish, which
-    ends k too (:func:`_inner_products`).
-    """
-    lo = min(l for l, _n in starts)
-    cap = None if any(n < 0 for _l, n in starts) else max(
-        l + n for l, n in starts)
-    return lo, cap
-
-
-def _inner_products(va, x, y, span, pairs) -> list:
-    """[(k, x_(k) y)] for the nonzero products with k in ``span`` (see
-    :func:`_span`) and k below the state pole bound of (x, y), in
-    increasing k: a product at or above it is zero.
-
-    ``pairs`` keeps one entry per pair across calls, keyed by (x, y): the
-    pair's state pole bound, computed once, and a dict of its lists keyed
-    by (lo, hi); the lists are never mutated.
-    """
-    lo, cap = span
-    pair = (tuple(x.items()), tuple(y.items()))
-    entry = pairs.get(pair)
-    if entry is None:
-        entry = pairs[pair] = (va.state_pole_bound(x, y), {})
-    bound, lists = entry
-    hi = bound - 1 if cap is None else min(bound - 1, cap)
-    hit = lists.get((lo, hi))
-    if hit is not None:
-        return hit
-    out = []
-    for k in range(lo, hi + 1):
-        p = va.nth(x, k, y)
-        if p:
-            out.append((k, p))
-    lists[lo, hi] = out
-    return out
-
-
-def borcherds_checks(va, a, b, cs, rsts, pairs) -> list:
+def borcherds_checks(va, a, b, cs, rsts) -> list:
     """Check the Borcherds identity for F = (x-y)^r (x-z)^s (y-z)^t,
 
       sum_j C(s,j) (a_(r+j) b)_(s+t-j) c
@@ -362,51 +333,40 @@ def borcherds_checks(va, a, b, cs, rsts, pairs) -> list:
     in order; the identity holds when the difference is {}.  All sums are
     truncated by exact pole bounds.
 
-    The tables of the pair (a, b) are built once: the parities, the
-    nonzero inner products a_(k) b over the union of the ranges the sums
-    visit (ending at ``va.state_pole_bound``), each (r, s, t)'s
-    left-hand-side terms, and the ranges of b_(k) c and a_(k) c.  Per
-    third state only those two lists and the outer products are computed;
-    the identities of one triple share them.  Each sum walks its list with
-    j = k - r (k - t, k - s) in increasing j, so every result keeps the
-    item order and scalar types of the identity checked alone.  ``pairs``
-    is the table of :func:`_inner_products`: one dict kept across the
-    calls of a window in which each pair of states occurs with many third
-    states, or a fresh one.
+    The inner products a_(k) b, b_(k) c and a_(k) c are the system's lists
+    (``va.products``), from the least start of each sum over ``rsts``;
+    per third state the outer products are computed once and the
+    identities of one triple share them.  Each sum walks its list with
+    j = k - r (k - t, k - s) in increasing j, skipping the zero binomials,
+    so every result keeps the item order and scalar types of the identity
+    checked alone.
     """
     pa, pb = va.state_parity(a), va.state_parity(b)
     if pa is None or pb is None:
         raise ValueError("arguments must be parity-homogeneous")
     if not rsts:
         return [[] for _c in cs]
-    ab = _inner_products(va, a, b, _span([(r, s) for r, s, _t in rsts]),
-                         pairs)
-    span_bc = _span([(t, r) for r, _s, t in rsts])
-    span_ac = _span([(s, r) for r, s, _t in rsts])
-    tables = []  # per (r, s, t): its left-hand-side terms and sign
-    for r, s, t in rsts:
-        lhs_terms = []
-        for k, p in ab:
-            j = k - r
-            coeff = binomial(s, j)  # 0 for j < 0
-            if coeff:
-                lhs_terms.append((k, p, s + t - j, coeff))
-        sign_r = -1 if (r + pa * pb) & 1 else 1
-        tables.append((r, s, t, lhs_terms, sign_r))
+    ab = va.products(a, b, min(r for r, _s, _t in rsts))
+    lo_bc = min(t for _r, _s, t in rsts)
+    lo_ac = min(s for _r, s, _t in rsts)
     out = []
     for c in cs:
-        bc = _inner_products(va, b, c, span_bc, pairs)
-        ac = _inner_products(va, a, c, span_ac, pairs)
+        bc = va.products(b, c, lo_bc)
+        ac = va.products(a, c, lo_ac)
         # (role, k, n) -> (a_(k) b)_(n) c, a_(n) (b_(k) c), b_(n) (a_(k) c)
         outer: Dict = {}
         results = []
-        for r, s, t, lhs_terms, sign_r in tables:
+        for r, s, t in rsts:
             lhs: State = {}
-            for k, p, n, coeff in lhs_terms:
-                prod = outer.get((0, k, n))
-                if prod is None:
-                    prod = outer[0, k, n] = va.nth(p, n, c)
-                ring.acc_poly(lhs, prod, coeff)
+            for k, p in ab:
+                j = k - r
+                coeff = binomial(s, j)  # 0 for j < 0
+                if coeff:
+                    n = s + t - j
+                    prod = outer.get((0, k, n))
+                    if prod is None:
+                        prod = outer[0, k, n] = va.nth(p, n, c)
+                    ring.acc_poly(lhs, prod, coeff)
             rhs: State = {}
             for k, p in bc:
                 j = k - t
@@ -417,6 +377,7 @@ def borcherds_checks(va, a, b, cs, rsts, pairs) -> list:
                     if prod is None:
                         prod = outer[1, k, n] = va.nth(a, n, p)
                     ring.acc_poly(rhs, prod, -coeff if j & 1 else coeff)
+            sign_r = -1 if (r + pa * pb) & 1 else 1
             for k, p in ac:
                 j = k - s
                 coeff = binomial(r, j)

@@ -31,6 +31,7 @@ translation is zero and no z-symbols ever appear.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ring
@@ -266,7 +267,13 @@ def sigma_act(sigma: Sequence[int], phi: StarOp) -> StarOp:
 
 
 def compose_front(outer: StarOp, inner: StarOp) -> StarOp:
-    """The composite outer(inner(a_1..a_i), a_{i+1}, ..., a_{i+j-1})."""
+    """The composite outer(inner(a_1..a_i), a_{i+1}, ..., a_{i+j-1}).
+
+    The relabel of the outer slots t >= 2 to i + t - 1 is empty for
+    j = 1, the identity for i = 1 and never read for j = 2, which covers
+    every composite of the identities up to ``MAX_ARITY`` = 3.  It stays
+    because the composite is defined at every arity: its test composes
+    every i, j <= 3, and i >= 2 with j = 3 reads it."""
     i, j = inner.arity, outer.arity
     n = i + j - 1
 
@@ -397,8 +404,8 @@ def va_bracket(system) -> StarOp:
     handed to the star calculus is minus the vertex translation T: the
     calculus turns a translate in slot i into +z_i, while a vertex
     algebra has (Ta)_(n) = -n a_(n-1), i.e. [Ta_lambda b] = -lambda
-    [a_lambda b].  The sum runs over the n below
-    ``system.state_pole_bound(a, b)``; every a_(n) b from there on is 0.
+    [a_lambda b].  The sum runs over the nonzero a_(n) b with n >= 0 of
+    ``system.products``, which end at the state pole bound.
     """
     module = StarModule(
         parity=system.state_parity,
@@ -406,15 +413,8 @@ def va_bracket(system) -> StarOp:
     )
 
     def fn(a, b):
-        out: LambdaPoly = {}
-        fact = 1
-        for nn in range(system.state_pole_bound(a, b)):
-            if nn:
-                fact *= nn
-            v = system.nth(a, nn, b)
-            if v:
-                out[((1, nn),) if nn else ()] = ring.pdiv(v, fact)
-        return out
+        return {((1, nn),) if nn else (): ring.pdiv(v, math.factorial(nn))
+                for nn, v in system.products(a, b, 0)}
 
     return StarOp(2, module, fn, 0)
 

@@ -108,7 +108,7 @@ def test_04_borcherds_identities():
     for a, b, c in itertools.product(letters, repeat=3):
         for r, s, t in ((0, 0, 0), (0, 1, 0), (-1, 0, 0), (-1, 0, 1)):
             _lhs, _rhs, diff = borcherds_checks(
-                fk, a, b, [c], [(r, s, t)], {})[0][0]
+                fk, a, b, [c], [(r, s, t)])[0][0]
             assert not diff
     rng = random.Random(2026)
     lets3 = letters + [fk.coord("x", -3), fk.mom("xi", -3)]
@@ -126,7 +126,7 @@ def test_04_borcherds_identities():
             continue
         r, s, t = (rng.randint(-2, 2) for _ in range(3))
         _lhs, _rhs, diff = borcherds_checks(
-            fk, a, b, [c], [(r, s, t)], {})[0][0]
+            fk, a, b, [c], [(r, s, t)])[0][0]
         assert not diff
         done += 1
     assert time.monotonic() - t0 < 120

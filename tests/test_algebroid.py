@@ -41,6 +41,7 @@ from chiralis.algebroid import (
     form_cochain,
     form_twist,
     fs_closed_family,
+    hat_d,
     jet_differential,
     lc_d,
     morphism_residual,
@@ -428,6 +429,18 @@ def test_lc_d_squares_to_zero():
         once = lc_d(world, fam)
         twice = lc_d(world, {k: v for k, v in once.items()})
         assert not twice, sorted(twice)
+
+
+def test_lc_d_keeps_the_arity_one_component():
+    """Component 1 of ``lc_d`` is the hat_d of the arity-1 member: over
+    Q[x, xi] with D(xi) = x^2, the member tau_x -> xi has D(xi) = x^2 != 0,
+    so a loop that starts at component 2 loses it."""
+    world = fs_world()
+    b1 = ChevalleyCochain(world, 1, {("x",): {(): world.coord("xi")}}, 1)
+    want = hat_d(b1).seeds
+    assert want == {("x",): {(): {((("x", 0), 2),): 1}}}
+    d = lc_d(world, {1: b1})
+    assert sorted(d) == [1, 2] and d[1].seeds == want
 
 
 def test_defect_equals_differential_for_open_twist():

@@ -520,20 +520,20 @@ def test_borcherds_catches_a_faulty_one_letter_base_case(tmp_path,
 
 def test_borcherds_window_leaves_cached_products_intact(tmp_path,
                                                         monkeypatch):
-    # the memo and the kept inner-product lists and pair bounds are shared
-    # by every triple of the window; recomputed on a fresh system after the
-    # run, each must still hold its first value, item order and scalar
-    # types included
-    systems, kept = [], []
+    # the memo and the system's inner-product lists are shared by every
+    # triple of the window; recomputed on a fresh system after the run,
+    # each must still hold its first value, item order and scalar types
+    # included
+    systems, used = [], []
 
     class Recorded(BGSystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             systems.append(self)
 
-    def recording(va, a, b, cs, rsts, pairs):
-        kept.append(pairs)
-        return borcherds_checks(va, a, b, cs, rsts, pairs)
+    def recording(va, a, b, cs, rsts):
+        used.append(va)
+        return borcherds_checks(va, a, b, cs, rsts)
 
     monkeypatch.setattr(fock, "BGSystem", Recorded)
     monkeypatch.setattr(fock, "borcherds_checks", recording)
@@ -544,29 +544,26 @@ def test_borcherds_window_leaves_cached_products_intact(tmp_path,
     )
     assert code == 0 and rep["ok"]
     (fk,) = systems
-    pairs = kept[0]
-    assert pairs and all(p is pairs for p in kept)
-    assert fk._memo
+    assert used and all(va is fk for va in used)
+    assert fk._memo and fk._products
     for (ma, n, mb), value in fk._memo.items():
         fresh = BGSystem(fk.base)
         assert exact_items(fresh._nth_mono(ma, n, mb)) == exact_items(
             value), (ma, n, mb)
-    for (x, y), (bound, lists) in pairs.items():
+    for (x, y, lo), value in fk._products.items():
         fresh = BGSystem(fk.base)
-        assert bound == fresh.state_pole_bound(dict(x), dict(y)), (x, y)
-        assert lists, (x, y)
-        for (lo, hi), value in lists.items():
-            assert hi < bound, (x, y, lo, hi)
-            want = [(k, exact_items(p)) for k in range(lo, hi + 1)
-                    if (p := fresh.nth(dict(x), k, dict(y)))]
-            assert [(k, exact_items(p)) for k, p in value] == want, (x, y)
+        x, y = dict(x), dict(y)
+        want = [(k, exact_items(p))
+                for k in range(lo, fresh.state_pole_bound(x, y))
+                if (p := fresh.nth(x, k, y))]
+        assert [(k, exact_items(p)) for k, p in value] == want, (x, y, lo)
 
 
 def test_borcherds_memo_scope(tmp_path, monkeypatch):
     # seeded draws share almost no products, so each is checked on a fresh
-    # system and a fresh table that die with its draw; the exhaustive
-    # window keeps one system and one table, and its memo holds no product
-    # that the Wick bound P(a, b) says is zero
+    # system that dies with its draw; the exhaustive window keeps one
+    # system, and its memo holds no product that the Wick bound P(a, b)
+    # says is zero
     systems = []  # a weak reference to every system made
     init = BGSystem.__init__
 
@@ -576,10 +573,10 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
 
     live = []
 
-    def checks(va, a, b, cs, rsts, pairs):
-        live.append((len(va._memo), len(pairs),
+    def checks(va, a, b, cs, rsts):
+        live.append((len(va._memo), len(va._products),
                      sum(ref() is not None for ref in systems)))
-        return borcherds_checks(va, a, b, cs, rsts, pairs)
+        return borcherds_checks(va, a, b, cs, rsts)
 
     monkeypatch.setattr(BGSystem, "__init__", spy)
     monkeypatch.setattr(fock, "borcherds_checks", checks)
@@ -587,25 +584,27 @@ def test_borcherds_memo_scope(tmp_path, monkeypatch):
                        ["borcherds-check", "--samples", "300", "--seed", "1"])
     assert code == 0 and rep["checked"] == 284
     # one system draws the states, and one per draw checks them, starting
-    # from an empty memo and an empty table while the systems of earlier
+    # from an empty memo and no product lists while the systems of earlier
     # draws are gone
     assert len(systems) == 285 and live == [(0, 0, 2)] * 284
     assert all(ref() is None for ref in systems)
 
     held = []
 
-    def holding(va, a, b, cs, rsts, pairs):
-        held.append((va, pairs))
-        return borcherds_checks(va, a, b, cs, rsts, pairs)
+    def holding(va, a, b, cs, rsts):
+        held.append(va)
+        return borcherds_checks(va, a, b, cs, rsts)
 
     monkeypatch.setattr(fock, "borcherds_checks", holding)
     code, rep = report(tmp_path, "window.json",
                        ["borcherds-check", "--vars", "1", "--max-weight", "2",
                         "--samples", "0"])
     assert code == 0 and rep["checked"] == 5000
-    fk, table = held[0]
-    assert table and all(va is fk and pairs is table for va, pairs in held)
-    assert len(fk._memo) == 630
+    fk = held[0]
+    assert all(va is fk for va in held)
+    # one product list per pair of the 10 letters and start: -1 (the least
+    # r and t) for a_(k) b and b_(k) c, 0 (the least s) for a_(k) c
+    assert len(fk._memo) == 630 and len(fk._products) == 200
     for ma, n, mb in fk._memo:
         assert n < 0 or n < wick_bound(fk, ma, mb), (ma, n, mb)
 

@@ -20,8 +20,7 @@ from fractions import Fraction
 import pytest
 
 from chiralis.algebra import JetAlgebra, SuperPolyAlgebra
-from chiralis.fock import (_CONJ, BGSystem, _inner_products, _span,
-                           borcherds_checks)
+from chiralis.fock import _CONJ, BGSystem, borcherds_checks
 from chiralis.exact import binomial
 from chiralis.koszul import ChiralKoszul
 from chiralis.ring import (acc, acc_poly, mono_degree, mono_parity, padd,
@@ -141,7 +140,7 @@ def test_borcherds_commutator_small_exhaustive():
     for a, b, c in itertools.product(lets, repeat=3):
         for s, t in [(0, 0), (1, 0), (0, -1), (-1, 1)]:
             _lhs, _rhs, diff = borcherds_checks(
-                sys, a, b, [c], [(0, s, t)], {})[0][0]
+                sys, a, b, [c], [(0, s, t)])[0][0]
             assert not diff, sys.str(diff)
 
 
@@ -153,7 +152,7 @@ def test_borcherds_normal_order_form():
         a, b, c = (rng.choice(lets) for _ in range(3))
         t = rng.randint(-2, 2)
         _lhs, _rhs, diff = borcherds_checks(
-            sys, a, b, [c], [(-1, 0, t)], {})[0][0]
+            sys, a, b, [c], [(-1, 0, t)])[0][0]
         assert not diff, sys.str(diff)
 
 
@@ -168,7 +167,7 @@ def test_borcherds_random_rst_composite_states():
             continue
         r, s, t = (rng.randint(-1, 1) for _ in range(3))
         _lhs, _rhs, diff = borcherds_checks(
-            sys, a, b, [c], [(r, s, t)], {})[0][0]
+            sys, a, b, [c], [(r, s, t)])[0][0]
         assert not diff, (r, s, t, sys.str(diff))
 
 
@@ -215,6 +214,9 @@ class CommutativeVA:
             a = self.jets.translate(a)
         return pdiv(self.jets.mul(a, b), math.factorial(k))
 
+    def products(self, x, y, lo):
+        return [(k, p) for k in range(lo, 0) for p in [self.nth(x, k, y)] if p]
+
 
 def test_commutative_va_products():
     J = JetAlgebra(SuperPolyAlgebra([("x", 0, 0)]))
@@ -234,12 +236,12 @@ def test_commutative_va_borcherds():
         a, b, c = (J.gen(rng.choice(gens)) for _ in range(3))
         r, s, t = (rng.randint(-2, 2) for _ in range(3))
         _lhs, _rhs, diff = borcherds_checks(
-            va, a, b, [c], [(r, s, t)], {})[0][0]
+            va, a, b, [c], [(r, s, t)])[0][0]
         assert not diff
     # nonnegative (r,s,t) vanish identically
     lhs, rhs, diff = borcherds_checks(
-        va, J.gen(("x", 0)), J.gen(("y", 0)), [J.gen(("x", 1))], [(1, 2, 0)],
-        {})[0][0]
+        va, J.gen(("x", 0)), J.gen(("y", 0)), [J.gen(("x", 1))],
+        [(1, 2, 0)])[0][0]
     assert not diff and lhs == {} and rhs == {}
 
 
@@ -620,7 +622,7 @@ def test_borcherds_check_matches_reference():
         if None not in (fast.state_parity(abc[0]), fast.state_parity(abc[1])):
             cases.append((*abc, *(rng.randint(-2, 2) for _ in range(3))))
     for a, b, c, r, s, t in cases:
-        got = borcherds_checks(fast, a, b, [c], [(r, s, t)], {})[0][0]
+        got = borcherds_checks(fast, a, b, [c], [(r, s, t)])[0][0]
         want = reference_borcherds(ref, a, b, c, r, s, t)
         assert [exact_items(p) for p in got] == [
             exact_items(p) for p in want], (a, b, c, r, s, t)
@@ -628,26 +630,25 @@ def test_borcherds_check_matches_reference():
 
 # the five (r, s, t) of the exhaustive CLI window
 EXHAUSTIVE_RSTS = [(0, 0, 0), (0, 1, 0), (1, 0, 1), (-1, 0, 0), (-1, 1, -1)]
-# negative and non-negative r and s in one list, so each inner-product list
-# spans both a capped (C(n, j) = 0 for j > n >= 0) and an uncapped range
+# negative and non-negative r and s in one list, so each sum meets both
+# binomials that end (C(n, j) = 0 for j > n >= 0) and binomials that do not
 MIXED_RSTS = [(-2, 1, 0), (1, -1, 2), (0, 2, -1), (2, 0, -2), (-1, -2, 1)]
 
 
 def assert_checks_match_reference(fast, ref, cases):
     """``borcherds_checks`` against ``reference_borcherds`` one (r, s, t) at
-    a time, with a fresh pairs dict per call and with one shared dict used
+    a time, on a fresh system per call and on one shared system used
     twice."""
-    shared = {}
     for fresh in (True, False, False):
         for a, b, c, rsts in cases:
-            pairs = {} if fresh else shared
-            (got,) = borcherds_checks(fast, a, b, [c], rsts, pairs)
+            va = BGSystem(fast.base) if fresh else fast
+            (got,) = borcherds_checks(va, a, b, [c], rsts)
             assert len(got) == len(rsts)
             for res, (r, s, t) in zip(got, rsts):
                 want = reference_borcherds(ref, a, b, c, r, s, t)
                 assert [exact_items(p) for p in res] == [
                     exact_items(p) for p in want], (a, b, c, r, s, t)
-    assert shared
+    assert fast._products
 
 
 def homogeneous_sum(sys, rng, scalar):
@@ -697,13 +698,12 @@ def test_borcherds_checks_over_several_third_states():
     abs_ = list(itertools.product(lets, repeat=2))
     abs_ += [(homogeneous_sum(fast, rng, fraction_scalar), lets[4])]
     want = {}
-    shared = {}
     for fresh in (True, False, False):
         for (ai, (a, b)), rsts in itertools.product(
                 enumerate(abs_), (EXHAUSTIVE_RSTS, MIXED_RSTS)):
-            pairs = {} if fresh else shared
-            assert borcherds_checks(fast, a, b, [], rsts, pairs) == []
-            got = borcherds_checks(fast, a, b, cs, rsts, pairs)
+            va = BGSystem(fast.base) if fresh else fast
+            assert borcherds_checks(va, a, b, [], rsts) == []
+            got = borcherds_checks(va, a, b, cs, rsts)
             assert len(got) == len(cs)
             for ci, (c, results) in enumerate(zip(cs, got)):
                 assert len(results) == len(rsts)
@@ -714,7 +714,7 @@ def test_borcherds_checks_over_several_third_states():
                                      reference_borcherds(ref, a, b, c, *rst)]
                     assert [exact_items(p) for p in res] == want[key], (
                         a, b, c, rst)
-    assert shared
+    assert fast._products
 
 
 def test_grades_match_a_direct_computation():
@@ -776,14 +776,11 @@ def homogeneous_two_var_pairs(count, seed):
     return fast, pairs
 
 
-def weight_capped_inner_products(va, x, y, span):
-    """The inner-product list of the weight bound: k runs up to
-    wt x + wt y - 1, past the pole bound."""
-    lo, cap = span
+def weight_capped_products(va, x, y, lo):
+    """The inner-product list of the weight bound: k runs from ``lo`` up
+    to wt x + wt y - 1, past the pole bound."""
     w = max_weight(va, x) + max_weight(va, y)
-    hi = w - 1 if cap is None else min(w - 1, cap)
-    return [(k, p) for k in range(lo, hi + 1) for p in [va.nth(x, k, y)]
-            if p]
+    return [(k, p) for k in range(lo, w) for p in [va.nth(x, k, y)] if p]
 
 
 def test_state_pole_bound_ends_every_nonzero_product():
@@ -808,22 +805,20 @@ def test_state_pole_bound_ends_every_nonzero_product():
 
 
 def test_inner_products_match_the_weight_capped_loop():
-    """``_inner_products`` ends at the state pole bound; on the spans of
-    the exhaustive and the seeded Borcherds windows its lists equal the
+    """``products`` ends at the state pole bound; from the starts of the
+    exhaustive and the seeded Borcherds windows its lists equal the
     weight-capped loop's, item order and scalar types included, from a
-    fresh ``pairs`` dict and from a kept one."""
-    fast, pairs = homogeneous_two_var_pairs(24, 43)
-    spans = [_span([(r, s) for r, s, _t in EXHAUSTIVE_RSTS]),
-             _span([(t, r) for r, _s, t in EXHAUSTIVE_RSTS]),
-             _span([(s, r) for r, s, _t in EXHAUSTIVE_RSTS])]
-    spans += [_span([(l, n)]) for l in range(-2, 3) for n in range(-2, 3)]
-    kept = {}
-    for x, y in pairs:
-        for span in spans:
+    fresh system and from a kept one, which computes each list once."""
+    fast, xys = homogeneous_two_var_pairs(24, 43)
+    starts = range(-2, 3)  # every seeded start; the exhaustive ones are 0, -1
+    kept = BGSystem(fast.base)
+    for x, y in xys:
+        for lo in starts:
             want = [(k, exact_items(p)) for k, p in
-                    weight_capped_inner_products(fast, x, y, span)]
-            for cache in ({}, kept, kept):
-                got = _inner_products(fast, x, y, span, cache)
+                    weight_capped_products(fast, x, y, lo)]
+            for va in (BGSystem(fast.base), kept, kept):
+                got = va.products(x, y, lo)
                 assert [(k, exact_items(p)) for k, p in got] == want, (
-                    x, y, span)
-    assert kept
+                    x, y, lo)
+            assert kept.products(x, y, lo) is got
+    assert kept._products

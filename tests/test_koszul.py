@@ -19,7 +19,10 @@ Oracles used here:
   * every reported representative is a cocycle, checked by applying the
     differential, with no code shared with the elimination;
   * a spy on the elimination: the image of a differential is eliminated
-    only where the next degree has classes to represent.
+    only where the next degree has classes to represent;
+  * a mod-p rank certificate: every dimension equals the one given by the
+    ranks of the differentials mod a large prime, computed by a test-side
+    integer elimination that shares no code with ``chiralis.exact``.
 """
 
 import itertools
@@ -322,6 +325,67 @@ def test_image_is_eliminated_only_where_a_class_needs_a_representative(
                  in degrees for c in cells)
     assert calls == {"echelon": needed, "rank_kernel": len(cells)}
     assert (needed, len(cells)) == (13, 127)
+
+
+# primes for the rank certificate: the second is tried only where the first
+# divides a minor that decides a rank
+CERTIFICATE_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1)
+
+
+def rank_mod_p(cols, p):
+    """The rank mod p of a matrix given by its columns {row: entry}, by
+    integer elimination on the residues; a Fraction entry is its numerator
+    times the inverse of its denominator."""
+    pivots = {}  # pivot row -> reduced column, 1 at the pivot row
+    for col in cols:
+        v = {}
+        for i, c in col.items():
+            c = Fraction(c)
+            r = c.numerator * pow(c.denominator, -1, p) % p
+            if r:
+                v[i] = r
+        while v:
+            i = min(v)
+            piv = pivots.get(i)
+            if piv is None:
+                inv = pow(v[i], -1, p)
+                pivots[i] = {k: r * inv % p for k, r in v.items()}
+                break
+            f = v[i]
+            for k, r in piv.items():
+                r = (v.get(k, 0) - f * r) % p
+                if r:
+                    v[k] = r
+                else:
+                    v.pop(k, None)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("m, top, lo, hi", [(2, 3, -2, 6), (3, 3, 0, 4)])
+def test_dimensions_match_mod_p_ranks(m, top, lo, hi):
+    """On the cells of ``fs-cohomology --m 2 --max-weight 3 --min-charge
+    -2 --max-charge 6`` and ``--m 3 --max-weight 3``, the dimension of
+    every degree is dim_p = (cochains - rank_p d_d - rank_p d_(d-1)).  A
+    rank mod p is at most the rational rank, so dim_p >= dim holds for
+    every prime; where the first prime falls short of equality, the
+    second must reach it."""
+    K = ChiralKoszul(m)
+    dims = {(c["weight"], c["charge"], c["degree"]): c["dim"]
+            for c in K.cohomology(top, hi, min_charge=lo)["cells"]}
+    seen = set()
+    for w, q in itertools.product(range(top + 1), range(lo, hi + 1)):
+        cells = K.cell_by_degree(w, q)
+        want = {d: dims[w, q, d] for d in cells}
+        seen.update((w, q, d) for d in cells)
+        for p in CERTIFICATE_PRIMES:
+            ranks = {d: rank_mod_p(K._matrix(cells, d)[0], p) for d in cells}
+            got = {d: len(basis) - ranks[d] - ranks.get(d - 1, 0)
+                   for d, basis in cells.items()}
+            assert all(got[d] >= want[d] for d in cells), (w, q, p)
+            if got == want:
+                break
+        assert got == want, (w, q)
+    assert seen == set(dims) and any(dims.values())
 
 
 @pytest.mark.xfail(strict=True, reason=(

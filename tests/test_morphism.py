@@ -11,6 +11,8 @@ Oracles:
   * fault injection: against the source itself as target the residual is
     not zero when the differential of the morphism family is not, so a
     residual that always came out zero fails here;
+  * fault injection at arity 1: a target that drops the arity-1
+    component of the differential fails the equation at k = 1;
   * a component above ``starops.MAX_ARITY`` is refused, where it was
     stored and then left out of the operations, so that a check of the
     twist reported ok, closed and match on a structure it never saw.
@@ -23,6 +25,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiralis import algebroid
 from chiralis.algebra import SuperPolyAlgebra
 from chiralis.algebroid import (
     ChiralInftyAlgebroid,
@@ -119,6 +122,27 @@ def test_wrong_target_leaves_a_residual(residuals):
     # the source itself is the wrong target when d(beta) != 0
     assert any(residuals(wrong_only=True))
 
+
+
+def test_morphism_equation_is_checked_at_arity_one(monkeypatch):
+    """Over the de Rham base Q[x] (x) Lambda[y], D(x) = y, the morphism
+    member beta_1(tau_x) = x has a nonzero arity-1 differential.  With the
+    right target the equation holds; a target that drops that component
+    must fail it at k = 1."""
+    world = JetWorld(SuperPolyAlgebra([("x", 0, 0), ("y", 1, 1)],
+                                      D={"x": {(("y", 1),): Fraction(1)}}))
+    betas = {1: ChevalleyCochain(world, 1, {("x",): {(): world.coord("x")}},
+                                 0)}
+    P = ChiralInftyAlgebroid(world)
+    rep = chiral_infty_morphism(P, betas)
+    assert rep["ok"] and rep["residual_matches_differential"]
+    assert rep["exact_target"] == [1]
+    real = algebroid.lc_d
+    monkeypatch.setattr(algebroid, "lc_d", lambda w, family: {
+        k: v for k, v in real(w, family).items() if k != 1})
+    rep = chiral_infty_morphism(P, betas)
+    assert not rep["ok"]
+    assert any(f["k"] == 1 for f in rep["failures"])
 
 
 def test_components_above_the_highest_arity_are_refused():
